@@ -55,11 +55,15 @@ echo "== tier-1: ASan/UBSan chaos pass (${ASAN_DIR}) =="
 cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # test_overlay joins the ASan tier: lookup/find state machines erase their
 # own entries from inside timer closures, the classic shape for a
-# use-after-free when a late reply races a timeout.
+# use-after-free when a late reply races a timeout. test_supervisor and
+# test_core_service have the same shape: lease, bind-retry and redeploy
+# timers capture job ids and fire after the job was cancelled or fenced.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
-  test_obs test_obs_http test_wire test_tcp_parity test_overlay
+  test_obs test_obs_http test_wire test_tcp_parity test_overlay \
+  test_supervisor test_core_service
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
-         test_wire test_tcp_parity test_overlay; do
+         test_wire test_tcp_parity test_overlay test_supervisor \
+         test_core_service; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

@@ -58,6 +58,12 @@ bool contains_label(const std::vector<std::string>& labels,
   return std::find(labels.begin(), labels.end(), label) != labels.end();
 }
 
+/// Deployed live and not failed: the states a supervisor's lease and
+/// resume apply to.
+bool is_live(JobState s) {
+  return s == JobState::kRunning || s == JobState::kSuspended;
+}
+
 }  // namespace
 
 TrianaService::TrianaService(net::Transport& transport, net::Clock clock,
@@ -298,7 +304,7 @@ std::string TrianaService::deploy_local(const TaskGraph& graph,
 void TrianaService::tick_job(const std::string& job_id,
                              std::uint64_t iterations) {
   auto it = jobs_.find(job_id);
-  if (it == jobs_.end() || it->second.failed) return;
+  if (it == jobs_.end() || it->second.failed()) return;
   run_iterations(it->second, iterations);
 }
 
@@ -312,7 +318,7 @@ bool TrianaService::job_failed(const std::string& job_id,
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return false;
   if (error) *error = it->second.error;
-  return it->second.failed;
+  return it->second.failed();
 }
 
 bool TrianaService::cancel_local(const std::string& job_id) {
@@ -364,15 +370,13 @@ void TrianaService::handle_control(const net::Endpoint& from,
         // resuming on it would let a replaced zombie execute retransmitted
         // payloads at the old epoch. The reply carries suspended=true; the
         // CURRENT supervisor answers with an explicit kResume.
-        if (m.lease_s > 0.0 && !job.failed && !job.standby) {
-          renew_lease(job, m.lease_s);
-        }
+        if (m.lease_s > 0.0 && is_live(job.state)) renew_lease(job, m.lease_s);
         s.known = true;
-        s.running = !job.failed && !job.suspended;
-        s.failed = job.failed;
+        s.running = job.state == JobState::kRunning;
+        s.failed = job.failed();
         s.error = job.error;
         s.epoch = job.epoch;
-        s.suspended = job.suspended;
+        s.suspended = job.state == JobState::kSuspended;
         if (job.runtime) {
           s.iteration = job.runtime->iteration();
           s.firings = job.runtime->stats().firings;
@@ -396,7 +400,7 @@ void TrianaService::handle_control(const net::Endpoint& from,
       CheckpointDataMsg d;
       d.job_id = m.job_id;
       auto it = jobs_.find(m.job_id);
-      if (it != jobs_.end() && it->second.runtime && !it->second.failed) {
+      if (it != jobs_.end() && it->second.runtime && !it->second.failed()) {
         d.ok = true;
         d.state = it->second.runtime->save_checkpoint();
       }
@@ -435,9 +439,9 @@ void TrianaService::handle_control(const net::Endpoint& from,
         Job& job = it->second;
         // Epoch-gated: a resume that raced a fence (the job was re-fenced
         // after the supervisor replied) must not revive it.
-        if (!job.failed && !job.standby && m.epoch == job.epoch) {
+        if (is_live(job.state) && m.epoch == job.epoch) {
           if (m.lease_s > 0.0) renew_lease(job, m.lease_s);
-          if (job.suspended) resume_job(job);
+          transition(job, JobEvent::kResume);
         }
       }
       break;
@@ -597,13 +601,11 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
           PendingDeploy& p = pit->second;
           --p.fetches_outstanding;
           if (!a) {
-            p.failed = true;
             p.error = "owner has no module '" + type + "'";
           } else {
             ++stats_.modules_fetched;
             obs_.modules_fetched.inc();
             if (!module_cache_.insert(*a)) {
-              p.failed = true;
               p.error = "module cache cannot hold '" + type + "'";
             } else {
               p.fetched_modules.push_back(type);
@@ -622,8 +624,8 @@ void TrianaService::maybe_start(const std::string& job_id) {
   if (it == pending_.end() || it->second.fetches_outstanding > 0) return;
   PendingDeploy pending = std::move(it->second);
   pending_.erase(it);
-  if (pending.failed) {
-    fail_deploy(pending, pending.error);
+  if (pending.error) {
+    fail_deploy(pending, *pending.error);
     return;
   }
   start_job(std::move(pending));
@@ -647,7 +649,6 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
   job.pinned_modules = std::move(pending.fetched_modules);
   job.epoch = pending.msg.epoch;
   job.lease_s = pending.msg.lease_s;
-  job.standby = pending.msg.standby;
 
   TaskGraph graph;
   try {
@@ -707,13 +708,13 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
       });
 
   // Boundary ingress/egress labels. A standby job stays dark: no input
-  // adverts (the live incarnation owns the labels) until a kPromote.
+  // adverts (the live incarnation owns the labels) and no lease until a
+  // kPromote.
   job.input_labels = job.runtime->receive_labels();
   collect_send_labels(graph, job.output_labels);
   auto [jit, _] = jobs_.emplace(job_id, std::move(job));
   Job& stored = jit->second;
-  if (!stored.standby) advertise_job_inputs(stored);
-  if (stored.lease_s > 0.0) renew_lease(stored, stored.lease_s);
+  if (!pending.msg.standby) transition(stored, JobEvent::kStart);
 
   ++stats_.jobs_started;
   obs_.jobs_started.inc();
@@ -721,7 +722,7 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
   obs_.tracer.end_span(pending.span, config_.peer_id, "deploy", "started");
   send_ack(stored.reply_to, job_id, true, "");
 
-  if (pending.msg.iterations > 0 && !stored.standby) {
+  if (pending.msg.iterations > 0 && !pending.msg.standby) {
     run_iterations(stored, pending.msg.iterations);
   }
   return std::nullopt;
@@ -735,14 +736,12 @@ void TrianaService::advertise_job_inputs(Job& job) {
         label,
         [this, job_id, label](const net::Endpoint&, serial::Bytes payload) {
           auto it = jobs_.find(job_id);
-          if (it == jobs_.end() || it->second.failed) return;
+          if (it == jobs_.end() || it->second.failed()) return;
           ++stats_.pipe_items_in;
           try {
             it->second.runtime->deliver(label, decode_data_item(payload));
           } catch (const std::exception& e) {
-            it->second.failed = true;
-            it->second.error = e.what();
-            finish_job(it->second, /*violated=*/true);
+            transition(it->second, JobEvent::kFail, e.what());
           }
         },
         job.epoch);
@@ -756,21 +755,14 @@ void TrianaService::run_iterations(Job& job, std::uint64_t iterations) {
     // the coalescing buffers so downstream stages see them immediately.
     transport_.flush();
   } catch (const std::exception& e) {
-    const bool already_failed = job.failed;
-    job.failed = true;
-    if (job.error.empty()) job.error = e.what();
-    if (!already_failed) {
-      ++stats_.jobs_failed;
-      obs_.jobs_failed.inc();
-    }
-    finish_job(job, /*violated=*/true);
+    transition(job, JobEvent::kFail, e.what());
   }
 }
 
 void TrianaService::on_channel_send(const std::string& job_id,
                                     const std::string& label, DataItem item) {
   auto it = jobs_.find(job_id);
-  if (it == jobs_.end() || it->second.failed) return;
+  if (it == jobs_.end() || it->second.failed()) return;
   Job& job = it->second;
 
   // Outbound traffic counts against the job's sandbox network budget
@@ -778,13 +770,9 @@ void TrianaService::on_channel_send(const std::string& job_id,
   if (job.sb) {
     try {
       job.sb->charge_network(item.byte_size());
-    } catch (const sandbox::SandboxViolation&) {
-      job.failed = true;
-      ++stats_.jobs_failed;
-      obs_.jobs_failed.inc();
-      finish_job(job, /*violated=*/true);
-      // Rethrow so the engine run that produced this item stops too; the
-      // caller (run_iterations or a pipe delivery) records the error.
+    } catch (const sandbox::SandboxViolation& e) {
+      transition(job, JobEvent::kFail, e.what());
+      // Rethrow so the engine run that produced this item stops too.
       throw;
     }
   }
@@ -825,13 +813,13 @@ void TrianaService::start_output_bind(const std::string& job_id,
       // the provider is down for a blip, or dead with its replacement not
       // yet serving. Keep the backlog and ask again -- the supervisor's
       // recovery publishes a fresh advert the retry will find.
-      if (attempts_left > 0 && !j.failed) {
+      if (attempts_left > 0 && !j.failed()) {
         ++stats_.binds_retried;
         obs_.binds_retried.inc();
         scheduler_(config_.bind_retry_s, [this, job_id, label, attempts_left,
                                           bspan] {
           auto it2 = jobs_.find(job_id);
-          if (it2 == jobs_.end() || it2->second.failed) {
+          if (it2 == jobs_.end() || it2->second.failed()) {
             obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind",
                                  "job-gone");
             return;
@@ -847,12 +835,10 @@ void TrianaService::start_output_bind(const std::string& job_id,
         });
         return;
       }
-      j.failed = true;
-      j.error = "could not bind output channel '" + label + "'";
-      ++stats_.jobs_failed;
-      obs_.jobs_failed.inc();
       obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "failed");
-      finish_job(j, /*violated=*/false);
+      transition(j, JobEvent::kFail,
+                 "could not bind output channel '" + label + "'",
+                 /*violated=*/false);
       return;
     }
     obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "bound");
@@ -872,6 +858,63 @@ void TrianaService::rebind_channel(const std::string& label) {
   node_.cache().drop_name(p2p::AdvertKind::kPipe, label);
   for (auto& [id, job] : jobs_) {
     job.out_pipes.erase(label);
+  }
+}
+
+void TrianaService::transition(Job& job, JobEvent event,
+                               const std::string& error, bool violated) {
+  const auto trace_event = [&](const char* name) {
+    obs_.tracer.event(config_.peer_id, name, job.trace,
+                      "job=" + job.job_id +
+                          " epoch=" + std::to_string(job.epoch));
+  };
+  switch (event) {
+    case JobEvent::kStart:
+    case JobEvent::kPromote:
+      if (job.state != JobState::kStandby) return;
+      job.state = JobState::kRunning;
+      if (event == JobEvent::kPromote) {
+        ++stats_.promotions;
+        obs_.promotions.inc();
+        trace_event("job.promote");
+      }
+      advertise_job_inputs(job);
+      if (job.lease_s > 0.0) renew_lease(job, job.lease_s);
+      return;
+    case JobEvent::kLeaseExpired:
+      // No supervisor contact for a whole lease: assume we are the one who
+      // is partitioned. Withdraw the input pipes (so senders stop reaching
+      // a possibly-stale incarnation) and bounce anything already in
+      // flight. Reversible: the current supervisor's explicit resume brings
+      // the job back; a fence from a completed recovery halts it.
+      if (job.state != JobState::kRunning) return;
+      job.state = JobState::kSuspended;
+      ++stats_.jobs_suspended;
+      obs_.jobs_suspended.inc();
+      trace_event("job.suspend");
+      for (const auto& label : job.input_labels) {
+        if (label_owned_by_other(job.job_id, label)) continue;
+        pipes_.remove_input(label);
+        bounce_labels_.insert(label);
+      }
+      return;
+    case JobEvent::kResume:
+      if (job.state != JobState::kSuspended) return;
+      job.state = JobState::kRunning;
+      ++stats_.jobs_resumed;
+      trace_event("job.resume");
+      advertise_job_inputs(job);
+      return;
+    case JobEvent::kFail:
+      // Failure keeps the inputs advertised: payloads for a failed job are
+      // dropped by its pipe handler until the owner cancels it.
+      if (job.failed()) return;
+      job.state = JobState::kFailed;
+      job.error = error;
+      ++stats_.jobs_failed;
+      obs_.jobs_failed.inc();
+      finish_job(job, violated);
+      return;
   }
 }
 
@@ -895,7 +938,11 @@ void TrianaService::teardown_job(Job& job) {
 bool TrianaService::label_owned_by_other(const std::string& job_id,
                                          const std::string& label) const {
   for (const auto& [id, other] : jobs_) {
-    if (id == job_id || other.standby || other.suspended) continue;
+    // Standby and suspended jobs do not advertise their inputs.
+    if (id == job_id || other.state == JobState::kStandby ||
+        other.state == JobState::kSuspended) {
+      continue;
+    }
     if (contains_label(other.input_labels, label)) return true;
   }
   return false;
@@ -906,9 +953,11 @@ std::uint64_t TrianaService::job_epoch(const std::string& job_id) const {
   return it == jobs_.end() ? 0 : it->second.epoch;
 }
 
-bool TrianaService::job_suspended(const std::string& job_id) const {
+std::optional<JobState> TrianaService::job_state(
+    const std::string& job_id) const {
   auto it = jobs_.find(job_id);
-  return it != jobs_.end() && it->second.suspended;
+  if (it == jobs_.end()) return std::nullopt;
+  return it->second.state;
 }
 
 // ------------------------------------------------- lease / fence / bounce
@@ -927,7 +976,9 @@ void TrianaService::check_lease(const std::string& job_id) {
   if (it == jobs_.end()) return;
   Job& job = it->second;
   job.lease_timer_armed = false;
-  if (job.failed || job.suspended || job.lease_deadline <= 0.0) return;
+  // Only a running job suspends: a standby is dark and unleased until
+  // promoted, and suspension and failure are already out of service.
+  if (job.state != JobState::kRunning || job.lease_deadline <= 0.0) return;
   const double now = clock_();
   if (now + 1e-9 < job.lease_deadline) {
     // Renewed since this timer was set; re-arm for the current deadline.
@@ -936,35 +987,7 @@ void TrianaService::check_lease(const std::string& job_id) {
                [this, job_id] { check_lease(job_id); });
     return;
   }
-  suspend_job(job);
-}
-
-void TrianaService::suspend_job(Job& job) {
-  // No supervisor contact for a whole lease: assume we are the one who is
-  // partitioned. Withdraw the input pipes (so senders stop reaching a
-  // possibly-stale incarnation) and bounce anything already in flight.
-  // Reversible: a returning supervisor's probe resumes the job; a fence
-  // from a completed recovery halts it.
-  job.suspended = true;
-  ++stats_.jobs_suspended;
-  obs_.jobs_suspended.inc();
-  obs_.tracer.event(config_.peer_id, "job.suspend", job.trace,
-                    "job=" + job.job_id +
-                        " epoch=" + std::to_string(job.epoch));
-  for (const auto& label : job.input_labels) {
-    if (label_owned_by_other(job.job_id, label)) continue;
-    pipes_.remove_input(label);
-    bounce_labels_.insert(label);
-  }
-}
-
-void TrianaService::resume_job(Job& job) {
-  job.suspended = false;
-  ++stats_.jobs_resumed;
-  obs_.tracer.event(config_.peer_id, "job.resume", job.trace,
-                    "job=" + job.job_id +
-                        " epoch=" + std::to_string(job.epoch));
-  advertise_job_inputs(job);
+  transition(job, JobEvent::kLeaseExpired);
 }
 
 void TrianaService::fence_halt(const std::string& job_id) {
@@ -1019,7 +1042,7 @@ void TrianaService::resend_bounced(const std::string& label,
                                    serial::Bytes payload, int attempts_left) {
   Job* owner = nullptr;
   for (auto& [id, job] : jobs_) {
-    if (!job.failed && contains_label(job.output_labels, label)) {
+    if (!job.failed() && contains_label(job.output_labels, label)) {
       owner = &job;
       break;
     }
@@ -1043,7 +1066,7 @@ void TrianaService::resend_bounced(const std::string& label,
       label, [this, label, job_id, payload = std::move(payload),
               attempts_left](p2p::OutputPipe pipe) mutable {
         auto jit = jobs_.find(job_id);
-        if (jit == jobs_.end() || jit->second.failed) {
+        if (jit == jobs_.end() || jit->second.failed()) {
           ++stats_.bounces_dropped;
           return;
         }
@@ -1071,21 +1094,12 @@ void TrianaService::resend_bounced(const std::string& label,
 void TrianaService::handle_promote(const net::Endpoint& from,
                                    const PromoteMsg& m) {
   auto it = jobs_.find(m.job_id);
-  if (it == jobs_.end() || it->second.failed) {
+  if (it == jobs_.end() || it->second.failed()) {
     send_ack(from, m.job_id, false, "no such standby job");
     return;
   }
-  Job& job = it->second;
-  if (job.standby) {
-    job.standby = false;
-    ++stats_.promotions;
-    obs_.promotions.inc();
-    obs_.tracer.event(config_.peer_id, "job.promote", job.trace,
-                      "job=" + job.job_id +
-                          " epoch=" + std::to_string(job.epoch));
-    advertise_job_inputs(job);
-    if (job.lease_s > 0.0) renew_lease(job, job.lease_s);
-  }
+  // Promoting a job that is already live is a no-op, acked all the same.
+  transition(it->second, JobEvent::kPromote);
   send_ack(from, m.job_id, true, "");
 }
 

@@ -13,13 +13,14 @@
 //   * the *client* deploys fragments to other services and tracks acks;
 //   * the *command process server* answers status / checkpoint / cancel.
 //
-// The service is transport-agnostic (sim, inproc or tcp) and single-
+// The service is transport-agnostic (sim or tcp) and single-
 // threaded per peer: all handlers run on whatever thread polls the
 // transport.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -89,6 +90,19 @@ struct DeployOptions {
   double lease_s = 0.0;
   bool standby = false;
 };
+
+/// Lifecycle of a job hosted by a TrianaService (fenced recovery):
+///
+///   deploy(standby) -> kStandby --promote--> kRunning
+///   deploy ------------------------------> kRunning
+///   kRunning --lease expiry--> kSuspended --resume at its epoch--> kRunning
+///   kRunning, kSuspended --failure--> kFailed (final; kept until cancelled)
+///
+/// A kStandby job has not advertised its inputs yet, a kSuspended one has
+/// withdrawn them and bounces payloads sent to them, and a kFailed one
+/// keeps them but drops what arrives. Cancelled and fenced jobs leave the
+/// service, so they have no state.
+enum class JobState { kStandby, kRunning, kSuspended, kFailed };
 
 struct ServiceStats {
   std::uint64_t deploys_received = 0;
@@ -253,8 +267,8 @@ class TrianaService {
 
   /// The fencing epoch of a job hosted here (0 when unknown/unfenced).
   std::uint64_t job_epoch(const std::string& job_id) const;
-  /// True when the job exists and has self-suspended on an expired lease.
-  bool job_suspended(const std::string& job_id) const;
+  /// Lifecycle state of a job hosted here (nullopt when unknown).
+  std::optional<JobState> job_state(const std::string& job_id) const;
 
  private:
   struct Job {
@@ -263,8 +277,10 @@ class TrianaService {
     net::Endpoint reply_to;  ///< who deployed (for acks); empty for local
     std::unique_ptr<sandbox::Sandbox> sb;
     std::unique_ptr<GraphRuntime> runtime;
-    bool failed = false;
-    std::string error;
+    /// Built dark; only transition() changes it.
+    JobState state = JobState::kStandby;
+    std::string error;  ///< why the job failed
+    bool failed() const { return state == JobState::kFailed; }
     double started_at = 0;
     std::vector<std::string> pinned_modules;
     std::vector<std::string> input_labels;  ///< advertised pipes to remove
@@ -275,8 +291,6 @@ class TrianaService {
     double lease_s = 0.0;         ///< liveness lease length (0 = none)
     double lease_deadline = 0.0;  ///< next expiry on the ambient clock
     bool lease_timer_armed = false;  ///< one expiry timer chain per job
-    bool suspended = false;       ///< lease expired; inputs withdrawn
-    bool standby = false;         ///< dormant until kPromote
     /// The job's causal identity: the deploy's trace, parented by this
     /// service's "deploy" span. Runtime ticks and pipe binds hang off it.
     obs::TraceContext trace;
@@ -287,8 +301,7 @@ class TrianaService {
     DeployMsg msg;
     net::Endpoint reply_to;  ///< empty for local deploys
     std::size_t fetches_outstanding = 0;
-    bool failed = false;
-    std::string error;
+    std::optional<std::string> error;  ///< set once a fetch has failed
     std::vector<std::string> fetched_modules;
     double received_at = 0.0;  ///< for the deploy_start_s histogram
     std::uint64_t span = 0;    ///< open "deploy" trace span
@@ -304,6 +317,10 @@ class TrianaService {
     obs::TracerRef tracer;
   };
 
+  /// What moves a job between JobStates. Cancel and fence are not events
+  /// here: they take the job out of jobs_.
+  enum class JobEvent { kStart, kPromote, kLeaseExpired, kResume, kFail };
+
   void handle_control(const net::Endpoint& from, serial::Frame frame);
   void handle_deploy(const net::Endpoint& from, DeployMsg m);
   void maybe_start(const std::string& job_id);
@@ -312,6 +329,14 @@ class TrianaService {
   void fail_deploy(PendingDeploy& pending, const std::string& error);
   void send_ack(const net::Endpoint& to, const std::string& job_id, bool ok,
                 const std::string& error);
+  /// The one place Job::state changes. Applies `event` per the JobState
+  /// diagram and runs the transition's side effects: input adverts and
+  /// bounce labels, lease renewal, billing settlement on failure, counters
+  /// and job.* trace events. An event with no edge from the current state
+  /// changes nothing (a failed job is counted once, keeping its first error).
+  /// `error`/`violated` only matter for kFail.
+  void transition(Job& job, JobEvent event, const std::string& error = {},
+                  bool violated = true);
   void finish_job(Job& job, bool violated);
   void teardown_job(Job& job);
   void on_channel_send(const std::string& job_id, const std::string& label,
@@ -330,8 +355,6 @@ class TrianaService {
                             const std::string& label) const;
   void renew_lease(Job& job, double lease_s);
   void check_lease(const std::string& job_id);
-  void suspend_job(Job& job);
-  void resume_job(Job& job);
   /// Halt a zombie job overtaken by a higher-epoch fence/rebind: its input
   /// labels keep bouncing, the job itself is cancelled.
   void fence_halt(const std::string& job_id);

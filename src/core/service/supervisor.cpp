@@ -38,18 +38,12 @@ RunSupervisor::RunSupervisor(TrianaController& controller,
       run_(std::move(run)),
       spares_(std::move(spares)),
       options_(options) {
-  const std::size_t n = run_->remote_jobs.size();
-  missed_.assign(n, 0);
-  recovering_.assign(n, false);
-  degraded_.assign(n, false);
-  last_contact_.assign(n, 0.0);
-  epochs_.assign(n, 0);
-  standbys_.assign(n, Standby{});
-  FailureDetectorOptions d;
+  net::FailureDetectorOptions d;
   d.window = options_.detector_window;
   d.min_std_s = options_.detector_min_std_s;
-  detectors_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) detectors_.emplace_back(d);
+  Fragment fresh;
+  fresh.detector = net::PhiAccrualDetector(d);
+  fragments_.assign(run_->remote_jobs.size(), fresh);
   rebuild_contact_index();
 }
 
@@ -58,8 +52,9 @@ const net::ReliableStats& RunSupervisor::reliable_stats() const {
 }
 
 double RunSupervisor::phi_of(std::size_t idx) const {
-  if (detectors_[idx].samples() < 2) return 0.0;
-  return detectors_[idx].phi(controller_.home().now());
+  const net::PhiAccrualDetector& detector = fragments_[idx].detector;
+  if (detector.samples() < 2) return 0.0;
+  return detector.phi(controller_.home().now());
 }
 
 void RunSupervisor::set_obs(obs::Registry& registry, obs::Tracer* tracer,
@@ -109,21 +104,21 @@ void RunSupervisor::rebuild_contact_index() {
 }
 
 void RunSupervisor::start() {
-  if (started_) {
+  if (run_state_ != RunState::kIdle) {
     throw std::logic_error(
         "RunSupervisor::start() called twice (would double the timer loops)");
   }
-  started_ = true;
+  run_state_ = RunState::kStarted;
   auto self = shared_from_this();
   const double now = home().now();
-  for (double& t : last_contact_) t = now;
+  for (Fragment& f : fragments_) f.last_contact = now;
 
   // Piggybacked liveness: ANY frame the home transport receives from a
   // monitored host -- data items, acks, code replies -- is proof of life.
   // Weak capture: the listener outlives the supervisor harmlessly.
   std::weak_ptr<RunSupervisor> weak = self;
   home().reliable().set_activity_listener([weak](const net::Endpoint& from) {
-    if (auto locked = weak.lock(); locked && !locked->stopped_) {
+    if (auto locked = weak.lock(); locked && !locked->stopped()) {
       locked->on_activity(from);
     }
   });
@@ -136,25 +131,25 @@ void RunSupervisor::start() {
 void RunSupervisor::on_activity(const net::Endpoint& from) {
   auto it = contact_idx_.find(from.value);
   if (it == contact_idx_.end()) return;
-  const std::size_t i = it->second;
-  if (degraded_[i]) return;
+  Fragment& f = fragments_[it->second];
+  if (f.state == Fragment::State::kDegraded) return;
   const double now = home().now();
   // Evidence only: touch() never pollutes the reply-interval history, so a
   // burst of data frames cannot shrink the window and turn the detector
   // trigger-happy once the burst ends.
-  detectors_[i].touch(now);
-  last_contact_[i] = now;
+  f.detector.touch(now);
+  f.last_contact = now;
 }
 
 void RunSupervisor::checkpoint_round() {
-  if (stopped_) return;
+  if (stopped()) return;
   auto self = shared_from_this();
-  for (std::size_t i = 0; i < run_->remote_jobs.size(); ++i) {
-    if (recovering_[i] || degraded_[i]) continue;
+  for (std::size_t i = 0; i < fragments_.size(); ++i) {
+    if (fragments_[i].state != Fragment::State::kWatched) continue;
     controller_.home().request_checkpoint(
         run_->workers[i], run_->remote_jobs[i],
         [self, i](const CheckpointDataMsg& m) {
-          if (self->stopped_ || !m.ok) return;
+          if (self->stopped() || !m.ok) return;
           ++self->stats_.checkpoints_taken;
           self->obs_.checkpoints_taken.inc();
           self->store_.put(fragment_key(i), m.state,
@@ -166,24 +161,25 @@ void RunSupervisor::checkpoint_round() {
 }
 
 void RunSupervisor::probe_round() {
-  if (stopped_) return;
+  if (stopped()) return;
   auto self = shared_from_this();
   const double now = home().now();
-  for (std::size_t i = 0; i < run_->remote_jobs.size(); ++i) {
-    if (recovering_[i] || degraded_[i]) continue;
+  for (std::size_t i = 0; i < fragments_.size(); ++i) {
+    Fragment& f = fragments_[i];
+    if (f.state != Fragment::State::kWatched) continue;
 
     bool dead = false;
     bool suspect = false;
-    if (detectors_[i].samples() >= 2) {
-      const double phi = detectors_[i].phi(now);
+    if (f.detector.samples() >= 2) {
+      const double phi = f.detector.phi(now);
       set_phi_gauge(i, phi);
       dead = phi >= options_.phi_dead;
       suspect = phi >= options_.phi_suspect;
     } else {
       // Bootstrap: no reply history to model yet (the host may have been
       // dead from the start) -- fall back to missed-probe counting.
-      ++missed_[i];
-      dead = missed_[i] > options_.max_missed;
+      ++f.missed;
+      dead = f.missed > options_.max_missed;
     }
 
     if (dead) {
@@ -194,9 +190,9 @@ void RunSupervisor::probe_round() {
     }
 
     if (options_.speculative_backups && fencing()) {
-      if (suspect && !standbys_[i].pending && !standbys_[i].ready) {
+      if (suspect && f.standby.state == Standby::State::kNone) {
         deploy_standby(i);
-      } else if (!suspect && standbys_[i].ready) {
+      } else if (!suspect && f.standby.state == Standby::State::kReady) {
         cancel_standby(i);  // suspicion subsided; hand the spare back
       }
     }
@@ -206,15 +202,16 @@ void RunSupervisor::probe_round() {
     home().request_status(
         run_->workers[i], run_->remote_jobs[i],
         [self, i](const StatusMsg& m) {
-          if (self->stopped_) return;
+          if (self->stopped()) return;
           if (!m.known || m.failed) return;
           // A reply from a previous incarnation (pre-recovery epoch) is
           // not evidence for the CURRENT fragment host.
-          if (m.epoch != self->epochs_[i]) return;
+          Fragment& f = self->fragments_[i];
+          if (m.epoch != f.epoch) return;
           const double t = self->home().now();
-          self->detectors_[i].heartbeat(t);
-          self->last_contact_[i] = t;
-          self->missed_[i] = 0;
+          f.detector.heartbeat(t);
+          f.last_contact = t;
+          f.missed = 0;
           ++self->stats_.probes_answered;
           self->obs_.probes_answered.inc();
           // A suspended host answering at OUR epoch is a partition
@@ -225,16 +222,17 @@ void RunSupervisor::probe_round() {
             ++self->stats_.resumes_sent;
             self->home().resume_remote(self->run_->workers[i],
                                        self->run_->remote_jobs[i],
-                                       self->epochs_[i], self->options_.lease_s);
+                                       f.epoch, self->options_.lease_s);
           }
         },
-        epochs_[i], options_.lease_s);
+        f.epoch, options_.lease_s);
   }
   home().scheduler()(options_.probe_period_s, [self] { self->probe_round(); });
 }
 
 void RunSupervisor::recover(std::size_t idx) {
-  recovering_[idx] = true;
+  Fragment& f = fragments_[idx];
+  f.state = Fragment::State::kRecovering;
   const net::Endpoint dead = run_->workers[idx];
   if (auto* trust = controller_.trust_manager()) {
     trust->record(dead.value, sandbox::TrustEvent::kFailure);
@@ -244,9 +242,9 @@ void RunSupervisor::recover(std::size_t idx) {
   rec->idx = idx;
   rec->dead = dead;
   rec->detected_at = home().now();
-  rec->contact_at_detect = last_contact_[idx];
-  rec->attempts_left =
-      static_cast<int>(spares_.size()) + (standbys_[idx].ready ? 1 : 0);
+  rec->contact_at_detect = f.last_contact;
+  rec->attempts_left = static_cast<int>(spares_.size()) +
+                       (f.standby.state == Standby::State::kReady ? 1 : 0);
   if (auto r = store_.get(fragment_key(idx))) rec->state = r->state;
   rec->span = obs_.tracer.begin_span(
       obs_.node, "supervisor.recover",
@@ -268,18 +266,19 @@ void RunSupervisor::recover(std::size_t idx) {
   // self-suspended and is bouncing payloads. The replacement never
   // coexists with a live-and-serving zombie.
   const double wait =
-      std::max(0.0, last_contact_[idx] + options_.lease_s - home().now()) +
+      std::max(0.0, f.last_contact + options_.lease_s - home().now()) +
       0.001;
   auto self = shared_from_this();
   home().scheduler()(wait, [self, rec] {
-    if (self->stopped_) return;
-    if (self->last_contact_[rec->idx] > rec->contact_at_detect) {
+    if (self->stopped()) return;
+    Fragment& f = self->fragments_[rec->idx];
+    if (f.last_contact > rec->contact_at_detect) {
       // The host showed life during the wait: partitioned, not dead. It is
       // sitting suspended; the next probe round sees suspended=true and
       // sends it an explicit resume.
       ++self->stats_.recoveries_aborted;
-      self->missed_[rec->idx] = 0;
-      self->recovering_[rec->idx] = false;
+      f.missed = 0;
+      f.state = Fragment::State::kWatched;
       self->obs_.tracer.end_span(rec->span, self->obs_.node,
                                  "supervisor.recover", "aborted: host alive");
       return;
@@ -289,21 +288,21 @@ void RunSupervisor::recover(std::size_t idx) {
 }
 
 void RunSupervisor::begin_replacement(std::shared_ptr<Recovery> rec) {
-  if (stopped_) return;
-  Standby& sb = standbys_[rec->idx];
-  if (sb.ready) {
+  if (stopped()) return;
+  Standby& sb = fragments_[rec->idx].standby;
+  if (sb.state == Standby::State::kReady) {
     // The speculative standby already holds the checkpoint: promotion is
     // one control round-trip instead of a full redeploy.
     const net::Endpoint host = sb.host;
     const std::string job_id = sb.job_id;
     const std::uint64_t epoch = sb.epoch;
-    standbys_[rec->idx] = Standby{};
+    sb = Standby{};
     auto self = shared_from_this();
     auto done = std::make_shared<bool>(false);
     home().promote_remote(
         host, job_id,
         [self, rec, host, job_id, epoch, done](const DeployAckMsg& ack) {
-          if (self->stopped_ || *done) return;
+          if (self->stopped() || *done) return;
           *done = true;
           if (!ack.ok) {
             self->attempt_redeploy(rec);
@@ -314,7 +313,7 @@ void RunSupervisor::begin_replacement(std::shared_ptr<Recovery> rec) {
         });
     home().scheduler()(options_.redeploy_timeout_s,
                        [self, rec, host, job_id, done] {
-                         if (self->stopped_ || *done) return;
+                         if (self->stopped() || *done) return;
                          *done = true;
                          // Correlated failure: the standby's host is silent
                          // too. Do not return it to the pool.
@@ -328,7 +327,7 @@ void RunSupervisor::begin_replacement(std::shared_ptr<Recovery> rec) {
 }
 
 void RunSupervisor::attempt_redeploy(std::shared_ptr<Recovery> rec) {
-  if (stopped_) return;
+  if (stopped()) return;
   if (rec->attempts_left <= 0 || spares_.empty()) {
     fail_recovery(rec, spares_.empty() ? "no spare" : "attempts exhausted");
     return;
@@ -347,7 +346,7 @@ void RunSupervisor::attempt_redeploy(std::shared_ptr<Recovery> rec) {
   const std::string job_id = home().deploy_remote(
       spare, run_->fragments[rec->idx], /*iterations=*/0,
       [self, rec, spare, epoch, done](const DeployAckMsg& ack) {
-        if (self->stopped_) return;
+        if (self->stopped()) return;
         if (*done) {
           // Ack after the timeout gave up on this spare: the deploy may
           // have landed there -- make sure no orphan job keeps running.
@@ -370,7 +369,7 @@ void RunSupervisor::attempt_redeploy(std::shared_ptr<Recovery> rec) {
 
   home().scheduler()(options_.redeploy_timeout_s,
                      [self, rec, spare, job_id, done] {
-                       if (self->stopped_ || *done) return;
+                       if (self->stopped() || *done) return;
                        *done = true;
                        // A silent spare is probably dead too: drop it from
                        // the pool and cancel the possibly-orphaned deploy
@@ -388,18 +387,19 @@ void RunSupervisor::complete_recovery(std::shared_ptr<Recovery> rec,
   const std::size_t idx = rec->idx;
   run_->workers[idx] = host;
   run_->remote_jobs[idx] = job_id;
-  epochs_[idx] = epoch;
+  Fragment& f = fragments_[idx];
+  f.epoch = epoch;
   rebuild_contact_index();
   broadcast_refence(idx, epoch, rec->dead);
 
   // Fresh grace for the new host: the old reply history does not describe
   // it, and a stale evidence clock would re-convict it instantly.
   const double now = home().now();
-  missed_[idx] = 0;
-  detectors_[idx].reset();
-  detectors_[idx].touch(now);
-  last_contact_[idx] = now;
-  recovering_[idx] = false;
+  f.missed = 0;
+  f.detector.reset();
+  f.detector.touch(now);
+  f.last_contact = now;
+  f.state = Fragment::State::kWatched;
   ++stats_.recoveries;
   obs_.recoveries.inc();
   obs_.recovery_s.observe(now - rec->detected_at);
@@ -413,8 +413,7 @@ void RunSupervisor::fail_recovery(std::shared_ptr<Recovery> rec,
   obs_.recoveries_failed.inc();
   // Degraded, not wedged: this fragment is lost for good, the rest of the
   // run keeps being supervised and nothing hangs waiting on it.
-  degraded_[rec->idx] = true;
-  recovering_[rec->idx] = false;
+  fragments_[rec->idx].state = Fragment::State::kDegraded;
   obs_.tracer.end_span(rec->span, obs_.node, "supervisor.recover", why);
 }
 
@@ -465,9 +464,9 @@ void RunSupervisor::broadcast_refence(std::size_t idx, std::uint64_t epoch,
 
 void RunSupervisor::deploy_standby(std::size_t idx) {
   if (spares_.empty()) return;
-  Standby& sb = standbys_[idx];
+  Standby& sb = fragments_[idx].standby;
   sb = Standby{};
-  sb.pending = true;
+  sb.state = Standby::State::kDeploying;
   sb.host = spares_.back();
   spares_.pop_back();
   sb.epoch = next_epoch_++;
@@ -485,24 +484,26 @@ void RunSupervisor::deploy_standby(std::size_t idx) {
   home().deploy_remote(
       host, run_->fragments[idx], /*iterations=*/0,
       [self, idx, host](const DeployAckMsg& ack) {
-        if (self->stopped_) return;
-        Standby& sb = self->standbys_[idx];
-        if (!sb.pending || sb.host.value != host.value) return;  // superseded
-        sb.pending = false;
+        if (self->stopped()) return;
+        Standby& sb = self->fragments_[idx].standby;
+        if (sb.state != Standby::State::kDeploying ||
+            sb.host.value != host.value) {
+          return;  // superseded
+        }
         if (!ack.ok) {
           self->spares_.insert(self->spares_.begin(), host);
           sb = Standby{};
           return;
         }
-        sb.ready = true;
+        sb.state = Standby::State::kReady;
         sb.job_id = ack.job_id;
       },
       std::move(state), opt);
 }
 
 void RunSupervisor::cancel_standby(std::size_t idx) {
-  Standby& sb = standbys_[idx];
-  if (!sb.ready) return;
+  Standby& sb = fragments_[idx].standby;
+  if (sb.state != Standby::State::kReady) return;
   ++stats_.speculative_cancelled;
   home().cancel_remote(sb.host, sb.job_id);
   spares_.push_back(sb.host);

@@ -9,7 +9,7 @@
 //     CheckpointStore (latest-wins);
 //   * every probe_period it sends a status probe to each fragment's host
 //     and scores the host's *suspicion* with a phi-accrual detector
-//     (failure_detector.hpp) fed by probe-reply inter-arrivals and by
+//     (net/failure_detector.hpp) fed by probe-reply inter-arrivals and by
 //     liveness piggybacked on ordinary data-plane traffic. phi >= phi_dead
 //     declares the host dead; until the detector has history, the legacy
 //     missed-probe count (max_missed) decides;
@@ -37,7 +37,7 @@
 
 #include "core/checkpoint/checkpoint.hpp"
 #include "core/service/controller.hpp"
-#include "core/service/failure_detector.hpp"
+#include "net/failure_detector.hpp"
 #include "obs/obs.hpp"
 
 namespace cg::core {
@@ -127,16 +127,20 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
 
   /// Stop scheduling further work. In-flight callbacks become no-ops:
   /// after stop() neither stats nor the run are mutated.
-  void stop() { stopped_ = true; }
+  void stop() { run_state_ = RunState::kStopped; }
 
   const SupervisorStats& stats() const { return stats_; }
   const CheckpointStore& checkpoints() const { return store_; }
   std::size_t spares_left() const { return spares_.size(); }
   /// Current fencing epoch of a fragment (0 until its first recovery).
-  std::uint64_t epoch_of(std::size_t idx) const { return epochs_[idx]; }
+  std::uint64_t epoch_of(std::size_t idx) const {
+    return fragments_[idx].epoch;
+  }
   /// True when the fragment is lost for good (recovery exhausted spares);
   /// the run is degraded but the supervisor keeps serving the rest.
-  bool degraded(std::size_t idx) const { return degraded_[idx]; }
+  bool degraded(std::size_t idx) const {
+    return fragments_[idx].state == Fragment::State::kDegraded;
+  }
   /// Current suspicion score for a fragment's host (0 while bootstrapping).
   double phi_of(std::size_t idx) const;
 
@@ -159,12 +163,32 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
 
   /// A dark standby for a suspected host.
   struct Standby {
-    bool pending = false;  ///< deploy in flight
-    bool ready = false;    ///< acked, promotable
+    /// kDeploying: deploy in flight; kReady: acked, promotable.
+    enum class State { kNone, kDeploying, kReady };
+    State state = State::kNone;
     net::Endpoint host;
     std::string job_id;
     std::uint64_t epoch = 0;
   };
+
+  /// Everything the supervisor tracks about one fragment of the run:
+  ///
+  ///   kWatched --dead--> kRecovering --replaced, or host alive--> kWatched
+  ///                      kRecovering --out of spares--> kDegraded (final)
+  ///
+  /// Only a kWatched fragment is probed and checkpointed.
+  struct Fragment {
+    enum class State { kWatched, kRecovering, kDegraded };
+    State state = State::kWatched;
+    net::PhiAccrualDetector detector;
+    int missed = 0;             ///< consecutive unanswered probes (bootstrap)
+    double last_contact = 0.0;  ///< last evidence of life
+    std::uint64_t epoch = 0;    ///< active fencing epoch
+    Standby standby;
+  };
+
+  /// kIdle until start(); after stop() every callback is a no-op.
+  enum class RunState { kIdle, kStarted, kStopped };
 
   struct Obs {
     obs::CounterRef checkpoints_taken, probes_sent, probes_answered,
@@ -177,6 +201,7 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
 
   TrianaService& home() const { return controller_.home(); }
   bool fencing() const { return options_.lease_s > 0.0; }
+  bool stopped() const { return run_state_ == RunState::kStopped; }
 
   void checkpoint_round();
   void probe_round();
@@ -207,17 +232,10 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
   std::vector<net::Endpoint> spares_;
   SupervisorOptions options_;
   CheckpointStore store_;
-  std::vector<int> missed_;       ///< consecutive unanswered probes (bootstrap)
-  std::vector<bool> recovering_;  ///< guards double recovery per fragment
-  std::vector<bool> degraded_;    ///< lost for good; stop probing
-  std::vector<PhiAccrualDetector> detectors_;
-  std::vector<double> last_contact_;  ///< last evidence of life per fragment
-  std::vector<std::uint64_t> epochs_; ///< active fencing epoch per fragment
-  std::vector<Standby> standbys_;
+  std::vector<Fragment> fragments_;  ///< parallel to run_->workers
   std::unordered_map<std::string, std::size_t> contact_idx_;  ///< endpoint -> fragment
   std::uint64_t next_epoch_ = 1;
-  bool started_ = false;
-  bool stopped_ = false;
+  RunState run_state_ = RunState::kIdle;
   SupervisorStats stats_;
   Obs obs_;
   obs::Registry* registry_ = nullptr;  ///< for lazy per-host phi gauges

@@ -24,8 +24,8 @@ namespace cg::net {
 using FrameHandler =
     std::function<void(const Endpoint& from, serial::Frame frame)>;
 
-/// Abstract polled transport. Implementations: SimTransport (sim_network.hpp),
-/// InprocTransport (inproc.hpp), TcpTransport (tcp.hpp).
+/// Abstract polled transport. Implementations: SimTransport (sim_network.hpp)
+/// and TcpTransport (tcp.hpp).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -42,7 +42,7 @@ class Transport {
 
   /// Deliver pending inbound frames to the handler. Returns the number of
   /// frames delivered. For the simulated transport this is a no-op (the
-  /// SimNetwork event loop delivers); for inproc/tcp the owner must poll.
+  /// SimNetwork event loop delivers); for tcp the owner must poll.
   virtual std::size_t poll() = 0;
 
   /// Push any coalesced-but-unsent output towards the wire now instead of

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <optional>
+#include <set>
 
 #include "cas/store.hpp"
 #include "core/graph/taskgraph_xml.hpp"
@@ -717,6 +720,276 @@ TEST(Service, MemoizedPureUnitsReplayAcrossJobs) {
   ASSERT_NE(rt2, nullptr);
   EXPECT_EQ(rt2->memo_hits(), 3u);  // zero FFT recomputations
   EXPECT_EQ(rt2->memo_misses(), 0u);
+}
+
+// ------------------------------------------------------ job lifecycle
+
+/// Receive("lc-in") -> NullSink: a reactive job with one input pipe.
+TaskGraph listener_fragment() {
+  TaskGraph frag("listener");
+  ParamSet rp;
+  rp.set("label", "lc-in");
+  frag.add_task("In", "Receive", rp);
+  frag.add_task("Sink", "NullSink");
+  frag.connect("In", 0, "Sink", 0);
+  return frag;
+}
+
+/// Send `payload` straight to the worker's "lc-in" pipe, bypassing
+/// discovery (the label may not be advertised at all).
+void send_to_listener(Grid& grid, serial::Bytes payload) {
+  const p2p::OutputPipe pipe{"lc-in", grid.workers[0]->endpoint()};
+  grid.home->pipes().send(pipe, std::move(payload));
+  grid.net.run_all();
+}
+
+/// Four bytes that do not decode as a DataItem.
+serial::Bytes garbage_payload() {
+  return serial::Bytes{0xff, 0xfe, 0xfd, 0xfc};
+}
+
+TEST(Service, MalformedInputPayloadFailsJobOnceAndCountsIt) {
+  Grid grid(1);
+  const TaskGraph frag = listener_fragment();
+  grid.home->publish_graph_modules(frag);
+  DeployAckMsg ack;
+  grid.home->deploy_remote(grid.workers[0]->endpoint(), frag, 0,
+                           [&](const DeployAckMsg& a) { ack = a; });
+  grid.net.run_all();
+  ASSERT_TRUE(ack.ok) << ack.error;
+
+  send_to_listener(grid, garbage_payload());
+  std::string error;
+  EXPECT_TRUE(grid.workers[0]->job_failed(ack.job_id, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(grid.workers[0]->stats().jobs_failed, 1u);
+
+  // More garbage for the already-failed job is dropped, not re-counted.
+  send_to_listener(grid, garbage_payload());
+  EXPECT_EQ(grid.workers[0]->stats().jobs_failed, 1u);
+}
+
+TEST(Service, LeasedStandbyStaysDarkUntilPromoted) {
+  Grid grid(1);
+  const TaskGraph frag = listener_fragment();
+  grid.home->publish_graph_modules(frag);
+  const net::Endpoint w = grid.workers[0]->endpoint();
+  DeployAckMsg ack;
+  grid.home->deploy_remote(w, frag, 0,
+                           [&](const DeployAckMsg& a) { ack = a; }, {},
+                           DeployOptions{.lease_s = 2.0, .standby = true});
+  grid.net.run_until(0.5);
+  ASSERT_TRUE(ack.ok) << ack.error;
+
+  // A standby is not running...
+  StatusMsg seen;
+  grid.home->request_status(w, ack.job_id,
+                            [&](const StatusMsg& m) { seen = m; });
+  grid.net.run_until(1.0);
+  EXPECT_TRUE(seen.known);
+  EXPECT_FALSE(seen.running);
+
+  // ...and it is dark, not suspended: nothing renews a standby's lease, so
+  // it has none to lose.
+  grid.net.run_until(10.0);  // five leases long, never probed
+  grid.home->request_status(w, ack.job_id,
+                            [&](const StatusMsg& m) { seen = m; });
+  grid.net.run_until(11.0);
+  EXPECT_FALSE(seen.running);
+  EXPECT_FALSE(seen.suspended);
+  EXPECT_EQ(grid.workers[0]->stats().jobs_suspended, 0u);
+
+  // Promotion makes it live and starts the lease from then on.
+  grid.home->promote_remote(w, ack.job_id, [](const DeployAckMsg&) {});
+  grid.net.run_until(11.5);
+  grid.home->request_status(w, ack.job_id,
+                            [&](const StatusMsg& m) { seen = m; });
+  grid.net.run_until(12.0);
+  EXPECT_TRUE(seen.running);
+  EXPECT_FALSE(seen.suspended);
+  EXPECT_TRUE(grid.workers[0]->pipes().has_input("lc-in"));
+  EXPECT_EQ(grid.workers[0]->stats().promotions, 1u);
+
+  // The live job honours its lease: unprobed, it suspends.
+  grid.net.run_until(20.0);
+  EXPECT_EQ(grid.workers[0]->stats().jobs_suspended, 1u);
+}
+
+/// What the transition-table test does to a job, over the wire.
+enum class LifecycleEvent {
+  kDeploy,         ///< the same deploy again (a retransmission)
+  kPromote,
+  kLeaseExpiry,    ///< a leased probe, then a silent supervisor
+  kResume,         ///< at the job's epoch
+  kResumeStale,    ///< at another epoch
+  kFence,          ///< consumer-side fence at a higher epoch
+  kCancel,
+  kFailure,        ///< a malformed payload on its input pipe
+};
+
+/// One row of the job transition table: what an event does to a job that
+/// is in `from`, as seen from outside the service.
+struct TransitionRow {
+  JobState from;
+  LifecycleEvent event;
+  std::optional<JobState> to;  ///< nullopt: the job left the service
+  bool advertised;             ///< its input pipe is served afterwards
+  bool bounces;                ///< payloads for its input come back
+  std::set<std::string> counted;  ///< ServiceStats counters that moved
+};
+
+/// The lifecycle counters of ServiceStats, by name.
+std::map<std::string, std::uint64_t> lifecycle_counters(const ServiceStats& s) {
+  return {{"jobs_started", s.jobs_started},
+          {"jobs_failed", s.jobs_failed},
+          {"jobs_cancelled", s.jobs_cancelled},
+          {"duplicate_deploys", s.duplicate_deploys},
+          {"jobs_suspended", s.jobs_suspended},
+          {"jobs_resumed", s.jobs_resumed},
+          {"jobs_fenced", s.jobs_fenced},
+          {"promotions", s.promotions}};
+}
+
+/// Deploy the listener on the worker at epoch 0 and drive it into `state`.
+std::string job_in_state(Grid& grid, JobState state) {
+  const TaskGraph frag = listener_fragment();
+  grid.home->publish_graph_modules(frag);
+  const net::Endpoint w = grid.workers[0]->endpoint();
+  DeployOptions opt;
+  opt.standby = state == JobState::kStandby;
+  DeployAckMsg ack;
+  grid.home->deploy_remote(w, frag, 0, [&](const DeployAckMsg& a) { ack = a; },
+                           {}, opt);
+  grid.net.run_all();
+  EXPECT_TRUE(ack.ok) << ack.error;
+  if (state == JobState::kSuspended) {
+    grid.home->request_status(w, ack.job_id, [](const StatusMsg&) {}, 0, 2.0);
+    grid.net.run_all();
+  } else if (state == JobState::kFailed) {
+    send_to_listener(grid, garbage_payload());
+  }
+  EXPECT_EQ(grid.workers[0]->job_state(ack.job_id), state);
+  return ack.job_id;
+}
+
+void apply(Grid& grid, const std::string& job, LifecycleEvent event) {
+  TrianaService& home = *grid.home;
+  const net::Endpoint w = grid.workers[0]->endpoint();
+  switch (event) {
+    case LifecycleEvent::kDeploy: {
+      DeployMsg m;
+      m.job_id = job;
+      m.owner = home.id();
+      m.owner_endpoint = home.endpoint();
+      m.graph_xml = write_taskgraph(listener_fragment(), false);
+      home.reliable().send(w, encode(m));
+      break;
+    }
+    case LifecycleEvent::kPromote:
+      home.promote_remote(w, job, [](const DeployAckMsg&) {});
+      break;
+    case LifecycleEvent::kLeaseExpiry:
+      home.request_status(w, job, [](const StatusMsg&) {}, 0, 2.0);
+      break;
+    case LifecycleEvent::kResume:
+      home.resume_remote(w, job, 0, 0.0);
+      break;
+    case LifecycleEvent::kResumeStale:
+      home.resume_remote(w, job, 7, 0.0);
+      break;
+    case LifecycleEvent::kFence:
+      home.reliable().send(w, encode(RebindMsg{"lc-in", 1}));
+      break;
+    case LifecycleEvent::kCancel:
+      home.cancel_remote(w, job);
+      break;
+    case LifecycleEvent::kFailure:
+      send_to_listener(grid, garbage_payload());
+      break;
+  }
+  grid.net.run_all();
+}
+
+TEST(Service, JobTransitionTableIsExhaustive) {
+  using S = JobState;
+  using E = LifecycleEvent;
+  const std::set<std::string> none;
+  const std::set<std::string> fenced{"jobs_fenced", "jobs_cancelled"};
+  const std::set<std::string> cancelled{"jobs_cancelled"};
+  const std::set<std::string> dup{"duplicate_deploys"};
+  const std::vector<TransitionRow> table = {
+      {S::kStandby, E::kDeploy, S::kStandby, false, false, dup},
+      {S::kStandby, E::kPromote, S::kRunning, true, false, {"promotions"}},
+      {S::kStandby, E::kLeaseExpiry, S::kStandby, false, false, none},
+      {S::kStandby, E::kResume, S::kStandby, false, false, none},
+      {S::kStandby, E::kResumeStale, S::kStandby, false, false, none},
+      {S::kStandby, E::kFence, std::nullopt, false, true, fenced},
+      {S::kStandby, E::kCancel, std::nullopt, false, false, cancelled},
+      {S::kStandby, E::kFailure, S::kStandby, false, false, none},
+
+      {S::kRunning, E::kDeploy, S::kRunning, true, false, dup},
+      {S::kRunning, E::kPromote, S::kRunning, true, false, none},
+      {S::kRunning, E::kLeaseExpiry, S::kSuspended, false, true,
+       {"jobs_suspended"}},
+      {S::kRunning, E::kResume, S::kRunning, true, false, none},
+      {S::kRunning, E::kResumeStale, S::kRunning, true, false, none},
+      {S::kRunning, E::kFence, std::nullopt, false, true, fenced},
+      {S::kRunning, E::kCancel, std::nullopt, false, false, cancelled},
+      {S::kRunning, E::kFailure, S::kFailed, true, false, {"jobs_failed"}},
+
+      // A suspended job has withdrawn its input and bounces what arrives,
+      // and its label stays bouncy after it leaves.
+      {S::kSuspended, E::kDeploy, S::kSuspended, false, true, dup},
+      {S::kSuspended, E::kPromote, S::kSuspended, false, true, none},
+      {S::kSuspended, E::kLeaseExpiry, S::kSuspended, false, true, none},
+      {S::kSuspended, E::kResume, S::kRunning, true, false, {"jobs_resumed"}},
+      {S::kSuspended, E::kResumeStale, S::kSuspended, false, true, none},
+      {S::kSuspended, E::kFence, std::nullopt, false, true, fenced},
+      {S::kSuspended, E::kCancel, std::nullopt, false, true, cancelled},
+      {S::kSuspended, E::kFailure, S::kSuspended, false, true, none},
+
+      // A failed job keeps its input advertised and drops what arrives.
+      {S::kFailed, E::kDeploy, S::kFailed, true, false, dup},
+      {S::kFailed, E::kPromote, S::kFailed, true, false, none},
+      {S::kFailed, E::kLeaseExpiry, S::kFailed, true, false, none},
+      {S::kFailed, E::kResume, S::kFailed, true, false, none},
+      {S::kFailed, E::kResumeStale, S::kFailed, true, false, none},
+      {S::kFailed, E::kFence, std::nullopt, false, true, fenced},
+      {S::kFailed, E::kCancel, std::nullopt, false, false, cancelled},
+      {S::kFailed, E::kFailure, S::kFailed, true, false, none},
+  };
+  ASSERT_EQ(table.size(), 4u * 8u);
+
+  for (const TransitionRow& row : table) {
+    constexpr const char* kStates[] = {"standby", "running", "suspended",
+                                       "failed"};
+    constexpr const char* kEvents[] = {"deploy", "promote", "lease expiry",
+                                       "resume", "stale resume", "fence",
+                                       "cancel", "failure"};
+    SCOPED_TRACE(std::string(kStates[static_cast<int>(row.from)]) + " + " +
+                 kEvents[static_cast<int>(row.event)]);
+    Grid grid(1);
+    TrianaService& worker = *grid.workers[0];
+    const std::string job = job_in_state(grid, row.from);
+    const auto before = lifecycle_counters(worker.stats());
+
+    apply(grid, job, row.event);
+
+    EXPECT_EQ(worker.job_state(job), row.to);
+    EXPECT_EQ(worker.pipes().has_input("lc-in"), row.advertised);
+    std::set<std::string> counted;
+    for (const auto& [name, value] : lifecycle_counters(worker.stats())) {
+      if (value != before.at(name)) {
+        EXPECT_EQ(value, before.at(name) + 1) << name;
+        counted.insert(name);
+      }
+    }
+    EXPECT_EQ(counted, row.counted);
+
+    const std::uint64_t bounced = worker.stats().payloads_bounced;
+    send_to_listener(grid, encode_data_item(DataItem(1.0)));
+    EXPECT_EQ(worker.stats().payloads_bounced - bounced, row.bounces ? 1u : 0u);
+  }
 }
 
 }  // namespace

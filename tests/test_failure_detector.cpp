@@ -5,9 +5,9 @@
 
 #include <cmath>
 
-#include "core/service/failure_detector.hpp"
+#include "net/failure_detector.hpp"
 
-namespace cg::core {
+namespace cg::net {
 namespace {
 
 TEST(FailureDetector, SilentBeforeAnyHeartbeat) {
@@ -103,4 +103,4 @@ TEST(FailureDetector, WindowSlidesOldSamplesOut) {
 }
 
 }  // namespace
-}  // namespace cg::core
+}  // namespace cg::net

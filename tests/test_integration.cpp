@@ -1,6 +1,6 @@
-// Integration tests off the simulator: the full service stack running
-// (a) across real threads over the in-process transport -- one thread per
-// peer, true concurrency -- and (b) over real TCP sockets on loopback.
+// Integration tests off the simulator: the full service stack over real TCP
+// sockets on loopback, (a) with one thread per peer -- true concurrency --
+// and (b) with every peer pumped from one thread.
 // These prove the stack is genuinely transport-agnostic (the paper's
 // middleware-independence constraint) and not merely sim-shaped.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/inproc.hpp"
 #include "net/tcp.hpp"
 #include "net/time.hpp"
 
@@ -80,25 +79,22 @@ TaskGraph farm_graph() {
   return g;
 }
 
-TEST(IntegrationThreads, FarmAcrossRealThreadsOverInproc) {
-  net::InprocHub hub;
+TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
   net::Clock clock = net::steady_clock_seconds();
 
-  auto home_t = hub.create("home");
-  auto w0_t = hub.create("w0");
-  auto w1_t = hub.create("w1");
+  net::TcpTransport home_t(0), w0_t(0), w1_t(0);
 
   TimerQueue home_timers(clock), w0_timers(clock), w1_timers(clock);
 
   ServiceConfig hc;
   hc.peer_id = "home";
-  TrianaService home(*home_t, clock, home_timers.scheduler(), reg(), hc);
+  TrianaService home(home_t, clock, home_timers.scheduler(), reg(), hc);
   ServiceConfig c0;
   c0.peer_id = "w0";
-  TrianaService w0(*w0_t, clock, w0_timers.scheduler(), reg(), c0);
+  TrianaService w0(w0_t, clock, w0_timers.scheduler(), reg(), c0);
   ServiceConfig c1;
   c1.peer_id = "w1";
-  TrianaService w1(*w1_t, clock, w1_timers.scheduler(), reg(), c1);
+  TrianaService w1(w1_t, clock, w1_timers.scheduler(), reg(), c1);
 
   home.node().add_neighbor(w0.endpoint());
   home.node().add_neighbor(w1.endpoint());
@@ -112,16 +108,14 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverInproc) {
   std::atomic<bool> stop{false};
   std::thread t0([&] {
     while (!stop.load()) {
-      w0_t->poll();
+      w0_t.poll_wait(1);
       w0_timers.poll();
-      std::this_thread::yield();
     }
   });
   std::thread t1([&] {
     while (!stop.load()) {
-      w1_t->poll();
+      w1_t.poll_wait(1);
       w1_timers.poll();
-      std::this_thread::yield();
     }
   });
 
@@ -133,9 +127,8 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverInproc) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (!pred() && std::chrono::steady_clock::now() < deadline) {
-      home_t->poll();
+      home_t.poll_wait(1);
       home_timers.poll();
-      std::this_thread::yield();
     }
   };
 

@@ -1,12 +1,10 @@
 // Tests for the cg_net substrate: the discrete-event simulator's clock,
-// link model, determinism and churn behaviour; the in-process hub; and the
-// real TCP transport on loopback.
+// link model, determinism and churn behaviour; and the real TCP transport
+// on loopback.
 #include <gtest/gtest.h>
 
-#include <thread>
 
 #include "net/fault.hpp"
-#include "net/inproc.hpp"
 #include "net/sim_network.hpp"
 #include "net/tcp.hpp"
 
@@ -414,80 +412,6 @@ TEST(Fault, DeterministicForSeedAndPlan) {
   EXPECT_EQ(n1.messages_corrupt_rejected + n1.messages_delivered +
                 n1.messages_dropped + n1.messages_to_down_node,
             n1.messages_sent + n1.messages_duplicated);
-}
-
-// ------------------------------------------------------------------ inproc
-
-TEST(Inproc, RouteBetweenMailboxes) {
-  InprocHub hub;
-  auto a = hub.create("a");
-  auto b = hub.create("b");
-  std::string got;
-  b->set_handler([&](const Endpoint& from, serial::Frame f) {
-    EXPECT_EQ(from, a->local());
-    got = serial::to_string(f.payload);
-  });
-  a->send(b->local(), text_frame("hi"));
-  EXPECT_EQ(got, "");  // not delivered until polled
-  EXPECT_EQ(b->poll(), 1u);
-  EXPECT_EQ(got, "hi");
-}
-
-TEST(Inproc, DuplicateNameThrows) {
-  InprocHub hub;
-  auto a = hub.create("same");
-  EXPECT_THROW(hub.create("same"), std::invalid_argument);
-  EXPECT_EQ(hub.size(), 1u);
-}
-
-TEST(Inproc, UnregisterOnDestroy) {
-  InprocHub hub;
-  {
-    auto a = hub.create("temp");
-    EXPECT_EQ(hub.size(), 1u);
-  }
-  EXPECT_EQ(hub.size(), 0u);
-  auto again = hub.create("temp");  // name is reusable
-  EXPECT_EQ(hub.size(), 1u);
-}
-
-TEST(Inproc, SendToMissingReceiverIsDropped) {
-  InprocHub hub;
-  auto a = hub.create("a");
-  a->send(inproc_endpoint("ghost"), text_frame("x"));  // no throw
-}
-
-TEST(Inproc, HandlerMaySendDuringPoll) {
-  InprocHub hub;
-  auto a = hub.create("a");
-  auto b = hub.create("b");
-  int a_got = 0;
-  a->set_handler([&](const Endpoint&, serial::Frame) { ++a_got; });
-  b->set_handler([&](const Endpoint& from, serial::Frame f) {
-    b->send(from, std::move(f));
-  });
-  a->send(b->local(), text_frame("ping"));
-  b->poll();
-  a->poll();
-  EXPECT_EQ(a_got, 1);
-}
-
-TEST(Inproc, CrossThreadDelivery) {
-  InprocHub hub;
-  auto a = hub.create("a");
-  auto b = hub.create("b");
-  int got = 0;
-  b->set_handler([&](const Endpoint&, serial::Frame) { ++got; });
-
-  std::thread sender([&] {
-    for (int i = 0; i < 1000; ++i) a->send(b->local(), text_frame("m"));
-  });
-  int polled = 0;
-  while (polled < 1000) {
-    polled += static_cast<int>(b->poll());
-  }
-  sender.join();
-  EXPECT_EQ(got, 1000);
 }
 
 // --------------------------------------------------------------------- tcp
