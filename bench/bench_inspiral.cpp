@@ -268,8 +268,11 @@ int main(int argc, char** argv) {
         secs / static_cast<double>(r.templates_scanned) *
         (static_cast<double>(det.samples_per_chunk()) / static_cast<double>(n));
     std::printf("measured on this host: %.3f s for %zu templates x %zu "
-                "samples -> %.2f s/template at full chunk size\n",
+                "samples -> %.3f s/template at full chunk size\n",
                 secs, r.templates_scanned, n, per_template_full);
+    std::printf("-> %.2f of this host's cores keep real time at 7500 "
+                "templates\n",
+                per_template_full * 7500.0 / det.chunk_seconds);
     std::printf("(model uses 2.4 s/template for a 2003-era 2 GHz PC)\n\n");
   }
 

@@ -1,9 +1,9 @@
 // M1 -- substrate micro-benchmarks (google-benchmark).
 //
-// Sanity numbers behind the experiment harnesses: FFT and fast-vs-direct
-// correlation (the inspiral kernel), DataItem and frame codecs, XML
-// task-graph parsing, simulated-network event throughput, and chirp/SPH
-// generation costs.
+// Sanity numbers behind the experiment harnesses: complex and real FFT,
+// fast-vs-direct correlation (the inspiral kernel), DataItem and frame
+// codecs, XML task-graph parsing, simulated-network event throughput, and
+// chirp/SPH generation costs.
 #include <benchmark/benchmark.h>
 
 #include "apps/gw/chirp.hpp"
@@ -39,6 +39,20 @@ void BM_Fft(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Fft)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+
+/// The same real signals through the half-size real transform: one n/2
+/// complex FFT plus the split step, against BM_Fft's full n-point one.
+void BM_Rfft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto sig = random_signal(n, 1);
+  for (auto _ : state) {
+    auto half = dsp::rfft(sig, n);
+    benchmark::DoNotOptimize(half.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Rfft)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_FastCorrelate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -28,11 +28,16 @@ if [[ "${1:-}" == "tsan" ]]; then
   # test_obs_http scrapes /metrics from client threads while a mutator
   # thread pounds the instruments -- the exact race surface of the obs
   # HTTP plane.
+  # test_dsp and test_gw run FFTs and bank scans from pool threads: the
+  # per-size FFT tables and the bank's template spectra are built on first
+  # use by whichever thread gets there first, as in a kPure InspiralFilter
+  # wave.
   cmake --build "${TSAN_DIR}" -j --target \
     test_parallel_runtime test_rm test_core_runtime test_cas test_chaos \
-    test_wire test_overlay test_obs_http
+    test_wire test_overlay test_obs_http test_dsp test_gw
   for t in test_parallel_runtime test_rm test_core_runtime test_cas \
-           test_chaos test_wire test_overlay test_obs_http; do
+           test_chaos test_wire test_overlay test_obs_http test_dsp \
+           test_gw; do
     "./${TSAN_DIR}/tests/${t}"
   done
   echo "tier-1 (tsan): OK"

@@ -25,7 +25,13 @@ struct SearchResult {
 
 /// Scan `data` with bank templates [first, first+count) using FFT fast
 /// correlation; the SNR statistic is the normalised matched-filter peak
-/// divided by the noise sigma estimate.
+/// divided by the noise sigma estimate. This is linear correlation over
+/// lags 0..data.size()-1, computed by overlap-save at the bank's block
+/// length L (FINDCHIRP, Allen et al. gr-qc/0509116): each block of the
+/// chunk is transformed once and reused for every template, against the
+/// bank's kept template spectra, with one inverse transform per template
+/// per block. Throws std::out_of_range when `first` is outside the bank and
+/// std::invalid_argument for an empty chunk.
 SearchResult scan_chunk(const std::vector<double>& data,
                         const TemplateBank& bank, std::size_t first,
                         std::size_t count);

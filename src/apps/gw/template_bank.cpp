@@ -1,7 +1,10 @@
 #include "apps/gw/template_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "dsp/correlate.hpp"
 
 namespace cg::gw {
 
@@ -27,7 +30,21 @@ TemplateBank::TemplateBank(const BankSpec& spec) : spec_(spec) {
     p.sample_rate_hz = spec.sample_rate_hz;
     params_.push_back(p);
     templates_.push_back(make_chirp(p));
+    energies_.push_back(dsp::template_energy(templates_.back()));
+    longest_ = std::max(longest_, templates_.back().size());
   }
+  block_ = dsp::next_pow2(2 * longest_);
+  spectra_.resize(templates_.size());
+}
+
+const std::vector<dsp::Complex>& TemplateBank::spectrum(std::size_t i) const {
+  const auto& wave = templates_.at(i);
+  // Entries are filled under the lock and never written again; the outer
+  // vector never reallocates, so a reference handed out stays valid while
+  // other threads fill other entries.
+  std::lock_guard<std::mutex> lock(spectra_mu_);
+  if (spectra_[i].empty()) spectra_[i] = dsp::rfft(wave, block_);
+  return spectra_[i];
 }
 
 std::size_t TemplateBank::total_bytes() const {

@@ -163,7 +163,10 @@ std::vector<std::pair<std::size_t, DataItem>> decode_emissions(
   serial::Reader r(bytes);
   std::vector<std::pair<std::size_t, DataItem>> out;
   const std::uint64_t count = r.varint();
-  out.reserve(count);
+  // Each emission takes at least two bytes (port varint, blob length), so
+  // the count cannot honestly exceed half of what is left; the loop below
+  // throws DecodeError on a count that lies.
+  out.reserve(std::min<std::uint64_t>(count, r.remaining() / 2));
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::size_t port = static_cast<std::size_t>(r.varint());
     out.emplace_back(port, decode_data_item(r.blob()));

@@ -526,7 +526,9 @@ void CorrelatorUnit::process(ProcessContext& ctx) {
   SampleSet corr;
   corr.sample_rate = data.sample_rate;
   corr.samples = dsp::fast_correlate(data.samples, tmpl.samples);
-  const auto match = dsp::matched_filter(data.samples, tmpl.samples);
+  // matched_filter's peak, read off the one correlation series.
+  const auto match = dsp::peak_match(corr.samples,
+                                     dsp::template_energy(tmpl.samples));
   ctx.emit(0, std::move(corr));
   ctx.emit(1, match.peak);
 }

@@ -1,9 +1,8 @@
 #include "dsp/correlate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "dsp/fft.hpp"
 
 namespace cg::dsp {
 
@@ -13,19 +12,32 @@ std::vector<double> fast_correlate(const std::vector<double>& data,
     throw std::invalid_argument("fast_correlate: empty input");
   }
   const std::size_t n = next_pow2(data.size() + tmpl.size() - 1);
-
-  std::vector<Complex> a(n, Complex(0, 0)), b(n, Complex(0, 0));
-  for (std::size_t i = 0; i < data.size(); ++i) a[i] = data[i];
-  for (std::size_t i = 0; i < tmpl.size(); ++i) b[i] = tmpl[i];
-  fft(a);
-  fft(b);
-  // Correlation theorem: corr = ifft(fft(data) * conj(fft(tmpl))).
-  for (std::size_t i = 0; i < n; ++i) a[i] *= std::conj(b[i]);
-  ifft(a);
-
-  std::vector<double> out(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = a[i].real();
+  std::vector<Complex> work;
+  std::vector<double> out;
+  correlate_spectra(rfft(data, n), rfft(tmpl, n), n, work, out);
+  out.resize(data.size());
   return out;
+}
+
+void correlate_spectra(const std::vector<Complex>& data,
+                       const std::vector<Complex>& tmpl, std::size_t n,
+                       std::vector<Complex>& work, std::vector<double>& out) {
+  if (data.size() != n / 2 + 1 || tmpl.size() != n / 2 + 1) {
+    throw std::invalid_argument("correlate_spectra: spectrum size mismatch");
+  }
+  // Correlation theorem: corr = ifft(fft(data) * conj(fft(tmpl))). The
+  // product is written over the (re, im) doubles: through std::complex
+  // temporaries GCC assembles each operand on the stack, which costs more
+  // than the inverse transform itself.
+  work.resize(data.size());
+  const double* a = reinterpret_cast<const double*>(data.data());
+  const double* b = reinterpret_cast<const double*>(tmpl.data());
+  double* p = reinterpret_cast<double*>(work.data());
+  for (std::size_t i = 0; i < 2 * data.size(); i += 2) {
+    p[i] = a[i] * b[i] + a[i + 1] * b[i + 1];
+    p[i + 1] = a[i + 1] * b[i] - a[i] * b[i + 1];
+  }
+  irfft_inplace(work, n, out);
 }
 
 std::vector<double> direct_correlate(const std::vector<double>& data,
@@ -43,16 +55,17 @@ std::vector<double> direct_correlate(const std::vector<double>& data,
   return out;
 }
 
-MatchResult matched_filter(const std::vector<double>& data,
-                           const std::vector<double>& tmpl) {
+double template_energy(const std::vector<double>& tmpl) {
   double energy = 0.0;
   for (double t : tmpl) energy += t * t;
   if (energy <= 0.0) {
     throw std::invalid_argument("matched_filter: zero-energy template");
   }
-  const double norm = 1.0 / std::sqrt(energy);
+  return energy;
+}
 
-  const auto corr = fast_correlate(data, tmpl);
+MatchResult peak_match(std::span<const double> corr, double energy) {
+  const double norm = 1.0 / std::sqrt(energy);
   MatchResult r;
   for (std::size_t i = 0; i < corr.size(); ++i) {
     const double v = std::abs(corr[i]) * norm;
@@ -62,6 +75,12 @@ MatchResult matched_filter(const std::vector<double>& data,
     }
   }
   return r;
+}
+
+MatchResult matched_filter(const std::vector<double>& data,
+                           const std::vector<double>& tmpl) {
+  const double energy = template_energy(tmpl);
+  return peak_match(fast_correlate(data, tmpl), energy);
 }
 
 }  // namespace cg::dsp

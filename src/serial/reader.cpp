@@ -92,8 +92,13 @@ Bytes Reader::blob() {
 std::vector<double> Reader::f64_vector() {
   std::uint64_t n = varint();
   // Each element is 8 bytes; guard before allocating so a bogus count
-  // cannot trigger a huge allocation.
-  need(n * 8);
+  // cannot trigger a huge allocation. Divide rather than multiply: n * 8
+  // wraps for n >= 2^61.
+  if (n > remaining() / 8) {
+    throw DecodeError("truncated input: f64 vector of " + std::to_string(n) +
+                      " elements, have " + std::to_string(remaining()) +
+                      " bytes");
+  }
   std::vector<double> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());

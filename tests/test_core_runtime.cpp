@@ -3,10 +3,13 @@
 // and failure modes.
 #include <gtest/gtest.h>
 
+#include "cas/hash.hpp"
+#include "cas/store.hpp"
 #include "core/engine/runtime.hpp"
 #include "core/graph/taskgraph.hpp"
 #include "core/unit/builtin.hpp"
 #include "dsp/spectrum.hpp"
+#include "serial/writer.hpp"
 
 namespace cg::core {
 namespace {
@@ -511,6 +514,53 @@ TEST(RuntimeMemo, KeyCoversParamsAndInputs) {
   EXPECT_DOUBLE_EQ(scaled(3.0), 6.0);
   EXPECT_DOUBLE_EQ(scaled(5.0), 10.0);  // must not replay factor=3.0's entry
   EXPECT_DOUBLE_EQ(scaled(3.0), 6.0);   // and the 3.0 entry is still hit
+}
+
+TEST(RuntimeMemo, EntryWithHugeCountIsRecomputedNotThrown) {
+  cas::ContentStore store;
+  RuntimeOptions memo_opt;
+  memo_opt.memo_store = &store;
+
+  TaskGraph g("scaled");
+  ParamSet cp;
+  cp.set_double("value", 2.0);
+  g.add_task("C", "Constant", cp);
+  ParamSet sp;
+  sp.set_double("factor", 3.0);
+  g.add_task("S", "Scaler", sp);
+  g.add_task("Sink", "StatSink");
+  g.connect("C", 0, "S", 0);
+  g.connect("S", 0, "Sink", 0);
+
+  // The Scaler firing's memo key: unit type + params + encoded inputs.
+  serial::Writer kw;
+  kw.string("Scaler");
+  kw.varint(sp.raw().size());
+  for (const auto& [k, v] : sp.raw()) {
+    kw.string(k);
+    kw.string(v);
+  }
+  kw.varint(1);
+  kw.blob(encode_data_item(DataItem(2.0)));
+  const std::string key = "memo/" + cas::sha256(kw.bytes()).hex();
+
+  GraphRuntime cold(g, reg(), memo_opt);
+  cold.run(1);
+  ASSERT_TRUE(store.get_by_key(key).has_value());  // the key is the real one
+
+  // Replace the entry with an emission count of 2^62 and nothing behind
+  // it: the replay must fail as a DecodeError and recompute.
+  serial::Writer bad;
+  bad.varint(1ull << 62);
+  store.put_keyed(key, bad.bytes());
+
+  GraphRuntime warm(g, reg(), memo_opt);
+  ASSERT_NO_THROW(warm.run(1));
+  EXPECT_DOUBLE_EQ(warm.unit_as<StatSinkUnit>("Sink")->stats().mean(), 6.0);
+  EXPECT_EQ(warm.memo_hits(), 1u);    // Constant replays
+  EXPECT_EQ(warm.memo_misses(), 1u);  // Scaler recomputes
+  // Recomputing stored the honest record over the crafted one.
+  EXPECT_NE(*store.get_by_key(key), bad.bytes());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/types/data_item.hpp"
 #include "core/unit/builtin.hpp"
 #include "core/unit/proxy_units.hpp"
+#include "dsp/correlate.hpp"
 #include "serial/reader.hpp"
 
 namespace cg::core {
@@ -381,6 +382,23 @@ TEST(Units, CorrelatorEmitsSeriesAndPeak) {
   }
   EXPECT_EQ(best, 100u);
   EXPECT_GT(ctx.emissions()[1].second.scalar(), 0.0);
+}
+
+TEST(Units, CorrelatorPeakEqualsMatchedFilter) {
+  // The peak is read off the emitted series, not from a second
+  // correlation; it must be the very value matched_filter reports.
+  CorrelatorUnit corr;
+  dsp::Rng rng(9);
+  std::vector<double> data(700), tmpl(45);
+  for (double& v : data) v = rng.gaussian();
+  for (double& v : tmpl) v = rng.gaussian();
+  ProcessContext ctx({DataItem(SampleSet{1.0, data}),
+                      DataItem(SampleSet{1.0, tmpl})},
+                     1, &rng, nullptr);
+  corr.process(ctx);
+  ASSERT_EQ(ctx.emissions().size(), 2u);
+  EXPECT_EQ(ctx.emissions()[1].second.scalar(),
+            dsp::matched_filter(data, tmpl).peak);
 }
 
 TEST(Units, SpectrumPeakReportsFrequency) {

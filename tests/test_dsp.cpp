@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
@@ -11,6 +12,7 @@
 #include "dsp/spectrum.hpp"
 #include "dsp/stats.hpp"
 #include "dsp/window.hpp"
+#include "rm/thread_pool.hpp"
 
 namespace cg::dsp {
 namespace {
@@ -128,6 +130,118 @@ TEST(Rfft, HermitianHalfSpectrumRoundTrip) {
 TEST(Rfft, IrfftSizeMismatchThrows) {
   std::vector<Complex> half(9);
   EXPECT_THROW(irfft(half, 32), std::invalid_argument);
+}
+
+/// Direct DFT of `x` zero-padded to n, bins 0..n/2.
+std::vector<Complex> direct_half_dft(const std::vector<double>& x,
+                                     std::size_t n) {
+  std::vector<Complex> out(n / 2 + 1);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      out[k] += x[t] * std::polar(1.0, -2.0 * M_PI *
+                                           static_cast<double>((k * t) % n) /
+                                           static_cast<double>(n));
+    }
+  }
+  return out;
+}
+
+void expect_spectra_near(const std::vector<Complex>& got,
+                         const std::vector<Complex>& want, double tol) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_NEAR(std::abs(got[k] - want[k]), 0.0, tol) << "bin " << k;
+  }
+}
+
+TEST(Rfft, MatchesDirectDftForEveryPowerOfTwo) {
+  Rng rng(21);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    SCOPED_TRACE(n);
+    std::vector<double> x(n);
+    for (auto& v : x) v = rng.gaussian();
+    expect_spectra_near(rfft(x), direct_half_dft(x, n), 1e-10);
+  }
+}
+
+TEST(Rfft, OddLengthsPadToThePowerOfTwoAsked) {
+  Rng rng(22);
+  for (std::size_t len : {1u, 3u, 5u, 7u, 33u, 301u, 1023u}) {
+    SCOPED_TRACE(len);
+    std::vector<double> x(len);
+    for (auto& v : x) v = rng.gaussian();
+    const std::size_t n = next_pow2(len);
+    expect_spectra_near(rfft(x), direct_half_dft(x, n), 1e-10);
+    // An explicit, larger padded size is the same signal with more zeros.
+    expect_spectra_near(rfft(x, 4 * n), direct_half_dft(x, 4 * n), 1e-10);
+  }
+}
+
+TEST(Rfft, ExplicitSizeMustBeAPowerOfTwoThatFits) {
+  const std::vector<double> x(10, 1.0);
+  EXPECT_THROW(rfft(x, 8), std::invalid_argument);   // too short
+  EXPECT_THROW(rfft(x, 12), std::invalid_argument);  // not a power of two
+  EXPECT_EQ(rfft({}, 1).size(), 1u);
+}
+
+TEST(Rfft, IrfftMatchesDirectInverseForEveryPowerOfTwo) {
+  Rng rng(23);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    SCOPED_TRACE(n);
+    // A real signal's half spectrum: DC and Nyquist bins are real.
+    std::vector<Complex> half(n / 2 + 1);
+    for (auto& v : half) v = Complex(rng.gaussian(), rng.gaussian());
+    half.front() = half.front().real();
+    half.back() = half.back().real();
+    const auto x = irfft(half, n);
+    ASSERT_EQ(x.size(), n);
+    for (std::size_t t = 0; t < n; ++t) {
+      double sum = half[0].real();
+      if (n > 1) sum += half[n / 2].real() * (t % 2 ? -1.0 : 1.0);
+      for (std::size_t k = 1; k < n / 2; ++k) {
+        sum += 2.0 * (half[k] * std::polar(1.0, 2.0 * M_PI *
+                                                    static_cast<double>(
+                                                        (k * t) % n) /
+                                                    static_cast<double>(n)))
+                         .real();
+      }
+      EXPECT_NEAR(x[t], sum / static_cast<double>(n), 1e-12) << "t " << t;
+    }
+  }
+}
+
+TEST(Fft, ConcurrentTransformsFromPoolThreadsMatchSerial) {
+  // Each size's twiddle table is built on first use; sixteen pool tasks
+  // over eight sizes race to build and read them. Serial recomputation
+  // afterwards must agree bit for bit.
+  const std::vector<std::size_t> sizes = {1u << 5,  1u << 9,  1u << 11,
+                                          1u << 12, 1u << 13, 1u << 14,
+                                          1u << 15, 1u << 16};
+  auto signal = [](std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<double> x(n);
+    for (auto& v : x) v = rng.gaussian();
+    return x;
+  };
+  auto run = [&](std::size_t task) {
+    const std::size_t n = sizes[task % sizes.size()];
+    const auto x = signal(n, task);
+    std::vector<Complex> c(x.begin(), x.end());
+    fft(c);
+    return std::make_pair(c, irfft(rfft(x), n));
+  };
+  std::vector<decltype(run(0))> results;
+  {
+    rm::ThreadPool pool(4);
+    std::vector<std::future<decltype(run(0))>> futures;
+    for (std::size_t t = 0; t < 2 * sizes.size(); ++t) {
+      futures.push_back(pool.submit([&run, t] { return run(t); }));
+    }
+    for (auto& f : futures) results.push_back(f.get());
+  }
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    EXPECT_EQ(results[t], run(t)) << "task " << t;
+  }
 }
 
 class WindowCase : public ::testing::TestWithParam<WindowKind> {};

@@ -3,11 +3,15 @@
 // paper's Case 2 arithmetic through the cost model, and the Triana units.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <future>
 
 #include "apps/gw/units.hpp"
 #include "core/engine/runtime.hpp"
 #include "core/unit/builtin.hpp"
+#include "dsp/stats.hpp"
+#include "rm/thread_pool.hpp"
 
 namespace cg::gw {
 namespace {
@@ -163,6 +167,190 @@ TEST(Search, BadRangeThrows) {
   TemplateBank bank(spec);
   std::vector<double> data(1024, 0.1);
   EXPECT_THROW(scan_chunk(data, bank, 10, 1), std::out_of_range);
+}
+
+TEST(Bank, KeepsEnergiesAndBlockLengthSpectra) {
+  BankSpec spec;
+  spec.n_templates = 5;
+  spec.f_low_hz = 200.0;
+  TemplateBank bank(spec);
+  std::size_t longest = 0;
+  for (std::size_t i = 0; i < bank.size(); ++i) {
+    double energy = 0.0;
+    for (double v : bank.waveform(i)) energy += v * v;
+    EXPECT_EQ(bank.energy(i), energy);
+    longest = std::max(longest, bank.waveform(i).size());
+  }
+  EXPECT_EQ(bank.longest(), longest);
+  EXPECT_EQ(bank.block_length(), dsp::next_pow2(2 * longest));
+  const auto& spectrum = bank.spectrum(3);
+  EXPECT_EQ(spectrum.size(), bank.block_length() / 2 + 1);
+  EXPECT_EQ(spectrum, dsp::rfft(bank.waveform(3), bank.block_length()));
+  EXPECT_EQ(&bank.spectrum(3), &spectrum);  // built once, then kept
+}
+
+/// The definition scan_chunk implements: per template, time-domain linear
+/// correlation over lags 0..N-1, peak |corr| / sqrt(energy), over sigma.
+SearchResult direct_scan(const std::vector<double>& data,
+                         const TemplateBank& bank, std::size_t first,
+                         std::size_t count) {
+  const std::size_t last = std::min(bank.size(), first + count);
+  const double sigma = std::max(1e-12, dsp::rms(data));
+  SearchResult r;
+  for (std::size_t i = first; i < last; ++i) {
+    const auto& tmpl = bank.waveform(i);
+    double energy = 0.0;
+    for (double v : tmpl) energy += v * v;
+    const auto corr = dsp::direct_correlate(data, tmpl);
+    for (std::size_t lag = 0; lag < corr.size(); ++lag) {
+      const double snr = std::abs(corr[lag]) / std::sqrt(energy) / sigma;
+      if (snr > r.best_snr) {
+        r.best_snr = snr;
+        r.best_template = i;
+        r.best_offset = lag;
+      }
+    }
+    ++r.templates_scanned;
+  }
+  return r;
+}
+
+void expect_same_match(const SearchResult& got, const SearchResult& want) {
+  EXPECT_EQ(got.best_template, want.best_template);
+  EXPECT_EQ(got.best_offset, want.best_offset);
+  EXPECT_EQ(got.templates_scanned, want.templates_scanned);
+  EXPECT_NEAR(got.best_snr / want.best_snr, 1.0, 1e-12);
+}
+
+class OverlapSave : public ::testing::Test {
+ protected:
+  OverlapSave() : bank_(make_spec()) {}
+  static BankSpec make_spec() {
+    BankSpec spec;
+    spec.n_templates = 6;
+    spec.f_low_hz = 200.0;
+    return spec;
+  }
+  std::size_t step() const {
+    return bank_.block_length() - bank_.longest() + 1;
+  }
+  std::vector<double> chunk(std::size_t n, std::uint64_t seed,
+                            const ChirpParams* injection = nullptr,
+                            std::size_t inject_at = 0) const {
+    DetectorSpec det;
+    dsp::Rng rng(seed);
+    return make_strain_chunk(det, rng, injection, inject_at, 4.0, n);
+  }
+  TemplateBank bank_;
+};
+
+TEST_F(OverlapSave, TemplateLongerThanTheChunk) {
+  const auto data = chunk(bank_.longest() / 2, 31);
+  ASSERT_LT(data.size(), bank_.waveform(0).size());
+  expect_same_match(scan_chunk(data, bank_, 0, bank_.size()),
+                    direct_scan(data, bank_, 0, bank_.size()));
+}
+
+TEST_F(OverlapSave, ChunkShorterThanOneBlock) {
+  // One block that holds the whole chunk, and one chunk just under a
+  // block long that still needs a second block past the first step.
+  for (std::size_t n : {step() - 1, bank_.block_length() - 100}) {
+    SCOPED_TRACE(n);
+    const auto data = chunk(n, 32 + n, &bank_.params(4), n / 3);
+    expect_same_match(scan_chunk(data, bank_, 0, bank_.size()),
+                      direct_scan(data, bank_, 0, bank_.size()));
+  }
+}
+
+TEST_F(OverlapSave, ChunkLengthNotAMultipleOfTheStep) {
+  // The longest template injected at the lags around block boundaries:
+  // the last lag the first block owns, the first lag the second block
+  // owns, and the last lag of the second block. A step one lag too long
+  // would let the first block claim lag step() with a wrapped tail.
+  const std::size_t odd = 3 * step() + 123;
+  const std::size_t even = 2 * step();
+  for (const auto& [n, at] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {odd, step() - 1},
+           {odd, step()},
+           {odd, 2 * step() - 1},
+           {even, step() - 1},
+           {even, step()}}) {
+    SCOPED_TRACE(testing::Message() << "n " << n << " at " << at);
+    const auto data = chunk(n, 33 + n + at, &bank_.params(0), at);
+    const auto want = direct_scan(data, bank_, 0, bank_.size());
+    EXPECT_EQ(want.best_offset, at);
+    expect_same_match(scan_chunk(data, bank_, 0, bank_.size()), want);
+  }
+}
+
+TEST_F(OverlapSave, SlicedRanges) {
+  const auto data = chunk(2 * step() + 501, 34, &bank_.params(5), 900);
+  for (const auto& [first, count] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 1}, {2, 3}, {5, 1}, {3, 100}}) {
+    SCOPED_TRACE(first);
+    expect_same_match(scan_chunk(data, bank_, first, count),
+                      direct_scan(data, bank_, first, count));
+  }
+}
+
+TEST(Search, MatchesPerTemplateMatchedFilterOnSeededChunks) {
+  // The per-template path scan_chunk replaced: one matched_filter (its own
+  // data, template and inverse transforms) per template.
+  BankSpec spec;
+  spec.n_templates = 8;
+  spec.f_low_hz = 150.0;
+  TemplateBank bank(spec);
+  DetectorSpec det;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    dsp::Rng rng(seed);
+    const std::size_t inject = seed % 2 ? seed % bank.size() : 0;
+    const auto data = make_strain_chunk(det, rng, &bank.params(inject),
+                                        (seed * 977) % 6000,
+                                        seed % 2 ? 4.0 : 0.0, 8192);
+    const double sigma = std::max(1e-12, dsp::rms(data));
+    SearchResult want;
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+      const auto m = dsp::matched_filter(data, bank.waveform(i));
+      if (m.peak / sigma > want.best_snr) {
+        want.best_snr = m.peak / sigma;
+        want.best_template = i;
+        want.best_offset = m.offset;
+      }
+      ++want.templates_scanned;
+    }
+    expect_same_match(scan_chunk(data, bank, 0, bank.size()), want);
+  }
+}
+
+TEST(Search, ConcurrentScansOfOneBankMatchSerial) {
+  // InspiralFilter is kPure, so scans may run on pool threads; the bank's
+  // spectra are built on first use by whichever scan gets there first.
+  BankSpec spec;
+  spec.n_templates = 8;
+  spec.f_low_hz = 150.0;
+  TemplateBank bank(spec);
+  DetectorSpec det;
+  dsp::Rng rng(41);
+  const auto data = make_strain_chunk(det, rng, &bank.params(6), 3000, 4.0,
+                                      1 << 13);
+  std::vector<SearchResult> results;
+  {
+    rm::ThreadPool pool(4);
+    std::vector<std::future<SearchResult>> futures;
+    for (std::size_t t = 0; t < 8; ++t) {
+      futures.push_back(pool.submit(
+          [&, t] { return scan_chunk(data, bank, t % 4, 5); }));
+    }
+    for (auto& f : futures) results.push_back(f.get());
+  }
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    const auto want = scan_chunk(data, bank, t % 4, 5);
+    EXPECT_EQ(results[t].best_snr, want.best_snr) << t;
+    EXPECT_EQ(results[t].best_template, want.best_template) << t;
+    EXPECT_EQ(results[t].best_offset, want.best_offset) << t;
+  }
 }
 
 TEST(CostModel, ReproducesPaperArithmetic) {

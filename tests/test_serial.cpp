@@ -164,6 +164,17 @@ TEST(Reader, HugeF64VectorCountThrows) {
   EXPECT_THROW(r.f64_vector(), DecodeError);
 }
 
+TEST(Reader, F64VectorCountThatWrapsTimesEightThrows) {
+  // 2^61 + 1 elements: count * 8 wraps to 8, which the 20-byte payload
+  // would satisfy; the decoder must still refuse it, and with DecodeError
+  // rather than std::length_error from reserve.
+  Writer w;
+  w.varint((1ull << 61) + 1);
+  while (w.bytes().size() < 20) w.u8(0);
+  Reader r(w.bytes());
+  EXPECT_THROW(r.f64_vector(), DecodeError);
+}
+
 TEST(Reader, RemainingTracksConsumption) {
   Writer w;
   w.u32(1);
