@@ -111,7 +111,7 @@ int main() {
     std::vector<net::Endpoint> eps;
     for (int i = 0; i < 2; ++i) {
       core::ServiceConfig cfg;
-      cfg.peer_id = "w" + std::to_string(i);
+      cfg.peer_id = std::string("w").append(std::to_string(i));
       ws.push_back(std::make_unique<core::TrianaService>(
           net.add_node(), clock, sched, registry, cfg));
       home.node().add_neighbor(ws.back()->endpoint());
@@ -185,7 +185,7 @@ int main() {
     std::vector<net::Endpoint> eps;
     for (int i = 0; i < 3; ++i) {  // w0, w1 active; w2 spare
       core::ServiceConfig cfg;
-      cfg.peer_id = "w" + std::to_string(i);
+      cfg.peer_id = std::string("w").append(std::to_string(i));
       ws.push_back(std::make_unique<core::TrianaService>(
           simnet.add_node(), clock, sched, registry, cfg));
       home.node().add_neighbor(ws.back()->endpoint());

@@ -36,7 +36,8 @@ struct Overlay {
       auto& t = net.add_node();
       nodes.push_back(std::make_unique<p2p::PeerNode>(
           t, [this] { return net.now(); },
-          p2p::PeerConfig{.peer_id = "p" + std::to_string(i)}));
+          p2p::PeerConfig{
+              .peer_id = std::string("p").append(std::to_string(i))}));
     }
     // Ring + random chords: connected, mean degree ~4.
     for (std::size_t i = 0; i < n; ++i) {

@@ -100,7 +100,8 @@ struct Swarm {
       auto& t = net.add_node();
       nodes.push_back(std::make_unique<p2p::PeerNode>(
           t, [this] { return net.now(); },
-          p2p::PeerConfig{.peer_id = "p" + std::to_string(i)}));
+          p2p::PeerConfig{
+              .peer_id = std::string("p").append(std::to_string(i))}));
       sorted->emplace_back(p2p::node_id_of(nodes.back()->id()).bits,
                            nodes.back()->endpoint());
     }

@@ -182,7 +182,7 @@ WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
                  obs::Registry& registry) {
   core::GraphRuntime rt(
       g, reg, core::RuntimeOptions{.rng_seed = 42, .max_threads = threads});
-  rt.set_obs(registry, "t" + std::to_string(threads));
+  rt.set_obs(registry, std::string("t").append(std::to_string(threads)));
   const auto t0 = std::chrono::steady_clock::now();
   rt.run(static_cast<std::uint64_t>(frames));
   WaveRow row;

@@ -2,8 +2,8 @@
 //
 // Sanity numbers behind the experiment harnesses: complex and real FFT,
 // fast-vs-direct correlation (the inspiral kernel), DataItem and frame
-// codecs, XML task-graph parsing, simulated-network event throughput, and
-// chirp/SPH generation costs.
+// codecs, CRC-32, XML task-graph parsing, simulated-network event
+// throughput, and chirp/SPH generation costs.
 #include <benchmark/benchmark.h>
 
 #include "apps/gw/chirp.hpp"
@@ -13,6 +13,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
 #include "net/sim_network.hpp"
+#include "serial/crc32.hpp"
 #include "serial/frame.hpp"
 
 using namespace cg;
@@ -117,13 +118,27 @@ void BM_FrameEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameEncodeDecode)->Arg(1 << 10)->Arg(1 << 20);
 
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  serial::Bytes data(n);
+  dsp::Rng rng(4);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serial::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 20);
+
 void BM_TaskGraphParse(benchmark::State& state) {
   core::TaskGraph g("bench");
   core::ParamSet wp;
   g.add_task("t0", "Wave", wp);
   for (int i = 1; i < state.range(0); ++i) {
-    g.add_task("t" + std::to_string(i), "Scaler", wp);
-    g.connect("t" + std::to_string(i - 1), 0, "t" + std::to_string(i), 0);
+    g.add_task(std::string("t").append(std::to_string(i)), "Scaler", wp);
+    g.connect(std::string("t").append(std::to_string(i - 1)), 0,
+              std::string("t").append(std::to_string(i)), 0);
   }
   const std::string xml = core::write_taskgraph(g);
   for (auto _ : state) {

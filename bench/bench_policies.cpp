@@ -82,7 +82,7 @@ Result run_policy(const std::string& policy, int samples, int items,
   std::vector<net::Endpoint> eps;
   for (int i = 0; i < 3; ++i) {
     core::ServiceConfig cfg;
-    cfg.peer_id = "w" + std::to_string(i);
+    cfg.peer_id = std::string("w").append(std::to_string(i));
     workers.push_back(std::make_unique<core::TrianaService>(
         net.add_node(), clock, sched, registry, cfg));
     home.node().add_neighbor(workers.back()->endpoint());
@@ -93,7 +93,8 @@ Result run_policy(const std::string& policy, int samples, int items,
     net.set_obs(*obs_registry, tracer, "policy");
     home.set_obs(*obs_registry, tracer, "home");
     for (std::size_t i = 0; i < workers.size(); ++i) {
-      workers[i]->set_obs(*obs_registry, tracer, "w" + std::to_string(i));
+      workers[i]->set_obs(*obs_registry, tracer,
+                          std::string("w").append(std::to_string(i)));
     }
   }
 

@@ -25,8 +25,9 @@ core::TaskGraph chain_graph(std::size_t n_tasks) {
     core::ParamSet p;
     p.set_double("factor", 1.01);
     p.set_double("other", static_cast<double>(i));
-    g.add_task("t" + std::to_string(i), "Scaler", p);
-    g.connect("t" + std::to_string(i - 1), 0, "t" + std::to_string(i), 0);
+    g.add_task(std::string("t").append(std::to_string(i)), "Scaler", p);
+    g.connect(std::string("t").append(std::to_string(i - 1)), 0,
+              std::string("t").append(std::to_string(i)), 0);
   }
   return g;
 }

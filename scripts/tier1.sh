@@ -63,12 +63,13 @@ cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # use-after-free when a late reply races a timeout. test_supervisor and
 # test_core_service have the same shape: lease, bind-retry and redeploy
 # timers capture job ids and fire after the job was cancelled or fenced.
+# test_serial covers the bulk codec and CRC loads at unaligned offsets.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
   test_obs test_obs_http test_wire test_tcp_parity test_overlay \
-  test_supervisor test_core_service
+  test_supervisor test_core_service test_serial
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
          test_wire test_tcp_parity test_overlay test_supervisor \
-         test_core_service; do
+         test_core_service test_serial; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

@@ -128,7 +128,8 @@ UnitInfo VoteUnit::make_info() {
   i.package = "dist";
   i.description = "Majority vote over replicated results";
   for (std::size_t k = 0; k < kMaxVoteInputs; ++k) {
-    i.inputs.push_back(PortSpec{"r" + std::to_string(k), kAnyType});
+    i.inputs.push_back(
+        PortSpec{std::string("r").append(std::to_string(k)), kAnyType});
   }
   i.outputs = {PortSpec{"majority", kAnyType},
                PortSpec{"agreement", type_bit(DataType::kInteger)},

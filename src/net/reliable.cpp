@@ -1,6 +1,7 @@
 #include "net/reliable.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "serial/reader.hpp"
 
@@ -44,6 +45,13 @@ ReliableTransport::ReliableTransport(Transport& inner, Clock clock,
       scheduler_(std::move(scheduler)),
       config_(std::move(config)),
       rng_(config_.seed) {
+  if (!(config_.rto_initial_s > 0.0) || !(config_.jitter_frac < 1.0)) {
+    throw std::invalid_argument(
+        "ReliableConfig: need rto_initial_s > 0 and jitter_frac < 1");
+  }
+  // jittered() scales by at least (1 - jitter_frac), also after rounding.
+  min_first_rto_ =
+      config_.rto_initial_s * (1.0 - std::max(config_.jitter_frac, 0.0));
   inner_.set_handler([this](const Endpoint& from, serial::Frame f) {
     on_frame(from, std::move(f));
   });
@@ -188,53 +196,70 @@ void ReliableTransport::send(const Endpoint& to, serial::Frame frame) {
   // (and anything caused by the delivery) hangs off it in the causal DAG.
   const obs::TraceContext wire_trace{trace_id_, p.span, lamport_.tick()};
   p.wire = serial::encode_envelope(id, frame, wire_trace);
-  p.original = std::move(frame);
 
   wire_send(to, p.wire);
   ++stats_.sent;
   obs_.sent.inc();
   const double first_retry = jittered(p.rto_s);
+  obs_.backoff_wait_s.observe(first_retry);
+  p.due_at = p.first_sent_at + first_retry;
+  due_.emplace(p.due_at, id);
   pending_.emplace(id, std::move(p));
-  schedule_retry(id, first_retry);
+  if (!retry_timer_armed_) arm_retry_timer();
 }
 
-void ReliableTransport::schedule_retry(std::uint64_t id, double delay_s) {
-  obs_.backoff_wait_s.observe(delay_s);
-  scheduler_(delay_s, [this, id] { on_retry_timer(id); });
+void ReliableTransport::arm_retry_timer() {
+  const double now = clock_();
+  const double at = std::min(due_.begin()->first, now + min_first_rto_);
+  retry_timer_armed_ = true;
+  scheduler_(std::max(at - now, 0.0), [this] { on_retry_timer(); });
 }
 
-void ReliableTransport::on_retry_timer(std::uint64_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // acked meanwhile
-  Pending& p = it->second;
+void ReliableTransport::on_retry_timer() {
+  // Handle every message that is due, earliest first. Each pass expires a
+  // message or spends one of its retries, so the loop ends. A send() from
+  // the drop handler sees the timer armed and leaves re-arming to the end.
+  const double now = clock_();
+  while (!due_.empty() && due_.begin()->first <= now) {
+    const std::uint64_t id = due_.begin()->second;
+    due_.erase(due_.begin());
+    auto it = pending_.find(id);
+    Pending& p = it->second;
 
-  const bool over_deadline =
-      clock_() - p.first_sent_at >= config_.deadline_s;
-  if (over_deadline || p.retries >= config_.max_retries) {
-    ++stats_.expired;
-    obs_.expired.inc();
-    obs_.tracer.end_span(p.span, obs_.node, "reliable.msg", "expired");
-    // Move out before erasing: the drop handler may send (and re-enter).
-    Endpoint to = std::move(p.to);
-    serial::Frame original = std::move(p.original);
-    pending_.erase(it);
-    if (on_drop_) on_drop_(to, original);
-    return;
-  }
+    const bool over_deadline = now - p.first_sent_at >= config_.deadline_s;
+    if (over_deadline || p.retries >= config_.max_retries) {
+      ++stats_.expired;
+      obs_.expired.inc();
+      obs_.tracer.end_span(p.span, obs_.node, "reliable.msg", "expired");
+      // Move out before erasing: the drop handler may send (and re-enter).
+      Endpoint to = std::move(p.to);
+      serial::Frame wire = std::move(p.wire);
+      pending_.erase(it);
+      if (on_drop_) on_drop_(to, serial::decode_envelope(wire).inner);
+      continue;
+    }
 
-  ++p.retries;
-  ++stats_.retransmits;
-  obs_.retransmits.inc();
-  if (obs_.tracer) {
-    obs_.tracer.event(obs_.node, "reliable.retx",
-                      obs::TraceContext{trace_id_, p.span, lamport_.now()},
-                      "seq=" + std::to_string(id) +
-                          " conn=" + conn_name(inner_.local(), p.to) +
-                          " try=" + std::to_string(p.retries));
+    ++p.retries;
+    ++stats_.retransmits;
+    obs_.retransmits.inc();
+    if (obs_.tracer) {
+      obs_.tracer.event(obs_.node, "reliable.retx",
+                        obs::TraceContext{trace_id_, p.span, lamport_.now()},
+                        "seq=" + std::to_string(id) +
+                            " conn=" + conn_name(inner_.local(), p.to) +
+                            " try=" + std::to_string(p.retries));
+    }
+    p.rto_s = std::min(p.rto_s * config_.backoff, config_.rto_max_s);
+    const double wait = jittered(p.rto_s);
+    obs_.backoff_wait_s.observe(wait);
+    p.due_at = now + wait;
+    due_.emplace(p.due_at, id);
+    // Copy the endpoint: a synchronous ack inside wire_send may erase `p`.
+    const Endpoint to = p.to;
+    wire_send(to, p.wire);
   }
-  wire_send(p.to, p.wire);
-  p.rto_s = std::min(p.rto_s * config_.backoff, config_.rto_max_s);
-  schedule_retry(id, jittered(p.rto_s));
+  retry_timer_armed_ = false;
+  if (!due_.empty()) arm_retry_timer();
 }
 
 void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
@@ -269,6 +294,7 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
       obs_.tracer.end_span(it->second.span, obs_.node, "reliable.msg",
                            "acked retx=" +
                                std::to_string(it->second.retries));
+      due_.erase({it->second.due_at, id});
       pending_.erase(it);
     }
     return;  // duplicate ack for an already-settled message: ignore

@@ -13,7 +13,10 @@
 //   * the sender retransmits unacknowledged messages with exponential
 //     backoff plus deterministic jitter until a configurable deadline or
 //     retry budget is exhausted, then gives up and (optionally) reports the
-//     expiry to a drop handler.
+//     expiry to a drop handler;
+//   * one retransmit timer per transport (RFC 6298 5) serves every unacked
+//     message: they wait in a set ordered by due time, an ack just removes
+//     its entry, and the timer sleeps until the earliest due instant.
 //
 // Which frame types get the treatment is policy: by default everything
 // except kHeartbeat (liveness probes are only meaningful fresh) and kAck
@@ -30,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -110,6 +114,8 @@ class ReliableTransport final : public Transport {
   /// free (no extra probes on the wire).
   using ActivityListener = std::function<void(const Endpoint& from)>;
 
+  /// Throws std::invalid_argument unless rto_initial_s > 0 and
+  /// jitter_frac < 1 (otherwise a retry could fall due at once).
   ReliableTransport(Transport& inner, Clock clock, Scheduler scheduler,
                     ReliableConfig config = {});
 
@@ -164,9 +170,12 @@ class ReliableTransport final : public Transport {
  private:
   struct Pending {
     Endpoint to;
-    serial::Frame wire;     ///< the kReliable envelope, resent verbatim
-    serial::Frame original; ///< what the caller sent (for the drop handler)
+    /// The kReliable envelope, resent verbatim. The only copy of the
+    /// payload: the drop handler gets the caller's frame back by unwrapping
+    /// it.
+    serial::Frame wire;
     double first_sent_at = 0.0;
+    double due_at = 0.0;  ///< next retransmit or expiry check
     double rto_s = 0.0;
     int retries = 0;
     std::uint64_t span = 0;  ///< open trace span (0 when untraced)
@@ -197,8 +206,8 @@ class ReliableTransport final : public Transport {
 
   bool is_reliable_type(serial::FrameType t) const;
   void on_frame(const Endpoint& from, serial::Frame frame);
-  void schedule_retry(std::uint64_t id, double delay_s);
-  void on_retry_timer(std::uint64_t id);
+  void arm_retry_timer();
+  void on_retry_timer();
   double jittered(double delay_s);
   /// Every outbound frame (original, retransmit, ack, passthrough) goes
   /// through here; it either forwards directly or coalesces into kBatch.
@@ -216,6 +225,14 @@ class ReliableTransport final : public Transport {
   DropHandler on_drop_;
   ActivityListener on_activity_;
   std::map<std::uint64_t, Pending> pending_;
+  /// (due_at, id) of every pending message, earliest first.
+  std::set<std::pair<double, std::uint64_t>> due_;
+  /// True while the one retry timer is queued or running. It is armed only
+  /// when none is, at min(earliest due, now + min_first_rto_): no later
+  /// send() can fall due before that, so one timer always suffices and
+  /// none ever goes stale.
+  bool retry_timer_armed_ = false;
+  double min_first_rto_ = 0.0;  ///< shortest possible jittered first RTO
   std::unordered_map<std::string, BatchBuf> batch_;  // by endpoint value
   std::unordered_map<std::string, SeenWindow> seen_;
   std::uint64_t next_id_ = 1;

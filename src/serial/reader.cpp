@@ -1,8 +1,31 @@
 #include "serial/reader.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace cg::serial {
+namespace {
+
+// Mirror of the writer's rule: on a little-endian host the wire image is
+// the memory image, so fixed-width fields and f64 vectors load with one
+// bulk copy (memcpy, so unaligned offsets are fine); other hosts assemble
+// values byte by byte.
+constexpr bool kWireIsNative = std::endian::native == std::endian::little;
+
+template <typename T>
+T get_le(const std::uint8_t* p) {
+  T v = 0;
+  if constexpr (kWireIsNative) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+}  // namespace
 
 void Reader::need(std::size_t n) const {
   if (data_.size() - pos_ < n) {
@@ -26,20 +49,14 @@ std::uint16_t Reader::u16() {
 
 std::uint32_t Reader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
+  const auto v = get_le<std::uint32_t>(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t Reader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
+  const auto v = get_le<std::uint64_t>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -99,10 +116,19 @@ std::vector<double> Reader::f64_vector() {
                       " elements, have " + std::to_string(remaining()) +
                       " bytes");
   }
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
-  return v;
+  if constexpr (kWireIsNative) {
+    std::vector<double> v(n);
+    if (n > 0) {
+      std::memcpy(v.data(), data_.data() + pos_, n * 8);
+      pos_ += n * 8;
+    }
+    return v;
+  } else {
+    std::vector<double> v;
+    v.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+    return v;
+  }
 }
 
 Bytes Reader::raw(std::size_t n) {

@@ -1,8 +1,29 @@
 #include "serial/writer.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace cg::serial {
+namespace {
+
+// The wire is little-endian. On a little-endian host a value's memory image
+// already is its wire image, so fixed-width fields and f64 vectors append
+// with one bulk copy; other hosts take the per-byte path.
+constexpr bool kWireIsNative = std::endian::native == std::endian::little;
+
+template <typename T>
+void put_le(Bytes& buf, T v) {
+  if constexpr (kWireIsNative) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    buf.insert(buf.end(), p, p + sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+}
+
+}  // namespace
 
 void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
 
@@ -11,17 +32,9 @@ void Writer::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void Writer::u32(std::uint32_t v) { put_le(buf_, v); }
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void Writer::u64(std::uint64_t v) { put_le(buf_, v); }
 
 void Writer::i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
 void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -61,7 +74,12 @@ void Writer::blob(std::span<const std::uint8_t> b) {
 
 void Writer::f64_vector(std::span<const double> v) {
   varint(v.size());
-  for (double x : v) f64(x);
+  if constexpr (kWireIsNative) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_.insert(buf_.end(), p, p + v.size_bytes());
+  } else {
+    for (double x : v) f64(x);
+  }
 }
 
 void Writer::raw(std::span<const std::uint8_t> b) {

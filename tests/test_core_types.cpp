@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/types/data_item.hpp"
 #include "core/unit/builtin.hpp"
@@ -46,6 +47,77 @@ TEST(DataItem, CodecRoundTripsEveryType) {
 
   Table t{{"name", "value"}, {{"a", "1"}, {"b", "2"}}};
   EXPECT_EQ(roundtrip(DataItem(t)), DataItem(t));
+}
+
+/// Per-element reference encoder: builds the documented wire image one
+/// byte at a time (little-endian fixed-width fields, LEB128 counts), with
+/// no use of serial::Writer, so the bulk codec is checked against the format
+/// itself.
+struct ReferenceBytes {
+  serial::Bytes b;
+  void u8(std::uint8_t v) { b.push_back(v); }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void f64(double d) {
+    std::uint64_t v;
+    std::memcpy(&v, &d, sizeof(v));
+    for (int i = 0; i < 8; ++i) {
+      b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      b.push_back(static_cast<std::uint8_t>(v) | 0x80u);
+      v >>= 7;
+    }
+    b.push_back(static_cast<std::uint8_t>(v));
+  }
+  void f64s(const std::vector<double>& v) {
+    varint(v.size());
+    for (double d : v) f64(d);
+  }
+};
+
+std::vector<double> ramp(std::size_t n, double scale) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = scale * std::sin(0.37 * static_cast<double>(i)) - 1e-3 * i;
+  }
+  return v;
+}
+
+TEST(DataItem, EncodingMatchesPerElementReference) {
+  // 200 elements puts the f64 count in a two-byte varint, so the doubles
+  // start at an odd offset after the header fields.
+  const SampleSet s{2048.0, ramp(200, 3.0)};
+  ReferenceBytes rs;
+  rs.u8(static_cast<std::uint8_t>(DataType::kSampleSet));
+  rs.f64(s.sample_rate);
+  rs.f64s(s.samples);
+  EXPECT_EQ(encode_data_item(DataItem(s)), rs.b);
+
+  const SpectrumData sp{0.125, ramp(129, 1e6)};
+  ReferenceBytes rsp;
+  rsp.u8(static_cast<std::uint8_t>(DataType::kSpectrum));
+  rsp.f64(sp.bin_width);
+  rsp.f64s(sp.power);
+  EXPECT_EQ(encode_data_item(DataItem(sp)), rsp.b);
+
+  const ImageFrame f{16, 9, ramp(16 * 9, 0.5)};
+  ReferenceBytes rf;
+  rf.u8(static_cast<std::uint8_t>(DataType::kImage));
+  rf.u32(f.width);
+  rf.u32(f.height);
+  rf.f64s(f.pixels);
+  EXPECT_EQ(encode_data_item(DataItem(f)), rf.b);
+
+  // And the decoder reads the reference bytes back to the same items.
+  EXPECT_EQ(decode_data_item(rs.b), DataItem(s));
+  EXPECT_EQ(decode_data_item(rsp.b), DataItem(sp));
+  EXPECT_EQ(decode_data_item(rf.b), DataItem(f));
 }
 
 TEST(DataItem, CorruptImageRejected) {

@@ -219,7 +219,7 @@ TEST(Tracer, SpansPairAndClockApplies) {
 TEST(Tracer, RingWrapsAndCountsDrops) {
   obs::Tracer tr(4);
   for (int i = 0; i < 10; ++i) {
-    tr.event("n", "e" + std::to_string(i));
+    tr.event("n", std::string("e").append(std::to_string(i)));
   }
 #if CONGRID_OBS_ENABLED
   EXPECT_EQ(tr.size(), 4u);
@@ -268,7 +268,9 @@ TEST(Tracer, JsonlLinesAreEachValidJson) {
 
 TEST(Tracer, JsonlHeaderReportsRingOverwrites) {
   obs::Tracer tr(4);
-  for (int i = 0; i < 9; ++i) tr.event("n", "e" + std::to_string(i));
+  for (int i = 0; i < 9; ++i) {
+    tr.event("n", std::string("e").append(std::to_string(i)));
+  }
   const std::string jsonl = tr.to_jsonl();
 #if CONGRID_OBS_ENABLED
   const std::string header = jsonl.substr(0, jsonl.find('\n'));
@@ -287,7 +289,9 @@ TEST(Tracer, RingOverwritesExportedAsGauge) {
   obs::Registry reg;
   obs::Tracer tr(4);
   tr.set_obs(reg, "t");
-  for (int i = 0; i < 9; ++i) tr.event("n", "e" + std::to_string(i));
+  for (int i = 0; i < 9; ++i) {
+    tr.event("n", std::string("e").append(std::to_string(i)));
+  }
   obs::MetricsSnapshot snap = reg.snapshot();
 #if CONGRID_OBS_ENABLED
   // Both shapes of the same fact: the counter accumulates per overwrite,
@@ -440,19 +444,19 @@ TEST(ObsNetwork, FrameCountersMirrorSimStats) {
 TEST(ObsCache, CountersMatchCacheStats) {
   repo::ModuleRepository repo;
   for (int i = 0; i < 6; ++i) {
-    repo.put(repo::make_synthetic_artifact("m" + std::to_string(i), "1.0",
-                                           1024));
+    repo.put(repo::make_synthetic_artifact(
+        std::string("m").append(std::to_string(i)), "1.0", 1024));
   }
   obs::Registry reg;
   repo::ModuleCache cache(3 * 1024);  // room for 3 modules -> evictions
   cache.set_obs(reg, "w0");
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 6; ++i) {
-      const std::string name = "m" + std::to_string(i);
+      const std::string name = std::string("m").append(std::to_string(i));
       if (!cache.lookup(name)) cache.insert(*repo.latest(name));
     }
   }
-  const auto& s = cache.stats();
+  [[maybe_unused]] const auto& s = cache.stats();  // read only with OBS on
   const obs::MetricsSnapshot snap = reg.snapshot();
 #if CONGRID_OBS_ENABLED
   EXPECT_EQ(snap.counter("w0.cache.hits"), s.hits);

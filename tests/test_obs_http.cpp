@@ -73,9 +73,11 @@ std::string recv_to_eof(int fd) {
   return out;
 }
 
-/// One whole-request round trip; "" on connect failure.
-std::string http_get(std::uint16_t port, const std::string& target,
-                     const std::string& extra_headers = "") {
+/// One whole-request round trip; "" on connect failure. This helper and
+/// the three below are used only by tests compiled with the obs layer on.
+[[maybe_unused]] std::string http_get(std::uint16_t port,
+                                      const std::string& target,
+                                      const std::string& extra_headers = "") {
   const int fd = connect_loopback(port);
   if (fd < 0) return "";
   const std::string req = "GET " + target + " HTTP/1.1\r\nHost: t\r\n" +
@@ -86,17 +88,17 @@ std::string http_get(std::uint16_t port, const std::string& target,
   return out;
 }
 
-std::string status_line(const std::string& response) {
+[[maybe_unused]] std::string status_line(const std::string& response) {
   return response.substr(0, response.find("\r\n"));
 }
 
-std::string body_of(const std::string& response) {
+[[maybe_unused]] std::string body_of(const std::string& response) {
   const auto pos = response.find("\r\n\r\n");
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
 /// A registry with one of each instrument kind, known values.
-void populate(Registry& reg) {
+[[maybe_unused]] void populate(Registry& reg) {
   reg.counter("net.sim.delivered").inc(120);
   reg.counter("weird name\"x").inc(1);  // exercises sanitiser + label escape
   reg.gauge("peers.up").set(7.5);

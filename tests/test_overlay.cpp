@@ -161,7 +161,8 @@ Advertisement cpu_advert(const std::string& id, double cpu_mhz,
 TEST(AttributeIndexTest, RangeQueryScansOnlyMatchingBand) {
   AttributeIndex idx("cpu_mhz");
   for (int i = 0; i < 10; ++i) {
-    idx.put(cpu_advert("p" + std::to_string(i), 500.0 * i), 0.0);
+    idx.put(cpu_advert(std::string("p").append(std::to_string(i)), 500.0 * i),
+            0.0);
   }
   Query q;
   q.kind = AdvertKind::kPeer;

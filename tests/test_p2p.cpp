@@ -160,7 +160,8 @@ TEST(Cache, DropProvider) {
 TEST(Cache, FindHonoursLimit) {
   AdvertisementCache c(32);
   for (int i = 0; i < 10; ++i) {
-    c.put(make_advert(AdvertKind::kPeer, "p" + std::to_string(i), "n", 100.0),
+    c.put(make_advert(AdvertKind::kPeer,
+                      std::string("p").append(std::to_string(i)), "n", 100.0),
           0.0);
   }
   Query q;

@@ -116,7 +116,10 @@ TaskGraph random_dag(std::uint64_t seed, int layers = 4, int width = 5) {
                           "Clipper", "Delay",  "MovingAverage"};
   for (int l = 1; l <= layers; ++l) {
     for (int w = 0; w < width; ++w) {
-      const std::string name = "u" + std::to_string(l) + "_" + std::to_string(w);
+      const std::string name = std::string("u")
+                                   .append(std::to_string(l))
+                                   .append("_")
+                                   .append(std::to_string(w));
       const auto& prev = layer_names[l - 1];
       auto pick = [&] {
         return prev[static_cast<std::size_t>(rng.below(prev.size()))];

@@ -173,7 +173,7 @@ core::TaskGraph random_graph(dsp::Rng& rng) {
   const int n = 2 + static_cast<int>(rng.below(8));
   std::vector<std::string> names{"Src"};
   for (int i = 0; i < n; ++i) {
-    const std::string name = "t" + std::to_string(i);
+    const std::string name = std::string("t").append(std::to_string(i));
     core::ParamSet p;
     if (rng.chance(0.5)) p.set_double("factor", rng.uniform(0.5, 2.0));
     g.add_task(name, kTransforms[rng.below(5)], p);
@@ -263,7 +263,7 @@ TEST_P(Seeded, RandomDataItemsRoundTrip) {
         core::Table t;
         const auto cols = 1 + rng.below(4);
         for (std::uint64_t c = 0; c < cols; ++c) {
-          t.columns.push_back("c" + std::to_string(c));
+          t.columns.push_back(std::string("c").append(std::to_string(c)));
         }
         for (std::uint64_t r = 0; r < rng.below(6); ++r) {
           std::vector<std::string> row;
@@ -289,7 +289,8 @@ TEST_P(Seeded, ModuleCacheAccountingInvariants) {
 
   for (int op = 0; op < 400; ++op) {
     const auto action = rng.below(10);
-    const std::string name = "m" + std::to_string(rng.below(12));
+    const std::string name =
+        std::string("m").append(std::to_string(rng.below(12)));
     if (action < 5) {
       cache.insert(repo::make_synthetic_artifact(name, "1", 50 + rng.below(400)));
     } else if (action < 7) {
@@ -375,7 +376,8 @@ TEST_P(Seeded, FloodingMessagesBoundedByTwiceEdges) {
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
         net.add_node(), [&net] { return net.now(); },
-        p2p::PeerConfig{.peer_id = "n" + std::to_string(i)}));
+        p2p::PeerConfig{
+            .peer_id = std::string("n").append(std::to_string(i))}));
   }
   std::size_t edges = 0;
   for (std::size_t i = 0; i < n; ++i) {

@@ -3,9 +3,12 @@
 // passthrough policy, and determinism of the whole machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "dsp/rng.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
 #include "net/sim_network.hpp"
@@ -240,7 +243,8 @@ TEST(Reliable, DedupWindowEvictsOldestIds) {
   pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
 
   for (int i = 0; i < 10; ++i) {
-    pair.a.send(pair.tb.local(), text_frame("m" + std::to_string(i)));
+    pair.a.send(pair.tb.local(),
+                text_frame(std::string("m").append(std::to_string(i))));
   }
   pair.net.run_until(60.0);
   EXPECT_EQ(got, 10);  // eviction never suppresses fresh ids
@@ -278,7 +282,8 @@ TEST(Reliable, DeterministicStatsUnderLossySeed) {
     int got = 0;
     pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
     for (int i = 0; i < 50; ++i) {
-      pair.a.send(pair.tb.local(), text_frame("m" + std::to_string(i)));
+      pair.a.send(pair.tb.local(),
+                  text_frame(std::string("m").append(std::to_string(i))));
     }
     pair.net.run_until(300.0);
     EXPECT_EQ(got, 50);
@@ -289,6 +294,263 @@ TEST(Reliable, DeterministicStatsUnderLossySeed) {
   EXPECT_EQ(a1, a2);
   EXPECT_EQ(b1, b2);
   EXPECT_GT(a1.retransmits, 0u);  // 30% loss must have caused retries
+}
+
+// -- the one retransmit timer ------------------------------------------------
+//
+// These drive a ReliableTransport by hand: a fake inner transport records
+// what goes on the wire, and a fake scheduler holds every callback until the
+// test moves its clock, so the number of queued timers is observable.
+
+/// Inner transport that records sends; the test injects frames by calling
+/// `deliver`.
+struct RecordingTransport final : Transport {
+  struct Sent {
+    double at;
+    Endpoint to;
+    serial::Frame frame;
+  };
+  explicit RecordingTransport(const double& now) : now(now) {}
+  Endpoint local() const override { return Endpoint{"fake:a"}; }
+  void send(const Endpoint& to, serial::Frame frame) override {
+    sent.push_back({now, to, std::move(frame)});
+  }
+  void set_handler(FrameHandler h) override { handler = std::move(h); }
+  std::size_t poll() override { return 0; }
+  void deliver(const Endpoint& from, serial::Frame f) {
+    handler(from, std::move(f));
+  }
+
+  const double& now;
+  FrameHandler handler;
+  std::vector<Sent> sent;
+};
+
+/// Scheduler whose callbacks wait in a queue until `advance_to` reaches
+/// them; equal times run in the order they were scheduled.
+struct CountingScheduler {
+  Clock clock() {
+    return [this] { return now; };
+  }
+  Scheduler sched() {
+    return [this](double d, std::function<void()> fn) {
+      ++scheduled;
+      queue.emplace(now + d, std::move(fn));
+    };
+  }
+  void advance_to(double t) {
+    while (!queue.empty() && queue.begin()->first <= t) {
+      auto it = queue.begin();
+      now = it->first;
+      std::function<void()> fn = std::move(it->second);
+      queue.erase(it);
+      fn();
+    }
+    now = t;
+  }
+
+  double now = 0.0;
+  std::size_t scheduled = 0;
+  std::multimap<double, std::function<void()>> queue;
+};
+
+struct TimerRig {
+  explicit TimerRig(ReliableConfig cfg = {})
+      : inner(sched.now), rel(inner, sched.clock(), sched.sched(), cfg) {}
+
+  /// Ack the envelope most recently put on the wire.
+  void ack_last() {
+    const auto env = serial::decode_envelope(inner.sent.back().frame);
+    inner.deliver(peer, serial::encode_ack(env.msg_id));
+  }
+
+  Endpoint peer{"fake:b"};
+  CountingScheduler sched;
+  RecordingTransport inner;
+  ReliableTransport rel;
+};
+
+TEST(ReliableTimer, AckedSendsLeaveAtMostOneQueuedCallback) {
+  TimerRig rig;
+  std::size_t most_queued = 0;
+  // 10,000 sends 100 us apart, each acked at once: one second of traffic,
+  // so the timer fires, finds nothing pending and is re-armed by a later
+  // send. One timer per message would leave ~6,000 queued at the peak.
+  for (int i = 0; i < 10000; ++i) {
+    rig.sched.advance_to(i * 1e-4);
+    rig.rel.send(rig.peer,
+                 text_frame(std::string("m").append(std::to_string(i))));
+    rig.ack_last();
+    most_queued = std::max(most_queued, rig.sched.queue.size());
+  }
+  EXPECT_EQ(rig.rel.in_flight(), 0u);
+  EXPECT_EQ(rig.rel.stats().acked, 10000u);
+  EXPECT_LE(rig.sched.queue.size(), 1u);
+  EXPECT_LE(most_queued, 1u);
+  EXPECT_LE(rig.sched.scheduled, 4u);
+  EXPECT_EQ(rig.rel.stats().retransmits, 0u);
+  EXPECT_EQ(rig.inner.sent.size(), 10000u);
+}
+
+TEST(ReliableTimer, UnackedMessagesRetryAtTheirOwnInstantsThenExpire) {
+  // Messages sent a few ms apart, never acked: a later send can draw a
+  // shorter jitter and fall due before an earlier one. Every copy must
+  // still leave at its own instant, as if each message had its own timer,
+  // and each expiry must hand back the caller's frame byte for byte.
+  ReliableConfig cfg;  // default RTO, backoff, jitter, deadline, budget
+  TimerRig rig(cfg);
+  constexpr int kMsgs = 40;
+  constexpr double kGap = 0.0073;
+  // Binary payloads, one of them 128 KB: the stored envelope is the only
+  // copy, so the drop handler's frame is rebuilt from it.
+  dsp::Rng bytes(5);
+  std::vector<serial::Frame> originals(kMsgs);
+  for (int i = 0; i < kMsgs; ++i) {
+    originals[i].type = serial::FrameType::kData;
+    originals[i].payload.resize(i == 7 ? 128 * 1024 : 16 + i);
+    for (auto& b : originals[i].payload) {
+      b = static_cast<std::uint8_t>(bytes.below(256));
+    }
+  }
+  std::vector<std::pair<double, serial::Frame>> drops;
+  rig.rel.set_drop_handler([&](const Endpoint& to, const serial::Frame& f) {
+    EXPECT_EQ(to, rig.peer);
+    drops.emplace_back(rig.sched.now, f);
+  });
+  for (int i = 0; i < kMsgs; ++i) {
+    rig.sched.advance_to(i * kGap);
+    rig.rel.send(rig.peer, originals[i]);
+  }
+  rig.sched.advance_to(120.0);
+
+  // Reference model: one timer per message, jitter drawn at each send and
+  // at each retransmit in time order (ties do not occur with these gaps).
+  dsp::Rng rng(cfg.seed);
+  auto jittered = [&](double d) {
+    return d * (1.0 + cfg.jitter_frac * (2.0 * rng.uniform() - 1.0));
+  };
+  struct Msg {
+    double first = 0, rto = 0;
+    int retries = 0;
+    std::vector<double> tx;  // wire instants: first send, then retries
+    double dropped_at = -1;
+  };
+  std::vector<Msg> msgs(kMsgs);
+  std::multimap<double, int> timers;
+  int next_send = 0;
+  while (next_send < kMsgs || !timers.empty()) {
+    if (next_send < kMsgs &&
+        (timers.empty() || next_send * kGap < timers.begin()->first)) {
+      Msg& m = msgs[next_send];
+      m.first = next_send * kGap;
+      m.rto = cfg.rto_initial_s;
+      m.tx.push_back(m.first);
+      timers.emplace(m.first + jittered(m.rto), next_send++);
+      continue;
+    }
+    const auto [now, i] = *timers.begin();
+    timers.erase(timers.begin());
+    Msg& m = msgs[i];
+    if (now - m.first >= cfg.deadline_s || m.retries >= cfg.max_retries) {
+      m.dropped_at = now;
+      continue;
+    }
+    ++m.retries;
+    m.tx.push_back(now);
+    m.rto = std::min(m.rto * cfg.backoff, cfg.rto_max_s);
+    timers.emplace(now + jittered(m.rto), i);
+  }
+  ASSERT_GE(msgs[0].tx.size(), 4u);
+
+  // Envelope ids run 1..kMsgs in send order.
+  std::vector<std::vector<double>> got(kMsgs);
+  for (const auto& s : rig.inner.sent) {
+    const auto env = serial::decode_envelope(s.frame);
+    ASSERT_GE(env.msg_id, 1u);
+    ASSERT_LE(env.msg_id, static_cast<std::uint64_t>(kMsgs));
+    EXPECT_EQ(env.inner.payload, originals[env.msg_id - 1].payload);
+    got[env.msg_id - 1].push_back(s.at);
+  }
+  for (int i = 0; i < kMsgs; ++i) {
+    ASSERT_EQ(got[i].size(), msgs[i].tx.size()) << "message " << i;
+    for (std::size_t k = 0; k < got[i].size(); ++k) {
+      EXPECT_DOUBLE_EQ(got[i][k], msgs[i].tx[k])
+          << "message " << i << " copy " << k;
+    }
+  }
+
+  ASSERT_EQ(drops.size(), static_cast<std::size_t>(kMsgs));
+  for (const auto& [at, frame] : drops) {
+    const auto it = std::find_if(
+        originals.begin(), originals.end(),
+        [&](const serial::Frame& o) { return o.payload == frame.payload; });
+    ASSERT_NE(it, originals.end());
+    EXPECT_EQ(frame.type, it->type);
+    EXPECT_DOUBLE_EQ(at, msgs[it - originals.begin()].dropped_at);
+  }
+  EXPECT_EQ(rig.rel.stats().expired, static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(rig.rel.in_flight(), 0u);
+  EXPECT_TRUE(rig.sched.queue.empty());
+}
+
+TEST(ReliableTimer, DropHandlerMaySendFromInsideTheTimer) {
+  ReliableConfig cfg;
+  cfg.max_retries = 1;
+  cfg.deadline_s = 100.0;
+  TimerRig rig(cfg);
+  // Every expiry resends the frame once more (marked "again:"), so the
+  // handler re-enters send() while the timer is still walking due
+  // messages; two messages share each expiry pass.
+  std::vector<std::string> dropped;
+  rig.rel.set_drop_handler([&](const Endpoint& to, const serial::Frame& f) {
+    const std::string body = serial::to_string(f.payload);
+    dropped.push_back(body);
+    if (body.rfind("again:", 0) != 0) {
+      rig.rel.send(to, text_frame("again:" + body));
+    }
+    EXPECT_LE(rig.sched.queue.size(), 1u);
+  });
+  rig.rel.send(rig.peer, text_frame("x"));
+  rig.rel.send(rig.peer, text_frame("y"));
+  std::size_t most_queued = 0;
+  for (double t = 0.0; t < 60.0; t += 0.01) {
+    rig.sched.advance_to(t);
+    most_queued = std::max(most_queued, rig.sched.queue.size());
+  }
+  // Jitter decides which of a pair expires first.
+  std::sort(dropped.begin(), dropped.end());
+  EXPECT_EQ(dropped, (std::vector<std::string>{"again:x", "again:y", "x",
+                                               "y"}));
+  EXPECT_EQ(rig.rel.stats().sent, 4u);
+  EXPECT_EQ(rig.rel.stats().retransmits, 4u);
+  EXPECT_EQ(rig.rel.stats().expired, 4u);
+  EXPECT_EQ(rig.rel.in_flight(), 0u);
+  EXPECT_LE(most_queued, 1u);
+  EXPECT_TRUE(rig.sched.queue.empty());
+
+  // An ack for a resent message still settles it mid-ladder.
+  rig.rel.send(rig.peer, text_frame("z"));
+  rig.sched.advance_to(rig.sched.now + 0.7);  // one retransmit
+  rig.ack_last();
+  rig.sched.advance_to(rig.sched.now + 30.0);
+  EXPECT_EQ(rig.rel.stats().acked, 1u);
+  EXPECT_EQ(rig.rel.stats().expired, 4u);
+  EXPECT_EQ(rig.rel.in_flight(), 0u);
+}
+
+TEST(ReliableTimer, RejectsConfigWhoseFirstRetryCouldBeImmediate) {
+  CountingScheduler sched;
+  RecordingTransport inner(sched.now);
+  ReliableConfig zero_rto;
+  zero_rto.rto_initial_s = 0.0;
+  EXPECT_THROW(
+      ReliableTransport(inner, sched.clock(), sched.sched(), zero_rto),
+      std::invalid_argument);
+  ReliableConfig full_jitter;
+  full_jitter.jitter_frac = 1.0;
+  EXPECT_THROW(
+      ReliableTransport(inner, sched.clock(), sched.sched(), full_jitter),
+      std::invalid_argument);
 }
 
 }  // namespace

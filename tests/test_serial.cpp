@@ -2,7 +2,10 @@
 // cases, CRC-32 known answers, frame encode/decode and stream reassembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "serial/crc32.hpp"
@@ -200,10 +203,120 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   Bytes data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<std::uint8_t>(i));
   const std::uint32_t oneshot = crc32(data);
-  std::uint32_t running = 0;
-  running = crc32(data.data(), 400, running);
-  running = crc32(data.data() + 400, 600, running);
-  EXPECT_EQ(running, oneshot);
+  // Three chained chunks, split on and off the 8-byte steps, empty chunks
+  // included.
+  for (std::size_t a : {0u, 1u, 7u, 8u, 9u, 400u, 999u, 1000u}) {
+    for (std::size_t b : {0u, 3u, 8u, 17u}) {
+      const std::size_t mid = std::min(a + b, data.size());
+      std::uint32_t running = crc32(data.data(), a);
+      running = crc32(data.data() + a, mid - a, running);
+      running = crc32(data.data() + mid, data.size() - mid, running);
+      EXPECT_EQ(running, oneshot) << "split " << a << "/" << mid;
+    }
+  }
+}
+
+/// The plain bytewise CRC-32 (one table, one byte per step), kept here as
+/// the reference the slicing-by-8 implementation must match bit for bit.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t seed = 0) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes pseudo_random_bytes(std::size_t n, std::uint64_t seed) {
+  Bytes b(n);
+  std::uint64_t x = seed;
+  for (auto& v : b) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    v = static_cast<std::uint8_t>(x >> 56);
+  }
+  return b;
+}
+
+TEST(Crc32, SlicingMatchesBytewiseAtEveryLengthAndOffset) {
+  // Lengths 0..4100 cover the 8-byte body, every tail length and several
+  // pages; start offsets 0..7 cover every alignment of the 8-byte loads.
+  const Bytes data = pseudo_random_bytes(4100 + 8, 7);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 4100; ++len) {
+      const std::uint8_t* p = data.data() + off;
+      ASSERT_EQ(crc32(p, len), crc32_bytewise(p, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Reader, F64VectorAtUnalignedOffset) {
+  // One leading byte puts the varint count -- and so the doubles -- at an
+  // odd offset; the bulk path must not assume alignment.
+  const std::vector<double> v = {1.5, -2.25, 1e300, -0.0, 42.0};
+  Writer w;
+  w.u8(0xEE);
+  w.f64_vector(v);
+  w.u8(0xFF);
+  Reader r(w.bytes());
+  EXPECT_EQ(r.u8(), 0xEE);
+  const std::vector<double> back = r.f64_vector();
+  ASSERT_EQ(back.size(), v.size());
+  EXPECT_EQ(std::memcmp(back.data(), v.data(), v.size() * sizeof(double)), 0);
+  EXPECT_EQ(r.u8(), 0xFF);
+  EXPECT_TRUE(r.at_end());
+
+  // Same bytes read through an odd-offset view of a larger buffer.
+  Bytes shifted(3, 0);
+  shifted.insert(shifted.end(), w.bytes().begin() + 1, w.bytes().end() - 1);
+  Reader r2(std::span<const std::uint8_t>(shifted.data() + 3,
+                                          shifted.size() - 3));
+  EXPECT_EQ(r2.f64_vector(), back);
+  EXPECT_TRUE(r2.at_end());
+}
+
+TEST(Reader, F64VectorPreservesNanPayloadsSignedZeroAndDenormals) {
+  const std::uint64_t patterns[] = {
+      0x7FF8000000000001ull,  // quiet NaN with a payload
+      0x7FF0000000000123ull,  // signalling NaN with a payload
+      0xFFF8DEADBEEF0000ull,  // negative quiet NaN with a payload
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000001ull,  // smallest denormal
+      0x800FFFFFFFFFFFFFull,  // largest negative denormal
+      0x7FF0000000000000ull,  // +inf
+  };
+  std::vector<double> v;
+  for (std::uint64_t bits : patterns) {
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    v.push_back(d);
+  }
+  Writer w;
+  w.f64_vector(v);
+  // The wire holds each bit pattern little-endian, untouched.
+  Reader raw(w.bytes());
+  ASSERT_EQ(raw.varint(), std::size(patterns));
+  for (std::uint64_t bits : patterns) EXPECT_EQ(raw.u64(), bits);
+
+  Reader r(w.bytes());
+  const std::vector<double> back = r.f64_vector();
+  ASSERT_EQ(back.size(), std::size(patterns));
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &back[i], sizeof(bits));
+    EXPECT_EQ(bits, patterns[i]) << "element " << i;
+  }
 }
 
 TEST(Frame, EncodeDecodeRoundTrip) {

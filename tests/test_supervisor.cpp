@@ -62,7 +62,7 @@ struct SupGrid {
                                            reg(), hc);
     for (int i = 0; i < n; ++i) {
       ServiceConfig cfg;
-      cfg.peer_id = "w" + std::to_string(i);
+      cfg.peer_id = std::string("w").append(std::to_string(i));
       add_worker(cfg);
     }
   }

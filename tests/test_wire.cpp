@@ -225,7 +225,7 @@ TEST(WireBatch, ReliableDeliveryIsExactlyOnceWithBatchingOn) {
 
   constexpr int kMsgs = 40;
   for (int i = 0; i < kMsgs; ++i) {
-    a.send(tb.local(), text_frame("m" + std::to_string(i)));
+    a.send(tb.local(), text_frame(std::string("m").append(std::to_string(i))));
   }
   net.run_until(60.0);
 
@@ -233,7 +233,9 @@ TEST(WireBatch, ReliableDeliveryIsExactlyOnceWithBatchingOn) {
   // multiset of delivered messages is exact and duplicate-free.
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kMsgs));
   std::vector<std::string> want;
-  for (int i = 0; i < kMsgs; ++i) want.push_back("m" + std::to_string(i));
+  for (int i = 0; i < kMsgs; ++i) {
+    want.push_back(std::string("m").append(std::to_string(i)));
+  }
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(got, want);
@@ -329,7 +331,7 @@ TEST(TcpWire, BatchedEnvelopesCrossARealSocket) {
 
   constexpr int kMsgs = 200;
   for (int i = 0; i < kMsgs; ++i) {
-    a.send(tb.local(), text_frame("m" + std::to_string(i)));
+    a.send(tb.local(), text_frame(std::string("m").append(std::to_string(i))));
   }
   a.flush();
 
