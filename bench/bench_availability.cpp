@@ -11,40 +11,19 @@
 //
 // --json PATH writes the table as machine-readable rows keyed "model".
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "churn/availability.hpp"
 #include "dsp/stats.hpp"
+#include "harness.hpp"
 #include "obs/json.hpp"
 
 using namespace cg;
 
-namespace {
-
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_availability: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_availability [--json PATH]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_availability");
+  b.json_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E9: volunteer availability models, 1000 peers x 1 week\n\n");
   std::printf("%-28s %-10s %-12s | usable fraction for task length\n",
@@ -115,17 +94,9 @@ int main(int argc, char** argv) {
       "SETI@home design point (small work units) and the motivation for "
       "checkpointing (E8).\n");
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"availability\",\"peers\":" + std::to_string(kPeers) +
-        ",\"rows\":" + rows_json + "}";
-    if (!obs::json_valid(body)) {
-      std::fprintf(stderr,
-                   "bench_availability: refusing to write invalid JSON\n");
-      return 1;
-    }
-    if (!write_text(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return 0;
+  return b.write_json("{\"bench\":\"availability\",\"peers\":" +
+                      std::to_string(kPeers) + ",\"rows\":" + rows_json +
+                      "}")
+             ? 0
+             : 1;
 }

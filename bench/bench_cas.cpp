@@ -23,7 +23,6 @@
 // verifiable from the artifact alone.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -33,6 +32,7 @@
 #include "cas/store.hpp"
 #include "core/service/service.hpp"
 #include "core/unit/builtin.hpp"
+#include "harness.hpp"
 #include "net/sim_network.hpp"
 #include "obs/obs.hpp"
 
@@ -132,11 +132,8 @@ struct Row {
 };
 
 std::string rows_json(const std::vector<Row>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i) out += ',';
-    out += "{\"phase\":\"" + r.phase + "\"";
+  return bench::json_rows(rows, [](std::string& out, const Row& r) {
+    out += "\"phase\":\"" + r.phase + "\"";
     out += ",\"fetch_bytes\":" + std::to_string(r.fetch_bytes);
     out += ",\"modules_fetched\":" + std::to_string(r.modules_fetched);
     out += ",\"modules_from_cas\":" + std::to_string(r.modules_from_cas);
@@ -145,10 +142,7 @@ std::string rows_json(const std::vector<Row>& rows) {
     out += ",\"memo_misses\":" + std::to_string(r.memo_misses);
     out += ",\"elapsed_ms\":" + obs::json_number(r.elapsed_ms);
     out += ",\"score\":" + obs::json_number(r.score);
-    out += "}";
-  }
-  out += "]";
-  return out;
+  });
 }
 
 /// Run one deploy phase: workers with disk stores rooted at
@@ -198,15 +192,9 @@ Row run_phase(const std::string& phase, const std::filesystem::path& root,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_cas [--json PATH]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_cas");
+  b.json_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   namespace fs = std::filesystem;
   const fs::path root = fs::temp_directory_path() / "congrid_bench_cas";
@@ -280,25 +268,11 @@ int main(int argc, char** argv) {
     rc = 1;
   }
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"cas\",\"iterations\":" + std::to_string(kIterations) +
-        ",\"rows\":" + rows_json(rows) +
-        ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!obs::json_valid(body)) {
-      std::fprintf(stderr, "bench_cas: refusing to write invalid JSON\n");
-      fs::remove_all(root);
-      return 1;
-    }
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "bench_cas: cannot open %s\n", json_path.c_str());
-      fs::remove_all(root);
-      return 1;
-    }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
+  if (!b.write_json("{\"bench\":\"cas\",\"iterations\":" +
+                    std::to_string(kIterations) +
+                    ",\"rows\":" + rows_json(rows) + ",\"metrics\":" +
+                    registry.snapshot().to_json(/*pretty=*/false) + "}")) {
+    rc = 1;
   }
 
   fs::remove_all(root);

@@ -31,21 +31,17 @@
 // --trace PATH reruns a small calm scenario with the causal tracer bound to
 // the whole stack and exports merged JSONL for congrid-trace --validate.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "churn/availability.hpp"
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
+#include "harness.hpp"
 #include "net/sim_network.hpp"
-#include "obs/http_server.hpp"
 #include "obs/obs.hpp"
 
 using namespace cg;
@@ -277,11 +273,8 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
 }
 
 std::string rows_json(const std::vector<Row>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i) out += ',';
-    out += "{\"scenario\":" + obs::json_quote(r.scenario);
+  return bench::json_rows(rows, [](std::string& out, const Row& r) {
+    out += "\"scenario\":" + obs::json_quote(r.scenario);
     out += ",\"phi_dead\":" + obs::json_number(r.phi_dead);
     out += ",\"peers\":" + std::to_string(r.peers);
     out += ",\"items_expected\":" + std::to_string(r.items_expected);
@@ -298,47 +291,17 @@ std::string rows_json(const std::vector<Row>& rows) {
     out += ",\"degraded\":" + std::to_string(r.degraded);
     out += ",\"recovery_p50_s\":" + obs::json_number(r.recovery_p50_s);
     out += ",\"recovery_p95_s\":" + obs::json_number(r.recovery_p95_s);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_churn_campaign: cannot open %s\n",
-                 path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string trace_path;
-  int obs_port = -1;       // -1: no server; 0: ephemeral
-  double obs_linger = 0;   // keep serving after the campaign ends
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-port") == 0 && i + 1 < argc) {
-      obs_port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--obs-linger") == 0 && i + 1 < argc) {
-      obs_linger = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_churn_campaign [--json PATH] [--trace PATH] "
-                   "[--obs-port PORT] [--obs-linger SECONDS]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_churn_campaign");
+  b.json_flag();
+  b.trace_flag();
+  b.obs_flags();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   CampaignSpec base;
   std::printf("E12: churn-at-scale campaign, %zu peers (1 home + %zu "
@@ -365,20 +328,9 @@ int main(int argc, char** argv) {
   // loopback HTTP while the sweep runs. Binding the tracer does not change
   // sim behaviour (PR 5 invariant: obs never feeds back into scheduling).
   obs::Tracer live_tracer(1 << 15);
-  obs::HttpServerOptions server_opt;
-  server_opt.port = static_cast<std::uint16_t>(obs_port > 0 ? obs_port : 0);
-  obs::HttpServer server(registry, &live_tracer, server_opt);
-  obs::Tracer* campaign_tracer = nullptr;
-  if (obs_port >= 0) {
-    if (!server.start()) {
-      std::fprintf(stderr, "bench_churn_campaign: --obs-port %d: bind "
-                           "failed or obs compiled out\n", obs_port);
-      return 1;
-    }
-    campaign_tracer = &live_tracer;
-    std::printf("obs: live metrics at %s (Prometheus: /metrics, JSON: "
-                "/metrics.json, trace: /trace)\n\n", server.url().c_str());
-  }
+  bench::ObsServer server(b, registry, &live_tracer);
+  if (!server.start()) return 1;
+  obs::Tracer* campaign_tracer = server.running() ? &live_tracer : nullptr;
 
   std::vector<Row> rows;
   for (const Climate& c : climates) {
@@ -419,23 +371,16 @@ int main(int argc, char** argv) {
       "stale work is counted and dropped, never double-applied, and the "
       "completion floor holds.\n");
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"churn\",\"rows\":" + rows_json(rows) +
-        ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!obs::json_valid(body)) {
-      std::fprintf(stderr,
-                   "bench_churn_campaign: refusing to write invalid JSON\n");
-      return 1;
-    }
-    if (!write_text(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
+  if (!b.write_json("{\"bench\":\"churn\",\"rows\":" + rows_json(rows) +
+                    ",\"metrics\":" +
+                    registry.snapshot().to_json(/*pretty=*/false) + "}")) {
+    return 1;
   }
 
   // --trace: rerun a pocket-sized calm scenario with the causal tracer on
   // the whole stack; the export is structurally complete (every span ends)
   // so congrid-trace --validate accepts it.
-  if (!trace_path.empty()) {
+  if (b.tracing()) {
     obs::Registry trace_registry;
     obs::Tracer tracer(1 << 16);
     CampaignSpec tiny;
@@ -448,24 +393,9 @@ int main(int argc, char** argv) {
     tiny.churn_s = 80.0;
     tiny.burst_items = 4;
     (void)run_campaign(tiny, &trace_registry, &tracer);
-    const std::string jsonl = tracer.to_jsonl();
-    if (jsonl.empty()) {
-      std::printf("\ntracing compiled out (CONGRID_OBS=OFF); %s not written\n",
-                  trace_path.c_str());
-    } else {
-      if (!write_text(trace_path, jsonl)) return 1;
-      std::printf("wrote %s\n", trace_path.c_str());
-    }
+    if (!b.write_trace(tracer)) return 1;
   }
 
-  // --obs-linger: keep answering scrapes after the sweep so a dashboard or
-  // CI curl that raced the campaign's end still gets the final numbers.
-  if (server.running() && obs_linger > 0) {
-    std::printf("obs: lingering %.0f s at %s\n", obs_linger,
-                server.url().c_str());
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::duration<double>(obs_linger));
-  }
-  server.stop();
+  server.linger();
   return 0;
 }

@@ -16,11 +16,11 @@
 // artifact with the sweep rows plus the obs metrics snapshot (scopes
 // "budget05", "budget10", ... for each budget fraction).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "dsp/rng.hpp"
+#include "harness.hpp"
 #include "obs/obs.hpp"
 #include "repo/module_cache.hpp"
 #include "repo/repository.hpp"
@@ -104,33 +104,21 @@ Row run(std::size_t budget_bytes, const repo::ModuleRepository& repo,
 }
 
 std::string rows_json(const std::vector<Row>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i) out += ',';
-    out += "{\"budget_frac\":" + obs::json_number(r.budget_frac);
+  return bench::json_rows(rows, [](std::string& out, const Row& r) {
+    out += "\"budget_frac\":" + obs::json_number(r.budget_frac);
     out += ",\"hit_rate\":" + obs::json_number(r.hit_rate);
     out += ",\"fetched_mb\":" + obs::json_number(r.fetched_mb);
     out += ",\"evictions\":" + std::to_string(r.evictions);
     out += ",\"failures\":" + std::to_string(r.failures);
-    out += "}";
-  }
-  out += "]";
-  return out;
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_codecache [--json PATH]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_codecache");
+  b.json_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E6: on-demand module download under cache pressure\n");
   std::printf("%zu modules x %zu kB, dependency DAG, %d Zipf requests\n\n",
@@ -189,24 +177,11 @@ int main(int argc, char** argv) {
       "traffic falls steeply as the budget grows; a cacheless device pays "
       "two orders of magnitude more uplink traffic.\n");
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"codecache\",\"requests\":" + std::to_string(kRequests) +
-        ",\"rows\":" + rows_json(rows) +
-        ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!obs::json_valid(body)) {
-      std::fprintf(stderr, "bench_codecache: refusing to write invalid JSON\n");
-      return 1;
-    }
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "bench_codecache: cannot open %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return 0;
+  return b.write_json(
+             "{\"bench\":\"codecache\",\"requests\":" +
+             std::to_string(kRequests) + ",\"rows\":" + rows_json(rows) +
+             ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) +
+             "}")
+             ? 0
+             : 1;
 }

@@ -15,55 +15,18 @@
 // artifact holding every table row; --max-peers N truncates the overlay
 // size sweep (CI smoke runs a small N and validates the JSON).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "dsp/stats.hpp"
-#include "net/sim_network.hpp"
-#include "obs/json.hpp"
+#include "discovery_rig.hpp"
+#include "harness.hpp"
 #include "p2p/discovery.hpp"
 
 using namespace cg;
+using bench::kQueries;
+using bench::Outcome;
+using bench::PeerRing;
 
 namespace {
-
-struct Overlay {
-  explicit Overlay(std::size_t n, std::uint64_t seed)
-      : net({}, seed), rng(seed) {
-    nodes.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& t = net.add_node();
-      nodes.push_back(std::make_unique<p2p::PeerNode>(
-          t, [this] { return net.now(); },
-          p2p::PeerConfig{
-              .peer_id = std::string("p").append(std::to_string(i))}));
-    }
-    // Ring + random chords: connected, mean degree ~4.
-    for (std::size_t i = 0; i < n; ++i) {
-      link(i, (i + 1) % n);
-      link(i, rng.below(n));
-    }
-  }
-
-  void link(std::size_t a, std::size_t b) {
-    if (a == b) return;
-    nodes[a]->add_neighbor(nodes[b]->endpoint());
-    nodes[b]->add_neighbor(nodes[a]->endpoint());
-  }
-
-  net::SimNetwork net;
-  dsp::Rng rng;
-  std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
-};
-
-struct Outcome {
-  double msgs_per_query = 0;
-  double success_rate = 0;
-  double latency_ms = 0;   ///< mean time-to-first-hit among successes
-};
-
-constexpr int kQueries = 20;
 
 p2p::Query wanted_query() {
   p2p::Query q;
@@ -72,49 +35,29 @@ p2p::Query wanted_query() {
   return q;
 }
 
-void plant_advert(Overlay& ov, std::size_t target) {
+/// Wires the overlay, then plants the advert on a random peer's cache.
+void wire_and_plant(PeerRing& ov) {
+  ov.wire_chords();
+  const std::size_t target = ov.rng.below(ov.nodes.size());
   auto a = ov.nodes[target]->make_module_advert("rare-module", "1.0");
   ov.nodes[target]->publish_local(a);
 }
 
 Outcome run_flooding(std::size_t n, int ttl, std::uint64_t seed) {
-  Overlay ov(n, seed);
-  const std::size_t target = ov.rng.below(n);
-  plant_advert(ov, target);
-
-  int successes = 0;
-  dsp::RunningStats latency;
-  std::uint64_t msgs0 = 0;
-  double total_msgs = 0;
-  for (int qn = 0; qn < kQueries; ++qn) {
-    const std::size_t origin = ov.rng.below(n);
-    msgs0 = ov.net.stats().messages_sent;
-    const double t0 = ov.net.now();
-    bool hit = false;
-    double hit_at = 0;
-    ov.nodes[origin]->discover_flood(
-        wanted_query(), ttl, [&](const std::vector<p2p::Advertisement>&) {
-          if (!hit) {
-            hit = true;
-            hit_at = ov.net.now();
-          }
-        });
-    ov.net.run_all();
-    total_msgs += static_cast<double>(ov.net.stats().messages_sent - msgs0);
-    if (hit) {
-      ++successes;
-      latency.add((hit_at - t0) * 1000.0);
-    }
-  }
-  return Outcome{total_msgs / kQueries,
-                 static_cast<double>(successes) / kQueries,
-                 successes ? latency.mean() : 0.0};
+  PeerRing ov(n, seed);
+  wire_and_plant(ov);
+  return bench::measure_queries(
+      ov, [&] { return ov.rng.below(n); },
+      [&](std::size_t origin, const std::function<void()>& hit) {
+        ov.nodes[origin]->discover_flood(
+            wanted_query(), ttl,
+            [hit](const std::vector<p2p::Advertisement>&) { hit(); });
+      });
 }
 
 Outcome run_expanding_ring(std::size_t n, std::uint64_t seed) {
-  Overlay ov(n, seed);
-  const std::size_t target = ov.rng.below(n);
-  plant_advert(ov, target);
+  PeerRing ov(n, seed);
+  wire_and_plant(ov);
 
   p2p::ExpandingRingOptions opt;
   opt.initial_ttl = 2;
@@ -123,38 +66,20 @@ Outcome run_expanding_ring(std::size_t n, std::uint64_t seed) {
   auto sched = [&](double d, std::function<void()> fn) {
     ov.net.schedule(d, std::move(fn));
   };
-
-  int successes = 0;
-  dsp::RunningStats latency;
-  double total_msgs = 0;
-  for (int qn = 0; qn < kQueries; ++qn) {
-    const std::size_t origin = ov.rng.below(n);
-    const std::uint64_t msgs0 = ov.net.stats().messages_sent;
-    const double t0 = ov.net.now();
-    bool hit = false;
-    double hit_at = 0;
-    auto search = std::make_shared<p2p::ExpandingRingSearch>(
-        *ov.nodes[origin], sched, wanted_query(), opt);
-    search->start([&](p2p::SearchResult r) {
-      if (!r.adverts.empty()) {
-        hit = true;
-        hit_at = ov.net.now();
-      }
-    });
-    ov.net.run_all();
-    total_msgs += static_cast<double>(ov.net.stats().messages_sent - msgs0);
-    if (hit) {
-      ++successes;
-      latency.add((hit_at - t0) * 1000.0);
-    }
-  }
-  return Outcome{total_msgs / kQueries,
-                 static_cast<double>(successes) / kQueries,
-                 successes ? latency.mean() : 0.0};
+  return bench::measure_queries(
+      ov, [&] { return ov.rng.below(n); },
+      [&](std::size_t origin, const std::function<void()>& hit) {
+        auto search = std::make_shared<p2p::ExpandingRingSearch>(
+            *ov.nodes[origin], sched, wanted_query(), opt);
+        search->start([hit](p2p::SearchResult r) {
+          if (!r.adverts.empty()) hit();
+        });
+      });
 }
 
 Outcome run_rendezvous(std::size_t n, std::uint64_t seed) {
-  Overlay ov(n, seed);
+  PeerRing ov(n, seed);
+  ov.wire_chords();
   // sqrt(N) rendezvous super-peers, fully meshed among themselves; every
   // edge peer registers with one.
   std::size_t n_rdv = 1;
@@ -176,97 +101,24 @@ Outcome run_rendezvous(std::size_t n, std::uint64_t seed) {
                                {advert});
   ov.net.run_all();
   const std::uint64_t publish_msgs = ov.net.stats().messages_sent;
-
-  int successes = 0;
-  dsp::RunningStats latency;
-  double total_msgs = 0;
-  for (int qn = 0; qn < kQueries; ++qn) {
-    const std::size_t origin = n_rdv + ov.rng.below(n - n_rdv);
-    const std::uint64_t msgs0 = ov.net.stats().messages_sent;
-    const double t0 = ov.net.now();
-    bool hit = false;
-    double hit_at = 0;
-    ov.nodes[origin]->discover_rendezvous(
-        wanted_query(), [&](const std::vector<p2p::Advertisement>&) {
-          if (!hit) {
-            hit = true;
-            hit_at = ov.net.now();
-          }
-        });
-    ov.net.run_all();
-    total_msgs += static_cast<double>(ov.net.stats().messages_sent - msgs0);
-    if (hit) {
-      ++successes;
-      latency.add((hit_at - t0) * 1000.0);
-    }
-  }
-  return Outcome{(total_msgs + static_cast<double>(publish_msgs)) / kQueries,
-                 static_cast<double>(successes) / kQueries,
-                 successes ? latency.mean() : 0.0};
-}
-
-struct NamedRow {
-  std::string strategy;
-  std::size_t peers = 0;
-  Outcome o;
-};
-
-void print_row(const char* strategy, std::size_t n, const Outcome& o) {
-  std::printf("%-18s %-8zu %-14.1f %-10.2f %-12.1f\n", strategy, n,
-              o.msgs_per_query, o.success_rate, o.latency_ms);
-}
-
-std::string rows_json(const std::vector<NamedRow>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const NamedRow& r = rows[i];
-    if (i) out += ',';
-    out += "{\"strategy\":" + obs::json_quote(r.strategy);
-    out += ",\"peers\":" + std::to_string(r.peers);
-    out += ",\"msgs_per_query\":" + obs::json_number(r.o.msgs_per_query);
-    out += ",\"success_rate\":" + obs::json_number(r.o.success_rate);
-    out += ",\"latency_ms\":" + obs::json_number(r.o.latency_ms);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_json(const std::string& path, const std::string& body) {
-  if (!obs::json_valid(body)) {
-    std::fprintf(stderr, "bench_discovery: refusing to write invalid JSON\n");
-    return false;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_discovery: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
+  return bench::measure_queries(
+      ov, [&] { return n_rdv + ov.rng.below(n - n_rdv); },
+      [&](std::size_t origin, const std::function<void()>& hit) {
+        ov.nodes[origin]->discover_rendezvous(
+            wanted_query(),
+            [hit](const std::vector<p2p::Advertisement>&) { hit(); });
+      },
+      static_cast<double>(publish_msgs));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
+  bench::Bench b("bench_discovery");
   std::size_t max_peers = 4096;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--max-peers") == 0 && i + 1 < argc) {
-      max_peers = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (max_peers == 0) {
-        std::fprintf(stderr, "bench_discovery: bad --max-peers value\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_discovery [--max-peers N] [--json PATH]\n");
-      return 2;
-    }
-  }
+  b.flags.add("--max-peers", max_peers, 1);
+  b.json_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E4: discovery scalability (paper section 4)\n");
   std::printf("random ~4-regular overlay, DSL links, %d queries per point\n\n",
@@ -274,9 +126,10 @@ int main(int argc, char** argv) {
   std::printf("%-18s %-8s %-14s %-10s %-12s\n", "strategy", "peers",
               "msgs/query", "success", "latency ms");
 
-  std::vector<NamedRow> rows;
+  std::vector<bench::NamedRow> rows;
   auto record = [&](const char* strategy, std::size_t n, Outcome o) {
-    print_row(strategy, n, o);
+    std::printf("%-18s %-8zu %-14.1f %-10.2f %-12.1f\n", strategy, n,
+                o.msgs_per_query, o.success_rate, o.latency_ms);
     rows.push_back({strategy, n, o});
   };
   for (std::size_t n : {64u, 256u, 1024u, 4096u}) {
@@ -294,12 +147,9 @@ int main(int argc, char** argv) {
       "pays only for the distance it needs; rendezvous answers in O(1) "
       "messages independent of N.\n");
 
-  if (!json_path.empty()) {
-    const std::string body = "{\"bench\":\"discovery\",\"queries\":" +
-                             std::to_string(kQueries) +
-                             ",\"rows\":" + rows_json(rows) + "}";
-    if (!write_json(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return 0;
+  return b.write_json("{\"bench\":\"discovery\",\"queries\":" +
+                      std::to_string(kQueries) +
+                      ",\"rows\":" + bench::rows_json(rows, false) + "}")
+             ? 0
+             : 1;
 }

@@ -30,27 +30,23 @@
 // congrid-trace --validate; --max-peers N truncates the sweep.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "dsp/rng.hpp"
-#include "dsp/stats.hpp"
-#include "net/sim_network.hpp"
-#include "obs/json.hpp"
+#include "discovery_rig.hpp"
+#include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "p2p/node_id.hpp"
 #include "p2p/overlay.hpp"
-#include "p2p/peer_node.hpp"
 
 using namespace cg;
+using bench::kQueries;
+using bench::Outcome;
 
 namespace {
 
-constexpr int kQueries = 20;
 constexpr std::size_t kProviders = 64;
 constexpr double kCpuMin = 3000.0;  // matches the top 16 providers
 
@@ -86,24 +82,18 @@ std::vector<p2p::Contact> sample_buckets(
 }
 
 /// N peers sharing one SimNetwork, with an OverlayNode per peer and
-/// (optionally) a flooding graph. The sorted id list is shared through a
+/// (optionally) E4's flooding graph. The sorted id list is shared through a
 /// shared_ptr so the per-node OverlayConfig copies stay O(1).
-struct Swarm {
+struct Swarm : bench::PeerRing {
   Swarm(std::size_t n, std::uint64_t seed, bool wire_flood_graph)
-      : net({}, seed), rng(seed) {
-    nodes.reserve(n);
+      : PeerRing(n, seed) {
     overlays.reserve(n);
     auto sorted = std::make_shared<
         std::vector<std::pair<std::uint64_t, net::Endpoint>>>();
     sorted->reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& t = net.add_node();
-      nodes.push_back(std::make_unique<p2p::PeerNode>(
-          t, [this] { return net.now(); },
-          p2p::PeerConfig{
-              .peer_id = std::string("p").append(std::to_string(i))}));
-      sorted->emplace_back(p2p::node_id_of(nodes.back()->id()).bits,
-                           nodes.back()->endpoint());
+    for (const auto& node : nodes) {
+      sorted->emplace_back(p2p::node_id_of(node->id()).bits,
+                           node->endpoint());
     }
     std::sort(sorted->begin(), sorted->end());
     p2p::OverlayConfig cfg;
@@ -118,19 +108,7 @@ struct Swarm {
           std::make_unique<p2p::OverlayNode>(*nodes[i], sched, cfg));
       overlays.back()->enable_index();
     }
-    if (wire_flood_graph) {
-      // Ring + random chords: connected, mean degree ~4 (as E4).
-      for (std::size_t i = 0; i < n; ++i) {
-        link(i, (i + 1) % n);
-        link(i, rng.below(n));
-      }
-    }
-  }
-
-  void link(std::size_t a, std::size_t b) {
-    if (a == b) return;
-    nodes[a]->add_neighbor(nodes[b]->endpoint());
-    nodes[b]->add_neighbor(nodes[a]->endpoint());
+    if (wire_flood_graph) wire_chords();
   }
 
   /// Providers publish into peer caches (flooding's plane) and onto the
@@ -146,160 +124,44 @@ struct Swarm {
       a.expires_at = 1e18;  // capability adverts outlive the whole run
       nodes[who]->publish_local(a);
       overlays[who]->publish({a});
-      providers.push_back(who);
     }
     net.run_all();
     return net.stats().messages_sent - msgs0;
   }
 
-  net::SimNetwork net;
-  dsp::Rng rng;
-  std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   std::vector<std::unique_ptr<p2p::OverlayNode>> overlays;
-  std::vector<std::size_t> providers;
 };
-
-struct Outcome {
-  double msgs_per_query = 0;
-  double success_rate = 0;
-  double latency_ms = 0;      ///< mean time-to-answer among successes
-  double latency_p95_ms = 0;  ///< 95th percentile of the same
-};
-
-double p95(std::vector<double> v) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = (v.size() * 95 + 99) / 100;  // ceil(0.95 n)
-  return v[std::min(idx == 0 ? 0 : idx - 1, v.size() - 1)];
-}
 
 Outcome run_flooding(Swarm& s) {
-  const std::size_t n = s.nodes.size();
-  int successes = 0;
-  std::vector<double> lat;
-  double total_msgs = 0;
-  for (int qn = 0; qn < kQueries; ++qn) {
-    const std::size_t origin = s.rng.below(n);
-    const std::uint64_t msgs0 = s.net.stats().messages_sent;
-    const double t0 = s.net.now();
-    bool hit = false;
-    double hit_at = 0;
-    s.nodes[origin]->discover_flood(
-        wanted_query(), 64, [&](const std::vector<p2p::Advertisement>&) {
-          if (!hit) {
-            hit = true;
-            hit_at = s.net.now();
-          }
-        });
-    s.net.run_all();
-    total_msgs += static_cast<double>(s.net.stats().messages_sent - msgs0);
-    if (hit) {
-      ++successes;
-      lat.push_back((hit_at - t0) * 1000.0);
-    }
-  }
-  dsp::RunningStats mean;
-  for (double l : lat) mean.add(l);
-  return Outcome{total_msgs / kQueries,
-                 static_cast<double>(successes) / kQueries,
-                 lat.empty() ? 0.0 : mean.mean(), p95(lat)};
+  return bench::measure_queries(
+      s, [&] { return s.rng.below(s.nodes.size()); },
+      [&](std::size_t origin, const std::function<void()>& hit) {
+        s.nodes[origin]->discover_flood(
+            wanted_query(), 64,
+            [hit](const std::vector<p2p::Advertisement>&) { hit(); });
+      });
 }
 
 Outcome run_overlay(Swarm& s) {
-  const std::size_t n = s.nodes.size();
-  int successes = 0;
-  std::vector<double> lat;
-  double total_msgs = 0;
-  for (int qn = 0; qn < kQueries; ++qn) {
-    const std::size_t origin = s.rng.below(n);
-    const std::uint64_t msgs0 = s.net.stats().messages_sent;
-    const double t0 = s.net.now();
-    bool ok = false;
-    double done_at = 0;
-    s.overlays[origin]->find(
-        wanted_query(), SIZE_MAX, [&](std::vector<p2p::Advertisement> as) {
-          ok = !as.empty();
-          done_at = s.net.now();
-        });
-    s.net.run_all();
-    total_msgs += static_cast<double>(s.net.stats().messages_sent - msgs0);
-    if (ok) {
-      ++successes;
-      lat.push_back((done_at - t0) * 1000.0);
-    }
-  }
-  dsp::RunningStats mean;
-  for (double l : lat) mean.add(l);
-  return Outcome{total_msgs / kQueries,
-                 static_cast<double>(successes) / kQueries,
-                 lat.empty() ? 0.0 : mean.mean(), p95(lat)};
-}
-
-struct NamedRow {
-  std::string strategy;
-  std::size_t peers = 0;
-  Outcome o;
-};
-
-void print_row(const char* strategy, std::size_t n, const Outcome& o) {
-  std::printf("%-10s %-9zu %-14.1f %-9.2f %-12.1f %-12.1f\n", strategy, n,
-              o.msgs_per_query, o.success_rate, o.latency_ms,
-              o.latency_p95_ms);
-}
-
-std::string rows_json(const std::vector<NamedRow>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const NamedRow& r = rows[i];
-    if (i) out += ',';
-    out += "{\"strategy\":" + obs::json_quote(r.strategy);
-    out += ",\"peers\":" + std::to_string(r.peers);
-    out += ",\"msgs_per_query\":" + obs::json_number(r.o.msgs_per_query);
-    out += ",\"success_rate\":" + obs::json_number(r.o.success_rate);
-    out += ",\"latency_ms\":" + obs::json_number(r.o.latency_ms);
-    out += ",\"latency_p95_ms\":" + obs::json_number(r.o.latency_p95_ms);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_discovery_overlay: cannot open %s\n",
-                 path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
+  return bench::measure_queries(
+      s, [&] { return s.rng.below(s.nodes.size()); },
+      [&](std::size_t origin, const std::function<void()>& hit) {
+        s.overlays[origin]->find(wanted_query(), SIZE_MAX,
+                                 [hit](std::vector<p2p::Advertisement> as) {
+                                   if (!as.empty()) hit();
+                                 });
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string trace_path;
+  bench::Bench b("bench_discovery_overlay");
   std::size_t max_peers = 1000000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--max-peers") == 0 && i + 1 < argc) {
-      max_peers = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (max_peers == 0) {
-        std::fprintf(stderr, "bench_discovery_overlay: bad --max-peers\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_discovery_overlay [--max-peers N] "
-                   "[--json PATH] [--trace PATH]\n");
-      return 2;
-    }
-  }
+  b.flags.add("--max-peers", max_peers, 1);
+  b.json_flag();
+  b.trace_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E14: structured overlay vs flooding (paper section 4)\n");
   std::printf(
@@ -310,9 +172,11 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-9s %-14s %-9s %-12s %-12s\n", "strategy", "peers",
               "msgs/query", "success", "latency ms", "p95 ms");
 
-  std::vector<NamedRow> rows;
+  std::vector<bench::NamedRow> rows;
   auto record = [&](const char* strategy, std::size_t n, Outcome o) {
-    print_row(strategy, n, o);
+    std::printf("%-10s %-9zu %-14.1f %-9.2f %-12.1f %-12.1f\n", strategy, n,
+                o.msgs_per_query, o.success_rate, o.latency_ms,
+                o.latency_p95_ms);
     rows.push_back({strategy, n, o});
   };
   for (std::size_t n : {10000u, 100000u, 1000000u}) {
@@ -339,24 +203,16 @@ int main(int argc, char** argv) {
       "iterative lookup plus one index round-trip, so its per-query cost "
       "grows sub-linearly from 10^4 to 10^6.\n");
 
-  if (!json_path.empty()) {
-    const std::string body = "{\"bench\":\"discovery_overlay\",\"queries\":" +
-                             std::to_string(kQueries) +
-                             ",\"rows\":" + rows_json(rows) + "}";
-    if (!obs::json_valid(body)) {
-      std::fprintf(stderr,
-                   "bench_discovery_overlay: refusing to write invalid "
-                   "JSON\n");
-      return 1;
-    }
-    if (!write_text(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
+  if (!b.write_json("{\"bench\":\"discovery_overlay\",\"queries\":" +
+                    std::to_string(kQueries) +
+                    ",\"rows\":" + bench::rows_json(rows, true) + "}")) {
+    return 1;
   }
 
   // --trace: rerun a pocket-sized publish+find with the causal tracer
   // bound to the querier; every lookup/find span ends once the network
   // drains, so congrid-trace --validate accepts the export.
-  if (!trace_path.empty()) {
+  if (b.tracing()) {
     obs::Registry registry;
     obs::Tracer tracer(1 << 14);
     Swarm tiny(256, 7, false);
@@ -366,14 +222,7 @@ int main(int argc, char** argv) {
     tiny.overlays[0]->find(wanted_query(), SIZE_MAX,
                            [](std::vector<p2p::Advertisement>) {});
     tiny.net.run_all();
-    const std::string jsonl = tracer.to_jsonl();
-    if (jsonl.empty()) {
-      std::printf("\ntracing compiled out (CONGRID_OBS=OFF); %s not written\n",
-                  trace_path.c_str());
-    } else {
-      if (!write_text(trace_path, jsonl)) return 1;
-      std::printf("wrote %s\n", trace_path.c_str());
-    }
+    if (!b.write_trace(tracer)) return 1;
   }
   return 0;
 }

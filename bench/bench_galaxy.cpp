@@ -22,8 +22,6 @@
 // the obs metrics snapshot (per-row scopes: "t0.runtime.waves", ...).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,6 +29,7 @@
 #include "apps/galaxy/units.hpp"
 #include "core/engine/runtime.hpp"
 #include "core/unit/builtin.hpp"
+#include "harness.hpp"
 #include "net/sim_network.hpp"
 #include "obs/obs.hpp"
 #include "rm/thread_pool.hpp"
@@ -62,13 +61,8 @@ double simulated_makespan(std::size_t workers, std::size_t frames,
                           double compute_s, std::size_t input_bytes,
                           std::size_t result_bytes) {
   net::LinkParams lp;  // consumer DSL defaults
-  net::SimNetwork net(lp, 1);
-  (void)net.add_node();  // 0 = controller
 
-  struct Worker {
-    double free_at = 0;
-  };
-  std::vector<Worker> ws(workers);
+  std::vector<double> free_at(workers, 0.0);
   const double up = static_cast<double>(result_bytes) / lp.bandwidth_Bps;
   const double down = static_cast<double>(input_bytes) / lp.bandwidth_Bps;
 
@@ -77,11 +71,11 @@ double simulated_makespan(std::size_t workers, std::size_t frames,
     // Greedy: next frame to the earliest-free worker.
     std::size_t best = 0;
     for (std::size_t w = 1; w < workers; ++w) {
-      if (ws[w].free_at < ws[best].free_at) best = w;
+      if (free_at[w] < free_at[best]) best = w;
     }
-    const double start = ws[best].free_at + lp.base_latency_s + down;
+    const double start = free_at[best] + lp.base_latency_s + down;
     const double done = start + compute_s + up + lp.base_latency_s;
-    ws[best].free_at = start + compute_s;
+    free_at[best] = start + compute_s;
     makespan = std::max(makespan, done);
   }
   return makespan;
@@ -143,14 +137,6 @@ void run_farm_sections() {
 
 // -- (c) wave-scheduler sweep over the engine ------------------------------
 
-struct WaveRow {
-  unsigned threads = 0;
-  double seconds = 0;
-  double throughput = 0;  ///< frames rendered per second
-  double speedup = 0;     ///< vs the threads=0 serial loop
-  double checksum = 0;    ///< sum of sink pixels; must match across rows
-};
-
 /// Case 1 as a TaskGraph: one frame-index source fanned out to `branches`
 /// RenderFrame units (different viewing angles), each with its own
 /// animation sink. The wide render wave is what the scheduler spreads
@@ -177,20 +163,19 @@ core::TaskGraph wave_graph(int branches, int frames, int particles,
   return g;
 }
 
-WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
-                 unsigned threads, int branches, int frames,
-                 obs::Registry& registry) {
+/// One timed wave run; the checksum sums every sink pixel.
+bench::WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
+                        unsigned threads, int branches, int frames,
+                        obs::Registry& registry) {
   core::GraphRuntime rt(
       g, reg, core::RuntimeOptions{.rng_seed = 42, .max_threads = threads});
   rt.set_obs(registry, std::string("t").append(std::to_string(threads)));
   const auto t0 = std::chrono::steady_clock::now();
   rt.run(static_cast<std::uint64_t>(frames));
-  WaveRow row;
-  row.threads = threads;
+  bench::WaveRow row;
   row.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  row.throughput = static_cast<double>(branches) * frames / row.seconds;
   for (int b = 0; b < branches; ++b) {
     const auto* sink = rt.unit_as<galaxy::AnimationSinkUnit>(
         "Anim" + std::to_string(b));
@@ -201,81 +186,20 @@ WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
   return row;
 }
 
-std::string rows_json(const std::vector<WaveRow>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const WaveRow& r = rows[i];
-    if (i) out += ',';
-    out += "{\"threads\":" + std::to_string(r.threads);
-    out += ",\"seconds\":" + obs::json_number(r.seconds);
-    out += ",\"throughput\":" + obs::json_number(r.throughput);
-    out += ",\"speedup\":" + obs::json_number(r.speedup);
-    out += ",\"checksum\":" + obs::json_number(r.checksum);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_json(const std::string& path, const std::string& body) {
-  if (!obs::json_valid(body)) {
-    std::fprintf(stderr, "bench_galaxy: refusing to write invalid JSON\n");
-    return false;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_galaxy: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
-}
-
-std::vector<unsigned> parse_threads(const char* arg) {
-  std::vector<unsigned> out;
-  for (const char* p = arg; *p;) {
-    out.push_back(static_cast<unsigned>(std::strtoul(p, nullptr, 10)));
-    const char* comma = std::strchr(p, ',');
-    if (!comma) break;
-    p = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Bench b("bench_galaxy");
   std::vector<unsigned> threads = {0, 1, 2, 4};
-  std::string json_path;
   int wave_frames = 10;
   int wave_particles = 6000;
   bool only_wave = false;  // CI smoke: skip the slow (a)/(b) farm sections
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_threads(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc) {
-      wave_frames = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--particles") == 0 && i + 1 < argc) {
-      wave_particles = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--only-wave") == 0) {
-      only_wave = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_galaxy [--threads 0,1,2,4] [--frames N] "
-                   "[--particles N] [--only-wave] [--json PATH]\n");
-      return 2;
-    }
-  }
-  if (threads.empty() || threads[0] != 0) {
-    threads.insert(threads.begin(), 0);  // serial row anchors the speedup
-  }
-  if (wave_frames <= 0 || wave_particles <= 0) {
-    std::fprintf(stderr, "bench_galaxy: bad --frames/--particles value\n");
-    return 2;
-  }
+  b.flags.add("--threads", threads, "0,1,2,4");
+  b.flags.add("--frames", wave_frames, 1);
+  b.flags.add("--particles", wave_particles, 1);
+  b.flags.add_switch("--only-wave", only_wave);
+  b.json_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E2: galaxy animation farm (paper Case 1)\n\n");
 
@@ -288,44 +212,33 @@ int main(int argc, char** argv) {
               "particles, grid %d (deterministic -- every row must produce "
               "the same pixel checksum)\n",
               wave_branches, wave_frames, wave_particles, wave_grid);
-  std::printf("%-8s %-12s %-14s %-10s %-18s\n", "threads", "seconds",
-              "frames/s", "speedup", "checksum");
 
   core::UnitRegistry wave_reg = core::UnitRegistry::with_builtins();
   galaxy::register_galaxy_units(wave_reg);
   const core::TaskGraph g =
       wave_graph(wave_branches, wave_frames, wave_particles, wave_grid);
   obs::Registry registry;
-  std::vector<WaveRow> rows;
-  for (unsigned t : threads) {
-    WaveRow row = run_wave(g, wave_reg, t, wave_branches, wave_frames,
-                           registry);
-    row.speedup = rows.empty() ? 1.0 : rows[0].seconds / row.seconds;
-    rows.push_back(row);
-    std::printf("%-8u %-12.3f %-14.1f %-10.2f %-18.6f\n", row.threads,
-                row.seconds, row.throughput, row.speedup, row.checksum);
-    if (row.checksum != rows[0].checksum) {
-      std::fprintf(stderr,
-                   "bench_galaxy: DETERMINISM VIOLATION -- checksum at "
-                   "%u threads differs from the serial row\n",
-                   row.threads);
-      return 1;
-    }
+  std::vector<bench::WaveRow> rows;
+  if (!bench::wave_sweep(
+          b.flags.program(), threads, "frames/s",
+          static_cast<double>(wave_branches) * wave_frames,
+          [&](unsigned t) {
+            return run_wave(g, wave_reg, t, wave_branches, wave_frames,
+                            registry);
+          },
+          rows)) {
+    return 1;
   }
   std::printf("\nShape check: identical checksums row-for-row (the wave "
               "barrier commits in unit order), speedup approaching the "
               "core count while the render wave stays wider than the "
               "pool.\n");
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"galaxy\",\"branches\":" + std::to_string(wave_branches) +
-        ",\"frames\":" + std::to_string(wave_frames) +
-        ",\"particles\":" + std::to_string(wave_particles) +
-        ",\"rows\":" + rows_json(rows) +
-        ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!write_json(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return 0;
+  const bool ok = b.write_json(
+      "{\"bench\":\"galaxy\",\"branches\":" + std::to_string(wave_branches) +
+      ",\"frames\":" + std::to_string(wave_frames) +
+      ",\"particles\":" + std::to_string(wave_particles) +
+      ",\"rows\":" + bench::wave_rows_json(rows) +
+      ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}");
+  return ok ? 0 : 1;
 }

@@ -19,8 +19,6 @@
 // bench/baselines/inspiral.json via scripts/bench_compare.py.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,6 +28,7 @@
 #include "core/engine/runtime.hpp"
 #include "core/unit/builtin.hpp"
 #include "dsp/stats.hpp"
+#include "harness.hpp"
 #include "net/sim_network.hpp"
 #include "obs/obs.hpp"
 #include "rm/batch_queue.hpp"
@@ -39,14 +38,6 @@ using namespace cg;
 namespace {
 
 // -- (d) wave-scheduler sweep over the engine ------------------------------
-
-struct WaveRow {
-  unsigned threads = 0;
-  double seconds = 0;
-  double throughput = 0;  ///< template-chunk scans per second
-  double speedup = 0;     ///< vs the threads=0 serial loop
-  double checksum = 0;    ///< SNR digest; must match across rows
-};
 
 /// Case 2 as a TaskGraph: one strain source scanned by `slices` template-
 /// bank slices (4 templates each), best-SNR and hit counts into per-slice
@@ -73,20 +64,19 @@ core::TaskGraph wave_graph(int slices, int samples) {
   return g;
 }
 
-WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
-                 unsigned threads, int slices, int ticks,
-                 obs::Registry& registry) {
+/// One timed wave run; the checksum digests every slice's SNR and hits.
+bench::WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
+                        unsigned threads, int slices, int ticks,
+                        obs::Registry& registry) {
   core::GraphRuntime rt(
       g, reg, core::RuntimeOptions{.rng_seed = 17, .max_threads = threads});
   rt.set_obs(registry, std::string("t").append(std::to_string(threads)));
   const auto t0 = std::chrono::steady_clock::now();
   rt.run(static_cast<std::uint64_t>(ticks));
-  WaveRow row;
-  row.threads = threads;
+  bench::WaveRow row;
   row.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  row.throughput = static_cast<double>(slices) * 4 * ticks / row.seconds;
   for (int s = 0; s < slices; ++s) {
     const std::string n = std::to_string(s);
     const auto& snr = rt.unit_as<core::StatSinkUnit>("Snr" + n)->stats();
@@ -97,134 +87,60 @@ WaveRow run_wave(const core::TaskGraph& g, const core::UnitRegistry& reg,
   return row;
 }
 
-std::string rows_json(const std::vector<WaveRow>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const WaveRow& r = rows[i];
-    if (i) out += ',';
-    out += "{\"threads\":" + std::to_string(r.threads);
-    out += ",\"seconds\":" + obs::json_number(r.seconds);
-    out += ",\"throughput\":" + obs::json_number(r.throughput);
-    out += ",\"speedup\":" + obs::json_number(r.speedup);
-    out += ",\"checksum\":" + obs::json_number(r.checksum);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_json(const std::string& path, const std::string& body) {
-  if (!obs::json_valid(body)) {
-    std::fprintf(stderr, "bench_inspiral: refusing to write invalid JSON\n");
-    return false;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_inspiral: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
-}
-
-std::vector<unsigned> parse_threads(const char* arg) {
-  std::vector<unsigned> out;
-  for (const char* p = arg; *p;) {
-    out.push_back(static_cast<unsigned>(std::strtoul(p, nullptr, 10)));
-    const char* comma = std::strchr(p, ',');
-    if (!comma) break;
-    p = comma + 1;
-  }
-  return out;
-}
-
 /// Part (d): wave-scheduler sweep. Returns false on a determinism
 /// violation or JSON write failure.
-bool run_wave_section(const std::vector<unsigned>& threads, int samples,
-                      int ticks, const std::string& json_path) {
+bool run_wave_section(const bench::Bench& b,
+                      const std::vector<unsigned>& threads, int samples,
+                      int ticks) {
   const int slices = 8;
   std::printf("\n(d) wave scheduler: %d bank slices x 4 templates, %d "
               "samples, %d chunks (deterministic -- every row must produce "
               "the same SNR digest)\n",
               slices, samples, ticks);
-  std::printf("%-8s %-12s %-14s %-10s %-18s\n", "threads", "seconds",
-              "scans/s", "speedup", "checksum");
 
   core::UnitRegistry reg = core::UnitRegistry::with_builtins();
   gw::register_gw_units(reg);
   const core::TaskGraph g = wave_graph(slices, samples);
   obs::Registry registry;
-  std::vector<WaveRow> rows;
-  for (unsigned t : threads) {
-    WaveRow row = run_wave(g, reg, t, slices, ticks, registry);
-    row.speedup = rows.empty() ? 1.0 : rows[0].seconds / row.seconds;
-    rows.push_back(row);
-    std::printf("%-8u %-12.3f %-14.1f %-10.2f %-18.6f\n", row.threads,
-                row.seconds, row.throughput, row.speedup, row.checksum);
-    if (row.checksum != rows[0].checksum) {
-      std::fprintf(stderr,
-                   "bench_inspiral: DETERMINISM VIOLATION -- checksum at "
-                   "%u threads differs from the serial row\n",
-                   row.threads);
-      return false;
-    }
+  std::vector<bench::WaveRow> rows;
+  if (!bench::wave_sweep(
+          b.flags.program(), threads, "scans/s",
+          static_cast<double>(slices) * 4 * ticks,
+          [&](unsigned t) {
+            return run_wave(g, reg, t, slices, ticks, registry);
+          },
+          rows)) {
+    return false;
   }
   std::printf("\nShape check: identical digests row-for-row; the filter "
               "wave is %d wide, so speedup tracks min(threads, cores).\n",
               slices);
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"inspiral\",\"slices\":" + std::to_string(slices) +
-        ",\"samples\":" + std::to_string(samples) +
-        ",\"chunks\":" + std::to_string(ticks) +
-        ",\"rows\":" + rows_json(rows) +
-        ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!write_json(json_path, body)) return false;
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return true;
+  return b.write_json(
+      "{\"bench\":\"inspiral\",\"slices\":" + std::to_string(slices) +
+      ",\"samples\":" + std::to_string(samples) +
+      ",\"chunks\":" + std::to_string(ticks) +
+      ",\"rows\":" + bench::wave_rows_json(rows) +
+      ",\"metrics\":" + registry.snapshot().to_json(/*pretty=*/false) + "}");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Bench b("bench_inspiral");
   std::vector<unsigned> threads = {0, 1, 2, 4};
-  std::string json_path;
   int wave_samples = 2048;
   int wave_ticks = 6;
   bool only_wave = false;  // CI smoke: skip the capacity/churn sections
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_threads(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--samples") == 0 && i + 1 < argc) {
-      wave_samples = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--chunks") == 0 && i + 1 < argc) {
-      wave_ticks = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--only-wave") == 0) {
-      only_wave = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_inspiral [--threads 0,1,2,4] [--samples N] "
-                   "[--chunks N] [--only-wave] [--json PATH]\n");
-      return 2;
-    }
-  }
-  if (threads.empty() || threads[0] != 0) {
-    threads.insert(threads.begin(), 0);  // serial row anchors the speedup
-  }
-  if (wave_samples <= 0 || wave_ticks <= 0) {
-    std::fprintf(stderr, "bench_inspiral: bad --samples/--chunks value\n");
-    return 2;
-  }
+  b.flags.add("--threads", threads, "0,1,2,4");
+  b.flags.add("--samples", wave_samples, 1);
+  b.flags.add("--chunks", wave_ticks, 1);
+  b.flags.add_switch("--only-wave", only_wave);
+  b.json_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
   if (only_wave) {
     std::printf("E3: inspiral search capacity (paper Case 2)\n");
-    return run_wave_section(threads, wave_samples, wave_ticks, json_path)
-               ? 0
-               : 1;
+    return run_wave_section(b, threads, wave_samples, wave_ticks) ? 0 : 1;
   }
   gw::DetectorSpec det;
   gw::CostModel cost;
@@ -362,6 +278,5 @@ int main(int argc, char** argv) {
               "types of downtime'. Latency tolerance makes this viable: "
               "'it can lag behind by several hours if necessary'.\n",
               dedicated);
-  return run_wave_section(threads, wave_samples, wave_ticks, json_path) ? 0
-                                                                        : 1;
+  return run_wave_section(b, threads, wave_samples, wave_ticks) ? 0 : 1;
 }

@@ -18,11 +18,11 @@
 // merged JSONL -- a real deploy/fetch/tick/return trace for congrid-trace.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
+#include "harness.hpp"
 #include "net/sim_network.hpp"
 #include "obs/obs.hpp"
 
@@ -138,11 +138,8 @@ struct Row {
 };
 
 std::string rows_json(const std::vector<Row>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    if (i) out += ',';
-    out += "{\"samples\":" + std::to_string(row.samples);
+  return bench::json_rows(rows, [](std::string& out, const Row& row) {
+    out += "\"samples\":" + std::to_string(row.samples);
     out += ",\"policy\":" + obs::json_quote(row.policy);
     out += ",\"messages\":" + std::to_string(row.r.messages);
     out += ",\"megabytes\":" + obs::json_number(row.r.megabytes);
@@ -150,47 +147,16 @@ std::string rows_json(const std::vector<Row>& rows) {
     out += ",\"items_done\":" + std::to_string(row.r.items_done);
     out += ",\"code_bytes_max_peer\":" +
            std::to_string(row.r.code_bytes_max_peer);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_policies: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
-}
-
-bool write_json(const std::string& path, const std::string& body) {
-  if (!obs::json_valid(body)) {
-    std::fprintf(stderr, "bench_policies: refusing to write invalid JSON\n");
-    return false;
-  }
-  return write_text(path, body);
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_policies [--json PATH] [--trace PATH]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_policies");
+  b.json_flag();
+  b.trace_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E5: parallel (farm) vs peer-to-peer (pipeline) vs "
               "replicated policy\n");
@@ -222,29 +188,20 @@ int main(int argc, char** argv) {
       "yet each peer hosts only its own stage's module -- the granularity/"
       "footprint trade the paper gives the user 'complete control' over.\n");
 
-  if (!json_path.empty()) {
-    const std::string body =
-        "{\"bench\":\"policies\",\"items\":" + std::to_string(kItems) +
-        ",\"rows\":" + rows_json(rows) + "}";
-    if (!write_json(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
+  if (!b.write_json("{\"bench\":\"policies\",\"items\":" +
+                    std::to_string(kItems) + ",\"rows\":" + rows_json(rows) +
+                    "}")) {
+    return 1;
   }
 
   // --trace: rerun the smallest p2p point with a tracer bound to the
   // network, home service and workers, and export the causal JSONL. The
   // rerun shares nothing with the sweep above, so the table is unaffected.
-  if (!trace_path.empty()) {
+  if (b.tracing()) {
     obs::Registry trace_registry;
     obs::Tracer tracer(1 << 16);
     (void)run_policy("p2p", 256, kItems, &trace_registry, &tracer);
-    const std::string jsonl = tracer.to_jsonl();
-    if (jsonl.empty()) {
-      std::printf("\ntracing compiled out (CONGRID_OBS=OFF); %s not written\n",
-                  trace_path.c_str());
-    } else {
-      if (!write_text(trace_path, jsonl)) return 1;
-      std::printf("\nwrote %s\n", trace_path.c_str());
-    }
+    if (!b.write_trace(tracer)) return 1;
   }
   return 0;
 }

@@ -18,11 +18,10 @@
 // (per-loss-point scopes: "loss05.a.reliable.retransmits", ...). CI's
 // bench-smoke job runs this with --messages 40 and validates the JSON.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
 #include "net/sim_network.hpp"
@@ -139,65 +138,25 @@ Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
 }
 
 std::string rows_json(const std::vector<Row>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i) out += ',';
-    out += "{\"loss\":" + obs::json_number(r.loss);
+  return bench::json_rows(rows, [](std::string& out, const Row& r) {
+    out += "\"loss\":" + obs::json_number(r.loss);
     out += ",\"raw_delivered\":" + obs::json_number(r.raw_delivered);
     out += ",\"reliable_delivered\":" + obs::json_number(r.reliable_delivered);
     out += ",\"retx_per_msg\":" + obs::json_number(r.retx_per_msg);
     out += ",\"dup_suppressed\":" + std::to_string(r.dup_suppressed);
     out += ",\"expired\":" + std::to_string(r.expired);
     out += ",\"mean_latency_ms\":" + obs::json_number(r.mean_latency_ms);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_reliable: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
-}
-
-bool write_json(const std::string& path, const std::string& body) {
-  if (!obs::json_valid(body)) {
-    std::fprintf(stderr, "bench_reliable: refusing to write invalid JSON\n");
-    return false;
-  }
-  return write_text(path, body);
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--messages") == 0 && i + 1 < argc) {
-      g_messages = std::atoi(argv[++i]);
-      if (g_messages <= 0) {
-        std::fprintf(stderr, "bench_reliable: bad --messages value\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_reliable [--messages N] [--json PATH] "
-                   "[--trace PATH]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_reliable");
+  b.flags.add("--messages", g_messages, 1);
+  b.json_flag();
+  b.trace_flag();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E10: reliable delivery vs frame loss (paper section 3.6.2)\n");
   std::printf("DSL link, %d control messages, loss applied to every frame "
@@ -225,30 +184,21 @@ int main(int argc, char** argv) {
       "exponential backoff. Duplicates suppressed > 0 proves lost acks were "
       "retried without re-delivery.\n");
 
-  if (!json_path.empty()) {
-    std::string body = "{\"bench\":\"reliable\",\"messages\":" +
-                       std::to_string(g_messages) + ",\"rows\":" +
-                       rows_json(rows) + ",\"metrics\":" +
-                       registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!write_json(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
+  if (!b.write_json("{\"bench\":\"reliable\",\"messages\":" +
+                    std::to_string(g_messages) +
+                    ",\"rows\":" + rows_json(rows) + ",\"metrics\":" +
+                    registry.snapshot().to_json(/*pretty=*/false) + "}")) {
+    return 1;
   }
 
   // --trace: rerun the 10% loss point with a tracer bound and export the
   // causal JSONL (feed it to congrid-trace). A separate registry keeps the
   // traced rerun out of the sweep's metric snapshot.
-  if (!trace_path.empty()) {
+  if (b.tracing()) {
     obs::Registry trace_registry;
     obs::Tracer tracer(1 << 16);
     (void)run_reliable(0.10, 7, trace_registry, &tracer);
-    const std::string jsonl = tracer.to_jsonl();
-    if (jsonl.empty()) {
-      std::printf("\ntracing compiled out (CONGRID_OBS=OFF); %s not written\n",
-                  trace_path.c_str());
-    } else {
-      if (!write_text(trace_path, jsonl)) return 1;
-      std::printf("\nwrote %s\n", trace_path.c_str());
-    }
+    if (!b.write_trace(tracer)) return 1;
   }
   return 0;
 }

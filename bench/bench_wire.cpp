@@ -27,18 +27,15 @@
 // congrid-trace --validate.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
+#include "harness.hpp"
 #include "net/backend.hpp"
 #include "net/loopback.hpp"
-#include "obs/http_server.hpp"
 #include "obs/obs.hpp"
 
 using namespace cg;
@@ -193,93 +190,39 @@ Row run_scenario(const std::string& name, obs::Registry* registry) {
   Row row;
   row.scenario = name;
   const bool batch = name == "tcp-batched";
-  {
-    std::unique_ptr<net::NetworkBackend> be;
-    if (name == "sim")
-      be = std::make_unique<net::SimBackend>(net::LinkParams{}, 7);
-    else
-      be = std::make_unique<net::TcpLoopbackBackend>();
-    if (run_stream(*be, batch, row, registry) < 0) return row;
-  }
-  {
-    std::unique_ptr<net::NetworkBackend> be;
-    if (name == "sim")
-      be = std::make_unique<net::SimBackend>(net::LinkParams{}, 7);
-    else
-      be = std::make_unique<net::TcpLoopbackBackend>();
-    row.deploy_ms = run_deploy(*be, batch);
-    row.completed = row.completed && row.deploy_ms >= 0;
-  }
+  auto backend = [&]() -> std::unique_ptr<net::NetworkBackend> {
+    if (name == "sim") {
+      return std::make_unique<net::SimBackend>(net::LinkParams{}, 7);
+    }
+    return std::make_unique<net::TcpLoopbackBackend>();
+  };
+  if (run_stream(*backend(), batch, row, registry) < 0) return row;
+  row.deploy_ms = run_deploy(*backend(), batch);
+  row.completed = row.completed && row.deploy_ms >= 0;
   return row;
 }
 
 std::string rows_json(const std::vector<Row>& rows) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i) out += ',';
-    out += "{\"scenario\":\"" + r.scenario + "\"";
+  return bench::json_rows(rows, [](std::string& out, const Row& r) {
+    out += "\"scenario\":\"" + r.scenario + "\"";
     out += ",\"msgs_per_s\":" + obs::json_number(r.msgs_per_s);
     out += ",\"wall_s\":" + obs::json_number(r.wall_s);
     out += ",\"deploy_ms\":" + obs::json_number(r.deploy_ms);
     out += ",\"retransmits\":" + std::to_string(r.retransmits);
     out += ",\"batches_on_wire\":" + std::to_string(r.batches_on_wire);
     out += ",\"completed\":" + std::string(r.completed ? "true" : "false");
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_wire: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
-}
-
-bool write_json(const std::string& path, const std::string& body) {
-  if (!obs::json_valid(body)) {
-    std::fprintf(stderr, "bench_wire: refusing to write invalid JSON\n");
-    return false;
-  }
-  return write_text(path, body);
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string trace_path;
-  int obs_port = -1;      // -1: no server; 0: ephemeral
-  double obs_linger = 0;  // keep serving after the bench ends
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--messages") == 0 && i + 1 < argc) {
-      g_messages = std::atoi(argv[++i]);
-      if (g_messages <= 0) {
-        std::fprintf(stderr, "bench_wire: bad --messages value\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-port") == 0 && i + 1 < argc) {
-      obs_port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--obs-linger") == 0 && i + 1 < argc) {
-      obs_linger = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_wire [--messages N] [--json PATH] "
-                   "[--trace PATH] [--obs-port PORT] "
-                   "[--obs-linger SECONDS]\n");
-      return 2;
-    }
-  }
+  bench::Bench b("bench_wire");
+  b.flags.add("--messages", g_messages, 1);
+  b.json_flag();
+  b.trace_flag();
+  b.obs_flags();
+  if (!b.flags.parse(argc, argv)) return 2;
 
   std::printf("E13: wire throughput and deploy latency, sim vs loopback TCP\n");
   std::printf("%d small envelopes, window %d, reliable effectively-once\n\n",
@@ -288,17 +231,8 @@ int main(int argc, char** argv) {
               "wall s", "deploy ms", "retx", "batches");
 
   obs::Registry registry;
-  obs::HttpServerOptions server_opt;
-  server_opt.port = static_cast<std::uint16_t>(obs_port > 0 ? obs_port : 0);
-  obs::HttpServer server(registry, nullptr, server_opt);
-  if (obs_port >= 0) {
-    if (!server.start()) {
-      std::fprintf(stderr, "bench_wire: --obs-port %d: bind failed or obs "
-                           "compiled out\n", obs_port);
-      return 1;
-    }
-    std::printf("obs: live metrics at %s\n\n", server.url().c_str());
-  }
+  bench::ObsServer server(b, registry);
+  if (!server.start()) return 1;
 
   std::vector<Row> rows;
   for (const char* name : {"sim", "tcp", "tcp-batched"}) {
@@ -338,21 +272,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!json_path.empty()) {
-    std::string body = "{\"bench\":\"wire\",\"messages\":" +
-                       std::to_string(g_messages) +
-                       ",\"batch_speedup\":" + obs::json_number(speedup) +
-                       ",\"rows\":" + rows_json(rows) +
-                       ",\"metrics\":" +
-                       registry.snapshot().to_json(/*pretty=*/false) + "}";
-    if (!write_json(json_path, body)) return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
+  if (!b.write_json("{\"bench\":\"wire\",\"messages\":" +
+                    std::to_string(g_messages) +
+                    ",\"batch_speedup\":" + obs::json_number(speedup) +
+                    ",\"rows\":" + rows_json(rows) + ",\"metrics\":" +
+                    registry.snapshot().to_json(/*pretty=*/false) + "}")) {
+    return 1;
   }
 
   // --trace: rerun the batched TCP stream with a tracer bound; the
   // envelope spans pair across the two peers into one causal DAG for
   // congrid-trace --validate.
-  if (!trace_path.empty()) {
+  if (b.tracing()) {
     obs::Registry trace_registry;
     obs::Tracer tracer(1 << 16);
     net::TcpLoopbackBackend be;
@@ -362,22 +293,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_wire: traced rerun did not complete\n");
       return 1;
     }
-    const std::string jsonl = tracer.to_jsonl();
-    if (jsonl.empty()) {
-      std::printf("\ntracing compiled out (CONGRID_OBS=OFF); %s not written\n",
-                  trace_path.c_str());
-    } else {
-      if (!write_text(trace_path, jsonl)) return 1;
-      std::printf("wrote %s\n", trace_path.c_str());
-    }
+    if (!b.write_trace(tracer)) return 1;
   }
 
-  if (server.running() && obs_linger > 0) {
-    std::printf("obs: lingering %.0f s at %s\n", obs_linger,
-                server.url().c_str());
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::duration<double>(obs_linger));
-  }
-  server.stop();
+  server.linger();
   return 0;
 }

@@ -50,29 +50,18 @@ void TrianaController::discover_workers(
     }
   };
 
-  p2p::DiscoveryStrategy::CancelFn cancel;
-  if (strategy_ != nullptr) {
-    cancel = strategy_->start(query, on_response);
-  } else {
-    const std::uint64_t qid =
-        ttl > 0 ? node.discover_flood(query, ttl, on_response)
-                : node.discover_rendezvous(query, on_response);
-    auto* n = &node;
-    cancel = [n, qid] { n->cancel(qid); };
-  }
+  const std::uint64_t qid =
+      ttl > 0 ? node.discover_flood(query, ttl, on_response)
+              : node.discover_rendezvous(query, on_response);
 
-  // One deadline: report whatever arrived by then.
-  // (Discovery responses keep no order guarantee; the deadline is the
-  // paper's practical answer to "how long do we wait for peers?")
   // One deadline: report whatever arrived by then. We deliberately wait
   // the full timeout even when `want` is reached early -- responses keep
   // arriving and the deadline keeps the behaviour deterministic.
   home_.scheduler()(timeout_s,
-                    [this, state, cancel = std::move(cancel), dspan,
-                     done = std::move(done)]() {
+                    [this, state, qid, dspan, done = std::move(done)]() {
                       if (state->finished) return;
                       state->finished = true;
-                      cancel();
+                      home_.node().cancel(qid);
                       home_.tracer().end_span(
                           dspan, home_.id(), "discovery.round",
                           "found=" + std::to_string(state->found.size()));

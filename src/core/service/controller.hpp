@@ -20,7 +20,6 @@
 
 #include "core/dist/policy.hpp"
 #include "core/service/service.hpp"
-#include "p2p/strategy.hpp"
 #include "sandbox/trust.hpp"
 
 namespace cg::core {
@@ -67,19 +66,10 @@ class TrianaController {
   /// Vote unit's dissent mask under the replicated policy).
   void report_disagreement(const net::Endpoint& worker);
 
-  /// Route worker discovery through a pluggable strategy (flooding,
-  /// expanding ring, rendezvous, structured overlay -- strategy.hpp).
-  /// When unset, discover_workers keeps its legacy behaviour: flooding
-  /// with the given TTL, or the rendezvous variant at ttl == 0. The
-  /// strategy must outlive the controller.
-  void set_discovery_strategy(p2p::DiscoveryStrategy* s) { strategy_ = s; }
-  p2p::DiscoveryStrategy* discovery_strategy() { return strategy_; }
-
-  /// Find up to `want` workers matching `query`. With a strategy bound,
-  /// `ttl` is ignored and the strategy routes the query; otherwise
-  /// flooding with the given TTL (rendezvous variant at ttl == 0). The
-  /// callback fires once, after `timeout_s` on the service's scheduler,
-  /// with the distinct provider endpoints found (self excluded).
+  /// Find up to `want` workers matching `query`: flooding with the given
+  /// TTL, or the rendezvous variant at ttl == 0. The callback fires once,
+  /// after `timeout_s` on the service's scheduler, with the distinct
+  /// provider endpoints found (self excluded).
   void discover_workers(const p2p::Query& query, int ttl, std::size_t want,
                         double timeout_s,
                         std::function<void(std::vector<net::Endpoint>)> done);
@@ -115,7 +105,6 @@ class TrianaController {
  private:
   TrianaService& home_;
   sandbox::TrustManager* trust_ = nullptr;
-  p2p::DiscoveryStrategy* strategy_ = nullptr;
   std::uint64_t next_run_ = 1;
 };
 

@@ -72,49 +72,41 @@ void PipeServe::bind_output(const std::string& pipe_name, BindHandler on_bound,
     return;
   }
 
-  // 2. Rendezvous (one round trip) -- fall through to flooding on timeout.
-  if (!node_.rendezvous().empty()) {
-    auto done = std::make_shared<bool>(false);
-    auto handler_copy = on_bound;
-    const std::uint64_t qid = node_.discover_rendezvous(
-        q, [this, pipe_name, done, handler_copy](
-               const std::vector<Advertisement>& adverts) {
-          if (*done || adverts.empty()) return;
-          *done = true;
-          handler_copy(OutputPipe{pipe_name, best_advert(adverts).provider});
-        });
-    scheduler_(ring.ring_timeout_s, [this, qid, done, pipe_name,
-                                     on_bound = std::move(on_bound), ring] {
-      if (*done) return;
-      node_.cancel(qid);
-      *done = true;
-      // 3. Expanding-ring flood as the fallback.
-      Query fallback_query;
-      fallback_query.kind = AdvertKind::kPipe;
-      fallback_query.name = pipe_name;
-      auto search = std::make_shared<ExpandingRingSearch>(
-          node_, scheduler_, std::move(fallback_query), ring);
-      search->start([pipe_name, on_bound](SearchResult r) {
-        if (r.adverts.empty()) {
-          on_bound(OutputPipe{pipe_name, net::Endpoint{}});
-        } else {
-          on_bound(OutputPipe{pipe_name, best_advert(r.adverts).provider});
-        }
-      });
+  // 3. Expanding-ring flood: the rendezvous's timeout fallback, or step 2
+  // when no rendezvous is configured. Finding nothing yields an unbound
+  // pipe.
+  auto ring_search = [this, ring](Query query, BindHandler on_bound) {
+    auto search = std::make_shared<ExpandingRingSearch>(node_, scheduler_,
+                                                        query, ring);
+    search->start([name = std::move(query.name),
+                   on_bound = std::move(on_bound)](SearchResult r) {
+      on_bound(OutputPipe{name, r.adverts.empty()
+                                    ? net::Endpoint{}
+                                    : best_advert(r.adverts).provider});
     });
+  };
+  if (node_.rendezvous().empty()) {
+    ring_search(std::move(q), std::move(on_bound));
     return;
   }
 
-  // No rendezvous configured: straight to expanding ring.
-  auto search = std::make_shared<ExpandingRingSearch>(
-      node_, scheduler_, q, ring);
-  search->start([pipe_name, on_bound = std::move(on_bound)](SearchResult r) {
-    if (r.adverts.empty()) {
-      on_bound(OutputPipe{pipe_name, net::Endpoint{}});
-    } else {
-      on_bound(OutputPipe{pipe_name, best_advert(r.adverts).provider});
-    }
-  });
+  // 2. Rendezvous (one round trip) -- fall through to the ring on timeout.
+  auto done = std::make_shared<bool>(false);
+  const std::uint64_t qid = node_.discover_rendezvous(
+      q, [pipe_name, done,
+          on_bound](const std::vector<Advertisement>& adverts) {
+        if (*done || adverts.empty()) return;
+        *done = true;
+        on_bound(OutputPipe{pipe_name, best_advert(adverts).provider});
+      });
+  auto fallback = [this, qid, done, ring_search, q = std::move(q),
+                   on_bound = std::move(on_bound)] {
+    if (*done) return;
+    node_.cancel(qid);
+    *done = true;
+    ring_search(q, on_bound);
+  };
+  scheduler_(ring.ring_timeout_s, std::move(fallback));
 }
 
 void PipeServe::send(const OutputPipe& pipe, serial::Bytes payload,

@@ -17,7 +17,6 @@
 #include "p2p/overlay.hpp"
 #include "p2p/peer_node.hpp"
 #include "p2p/routing_table.hpp"
-#include "p2p/strategy.hpp"
 #include "serial/reader.hpp"
 
 namespace cg::p2p {
@@ -549,46 +548,6 @@ TEST(OverlayChurn, MaintainSweepsAndRefreshes) {
   EXPECT_GE(evicted, 1u);
   EXPECT_FALSE(s[0].routing().contains(c.id));
   s.net().run_all();  // let refresh lookups drain
-}
-
-// ----------------------------------------------------- discovery strategy
-
-TEST(Strategy, OverlayStrategyRoutesQueries) {
-  OverlaySwarm s(32, small_grid_config());
-  for (std::size_t i = 0; i < s.size(); ++i) s[i].enable_index();
-  auto a = s.peer(4).make_peer_advert({{"cpu_mhz", "2500"}});
-  s[4].publish({a});
-  s.net().run_all();
-
-  OverlayStrategy strat(s[0]);
-  EXPECT_EQ(strat.name(), "overlay");
-  Query q;
-  q.kind = AdvertKind::kPeer;
-  q.require_min["cpu_mhz"] = 2000.0;
-  std::vector<Advertisement> found;
-  strat.start(q, [&](const std::vector<Advertisement>& as) {
-    found.insert(found.end(), as.begin(), as.end());
-  });
-  s.net().run_all();
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].id, a.id);
-}
-
-TEST(Strategy, CancelSeversHandler) {
-  OverlaySwarm s(32, small_grid_config());
-  for (std::size_t i = 0; i < s.size(); ++i) s[i].enable_index();
-  s[4].publish({s.peer(4).make_peer_advert({{"cpu_mhz", "2500"}})});
-  s.net().run_all();
-
-  OverlayStrategy strat(s[0]);
-  Query q;
-  q.kind = AdvertKind::kPeer;
-  bool fired = false;
-  auto cancel = strat.start(
-      q, [&](const std::vector<Advertisement>&) { fired = true; });
-  cancel();
-  s.net().run_all();
-  EXPECT_FALSE(fired);
 }
 
 // --------------------------------------------- expanding-ring visited set

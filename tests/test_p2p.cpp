@@ -769,5 +769,49 @@ TEST(Pipes, RendezvousPublishPath) {
   EXPECT_EQ(got, "via rdv");
 }
 
+// The rendezvous is configured but silent about the pipe: after
+// ring_timeout_s the bind falls back to the expanding ring, which finds a
+// provider one neighbour hop away -- or, with no provider anywhere, reports
+// an unbound pipe exactly once.
+TEST(Pipes, SilentRendezvousFallsBackToRing) {
+  ExpandingRingOptions ring;
+  ring.max_ttl = 2;
+  ring.ring_timeout_s = 0.5;
+  for (const bool provider : {true, false}) {
+    Swarm s(3);
+    // 0 = rendezvous holding no pipe advert, 1 = binder, 2 = neighbour.
+    s[0].set_rendezvous_role(true);
+    s[1].add_rendezvous(s[0].endpoint());
+    s.connect(1, 2);
+    PipeServe ps1(s[1], s.scheduler());
+    PipeServe ps2(s[2], s.scheduler());
+    if (provider) {
+      ps2.advertise_input("late-in",
+                          [](const net::Endpoint&, serial::Bytes) {});
+    }
+    s.net().run_all();
+
+    int calls = 0;
+    OutputPipe pipe;
+    double bound_at = 0;
+    const double t0 = s.net().now();
+    ps1.bind_output("late-in", [&](OutputPipe p) {
+      ++calls;
+      pipe = std::move(p);
+      bound_at = s.net().now();
+    }, ring);
+    s.net().run_all();
+    ASSERT_EQ(calls, 1) << "provider=" << provider;
+    EXPECT_EQ(pipe.name, "late-in");
+    EXPECT_GE(bound_at - t0, ring.ring_timeout_s);
+    if (provider) {
+      ASSERT_TRUE(pipe.bound());
+      EXPECT_EQ(pipe.target, s[2].endpoint());
+    } else {
+      EXPECT_FALSE(pipe.bound());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cg::p2p
