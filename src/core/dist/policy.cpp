@@ -19,27 +19,40 @@ const TaskDef& checked_group(const TaskGraph& g, const std::string& group_name,
   return group;
 }
 
-/// Home graph common to both policies: every task except the group, plus
-/// Receive proxies for the group's output ports (label "<prefix>/out<j>"),
-/// with outer connections re-wired. Input-side proxies differ per policy
-/// and are installed by `add_input_proxy`, which must create a task named
-/// "<group>.in<i>" for each group input port i.
-template <typename AddInputProxy>
+ParamSet with_param(const char* key, std::string value) {
+  ParamSet p;
+  p.set(key, std::move(value));
+  return p;
+}
+
+/// The one home channel every producer of group output j sends to.
+std::string out_label(const std::string& prefix, std::size_t j) {
+  return prefix + "/out" + std::to_string(j);
+}
+
+/// Replica w's channel for group input i.
+std::string replica_in_label(const std::string& prefix, std::size_t w,
+                             std::size_t i) {
+  return prefix + "/w" + std::to_string(w) + "/in" + std::to_string(i);
+}
+
+/// Home graph: every task except the group, a proxy named "<group>.in<i>"
+/// per group input port (from `add_in`) and one named "<group>.out<j>" per
+/// output port (from `add_out`), then the outer connections re-wired onto
+/// the proxies' port 0.
+template <typename AddIn, typename AddOut>
 TaskGraph make_home_graph(const TaskGraph& g, const TaskDef& group,
-                          const std::string& prefix,
-                          AddInputProxy add_input_proxy) {
+                          AddIn add_in, AddOut add_out) {
   TaskGraph home(g.name());
   for (const auto& t : g.tasks()) {
     if (t.name == group.name) continue;
     home.tasks().push_back(t.clone());
   }
   for (std::size_t i = 0; i < group.group_inputs.size(); ++i) {
-    add_input_proxy(home, i);
+    add_in(home, group.name + ".in" + std::to_string(i), i);
   }
   for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
-    ParamSet p;
-    p.set("label", prefix + "/out" + std::to_string(j));
-    home.add_task(group.name + ".out" + std::to_string(j), "Receive", p);
+    add_out(home, group.name + ".out" + std::to_string(j), j);
   }
   for (const auto& c : g.connections()) {
     Connection r = c;
@@ -56,13 +69,48 @@ TaskGraph make_home_graph(const TaskGraph& g, const TaskDef& group,
   return home;
 }
 
-std::vector<std::string> home_output_labels(const TaskDef& group,
-                                            const std::string& prefix) {
-  std::vector<std::string> labels;
-  for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
-    labels.push_back(prefix + "/out" + std::to_string(j));
+/// Input proxy for whole-group replicas: a `type` (Scatter or Broadcast)
+/// over every replica's channel for that input.
+auto fan_out(const char* type, const std::string& prefix,
+             std::size_t replicas) {
+  return [type, &prefix, replicas](TaskGraph& home, const std::string& name,
+                                   std::size_t i) {
+    std::string csv;
+    for (std::size_t w = 0; w < replicas; ++w) {
+      if (w) csv += ",";
+      csv += replica_in_label(prefix, w, i);
+    }
+    home.add_task(name, type, with_param("labels", std::move(csv)));
+  };
+}
+
+/// Output proxy for the farm and the pipeline: a Receive on out_label.
+auto receive_home(const std::string& prefix) {
+  return [&prefix](TaskGraph& home, const std::string& name, std::size_t j) {
+    home.add_task(name, "Receive", with_param("label", out_label(prefix, j)));
+  };
+}
+
+/// A whole-group replica: the inner graph fitted with a Receive on
+/// in_label(i) per group input and a Send on out_label(j) per output.
+template <typename InLabel, typename OutLabel>
+TaskGraph make_replica(const TaskDef& group, std::string name,
+                       InLabel in_label, OutLabel out_label) {
+  TaskGraph frag = group.group->clone();
+  frag.set_name(std::move(name));
+  for (std::size_t i = 0; i < group.group_inputs.size(); ++i) {
+    const std::string recv = "__recv" + std::to_string(i);
+    frag.add_task(recv, "Receive", with_param("label", in_label(i)));
+    frag.connect(recv, 0, group.group_inputs[i].inner_task,
+                 group.group_inputs[i].inner_port);
   }
-  return labels;
+  for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
+    const std::string send = "__send" + std::to_string(j);
+    frag.add_task(send, "Send", with_param("label", out_label(j)));
+    frag.connect(group.group_outputs[j].inner_task,
+                 group.group_outputs[j].inner_port, send, 0);
+  }
+  return frag;
 }
 
 }  // namespace
@@ -73,46 +121,20 @@ DistributionPlan ParallelPolicy::plan(const TaskGraph& g,
                                       const std::string& prefix) const {
   const TaskDef& group = checked_group(g, group_name, workers);
 
+  // One replica of the whole group per worker; all replicas funnel into
+  // the same home channel.
   DistributionPlan plan;
-  plan.home_input_labels = home_output_labels(group, prefix);
-
-  // One replica of the whole group per worker.
   for (std::size_t w = 0; w < workers; ++w) {
-    const std::string wp = prefix + "/w" + std::to_string(w);
-    TaskGraph frag = group.group->clone();
-    frag.set_name(g.name() + "/" + group_name + "#" + std::to_string(w));
-    for (std::size_t i = 0; i < group.group_inputs.size(); ++i) {
-      ParamSet p;
-      p.set("label", wp + "/in" + std::to_string(i));
-      frag.add_task("__recv" + std::to_string(i), "Receive", p);
-      frag.connect("__recv" + std::to_string(i), 0,
-                   group.group_inputs[i].inner_task,
-                   group.group_inputs[i].inner_port);
-    }
-    for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
-      ParamSet p;
-      // All replicas funnel into the same home channel.
-      p.set("label", prefix + "/out" + std::to_string(j));
-      frag.add_task("__send" + std::to_string(j), "Send", p);
-      frag.connect(group.group_outputs[j].inner_task,
-                   group.group_outputs[j].inner_port,
-                   "__send" + std::to_string(j), 0);
-    }
-    plan.fragments.push_back(std::move(frag));
+    plan.fragments.push_back(make_replica(
+        group, g.name() + "/" + group_name + "#" + std::to_string(w),
+        [&](std::size_t i) { return replica_in_label(prefix, w, i); },
+        [&](std::size_t j) { return out_label(prefix, j); }));
   }
 
   // Home side: scatter each input port round-robin over the replicas.
-  plan.home_graph = make_home_graph(
-      g, group, prefix, [&](TaskGraph& home, std::size_t i) {
-        std::string csv;
-        for (std::size_t w = 0; w < workers; ++w) {
-          if (w) csv += ",";
-          csv += prefix + "/w" + std::to_string(w) + "/in" + std::to_string(i);
-        }
-        ParamSet p;
-        p.set("labels", csv);
-        home.add_task(group_name + ".in" + std::to_string(i), "Scatter", p);
-      });
+  plan.home_graph = make_home_graph(g, group,
+                                    fan_out("Scatter", prefix, workers),
+                                    receive_home(prefix));
   return plan;
 }
 
@@ -130,7 +152,6 @@ DistributionPlan PipelinePolicy::plan(const TaskGraph& g,
   }
 
   DistributionPlan plan;
-  plan.home_input_labels = home_output_labels(group, prefix);
   plan.fragments.reserve(slots);
   for (std::size_t s = 0; s < slots; ++s) {
     TaskGraph frag(g.name() + "/" + group_name + "@stage" +
@@ -162,16 +183,14 @@ DistributionPlan PipelinePolicy::plan(const TaskGraph& g,
       continue;
     }
     const std::string label = in_label(c.to_task, c.to_port);
-    ParamSet ps;
-    ps.set("label", label);
     const std::string send_name = "__send" + std::to_string(proxy_n);
-    plan.fragments[sa].add_task(send_name, "Send", ps);
+    plan.fragments[sa].add_task(send_name, "Send",
+                                with_param("label", label));
     plan.fragments[sa].connect(c.from_task, c.from_port, send_name, 0);
 
-    ParamSet pr;
-    pr.set("label", label);
     const std::string recv_name = "__recv" + std::to_string(proxy_n);
-    plan.fragments[sb].add_task(recv_name, "Receive", pr);
+    plan.fragments[sb].add_task(recv_name, "Receive",
+                                with_param("label", label));
     plan.fragments[sb].connect(recv_name, 0, c.to_task, c.to_port);
     ++proxy_n;
   }
@@ -180,33 +199,33 @@ DistributionPlan PipelinePolicy::plan(const TaskGraph& g,
   for (std::size_t i = 0; i < group.group_inputs.size(); ++i) {
     const GroupPort& gp = group.group_inputs[i];
     const std::size_t s = slot_of.at(gp.inner_task);
-    const std::string label = in_label(gp.inner_task, gp.inner_port);
-    ParamSet p;
-    p.set("label", label);
     const std::string recv_name = "__gin" + std::to_string(i);
-    plan.fragments[s].add_task(recv_name, "Receive", p);
+    plan.fragments[s].add_task(
+        recv_name, "Receive",
+        with_param("label", in_label(gp.inner_task, gp.inner_port)));
     plan.fragments[s].connect(recv_name, 0, gp.inner_task, gp.inner_port);
   }
   // Group boundary outputs: producer sends home.
   for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
     const GroupPort& gp = group.group_outputs[j];
     const std::size_t s = slot_of.at(gp.inner_task);
-    ParamSet p;
-    p.set("label", prefix + "/out" + std::to_string(j));
     const std::string send_name = "__gout" + std::to_string(j);
-    plan.fragments[s].add_task(send_name, "Send", p);
+    plan.fragments[s].add_task(send_name, "Send",
+                               with_param("label", out_label(prefix, j)));
     plan.fragments[s].connect(gp.inner_task, gp.inner_port, send_name, 0);
   }
 
   // Home side: a plain Send per group input port, targeting the consuming
   // fragment's channel.
   plan.home_graph = make_home_graph(
-      g, group, prefix, [&](TaskGraph& home, std::size_t i) {
+      g, group,
+      [&](TaskGraph& home, const std::string& name, std::size_t i) {
         const GroupPort& gp = group.group_inputs[i];
-        ParamSet p;
-        p.set("label", in_label(gp.inner_task, gp.inner_port));
-        home.add_task(group_name + ".in" + std::to_string(i), "Send", p);
-      });
+        home.add_task(
+            name, "Send",
+            with_param("label", in_label(gp.inner_task, gp.inner_port)));
+      },
+      receive_home(prefix));
   return plan;
 }
 
@@ -219,80 +238,60 @@ DistributionPlan ReplicatedPolicy::plan(const TaskGraph& g,
     throw std::invalid_argument("replicated policy needs >= 2 workers");
   }
   const std::size_t replicas = std::min(workers, VoteUnit::kMaxVoteInputs);
+  // Replica w's output j has its own home channel so the Vote can compare.
+  const auto voter_label = [&](std::size_t j, std::size_t w) {
+    return out_label(prefix, j) + "/w" + std::to_string(w);
+  };
 
   DistributionPlan plan;
-  // One full replica of the group per worker; each replica's outputs go to
-  // its own home channel so the Vote unit can compare them.
   for (std::size_t w = 0; w < replicas; ++w) {
-    const std::string wp = prefix + "/w" + std::to_string(w);
-    TaskGraph frag = group.group->clone();
-    frag.set_name(g.name() + "/" + group_name + "!" + std::to_string(w));
-    for (std::size_t i = 0; i < group.group_inputs.size(); ++i) {
-      ParamSet p;
-      p.set("label", wp + "/in" + std::to_string(i));
-      frag.add_task("__recv" + std::to_string(i), "Receive", p);
-      frag.connect("__recv" + std::to_string(i), 0,
-                   group.group_inputs[i].inner_task,
-                   group.group_inputs[i].inner_port);
-    }
-    for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
-      ParamSet p;
-      p.set("label",
-            prefix + "/out" + std::to_string(j) + "/w" + std::to_string(w));
-      frag.add_task("__send" + std::to_string(j), "Send", p);
-      frag.connect(group.group_outputs[j].inner_task,
-                   group.group_outputs[j].inner_port,
-                   "__send" + std::to_string(j), 0);
-      plan.home_input_labels.push_back(
-          prefix + "/out" + std::to_string(j) + "/w" + std::to_string(w));
-    }
-    plan.fragments.push_back(std::move(frag));
+    plan.fragments.push_back(make_replica(
+        group, g.name() + "/" + group_name + "!" + std::to_string(w),
+        [&](std::size_t i) { return replica_in_label(prefix, w, i); },
+        [&](std::size_t j) { return voter_label(j, w); }));
   }
 
   // Home graph: Broadcast per input port, per-replica Receives feeding a
   // Vote per output port. Outer connections from the group's output j are
-  // rewired to "<group>.out<j>" which is the Vote's majority port.
-  TaskGraph home(g.name());
-  for (const auto& t : g.tasks()) {
-    if (t.name == group.name) continue;
-    home.tasks().push_back(t.clone());
-  }
-  for (std::size_t i = 0; i < group.group_inputs.size(); ++i) {
-    std::string csv;
-    for (std::size_t w = 0; w < replicas; ++w) {
-      if (w) csv += ",";
-      csv += prefix + "/w" + std::to_string(w) + "/in" + std::to_string(i);
-    }
-    ParamSet p;
-    p.set("labels", csv);
-    home.add_task(group_name + ".in" + std::to_string(i), "Broadcast", p);
-  }
-  for (std::size_t j = 0; j < group.group_outputs.size(); ++j) {
-    const std::string vote = group_name + ".out" + std::to_string(j);
-    home.add_task(vote, "Vote");
-    for (std::size_t w = 0; w < replicas; ++w) {
-      ParamSet p;
-      p.set("label",
-            prefix + "/out" + std::to_string(j) + "/w" + std::to_string(w));
-      const std::string recv = vote + ".r" + std::to_string(w);
-      home.add_task(recv, "Receive", p);
-      home.connect(recv, 0, vote, w);
-    }
-  }
-  for (const auto& c : g.connections()) {
-    Connection r = c;
-    if (c.to_task == group.name) {
-      r.to_task = group.name + ".in" + std::to_string(c.to_port);
-      r.to_port = 0;
-    }
-    if (c.from_task == group.name) {
-      r.from_task = group.name + ".out" + std::to_string(c.from_port);
-      r.from_port = 0;  // Vote's majority output
-    }
-    home.connections().push_back(std::move(r));
-  }
-  plan.home_graph = std::move(home);
+  // rewired to "<group>.out<j>", the Vote's majority port.
+  plan.home_graph = make_home_graph(
+      g, group, fan_out("Broadcast", prefix, replicas),
+      [&](TaskGraph& home, const std::string& vote, std::size_t j) {
+        home.add_task(vote, "Vote");
+        for (std::size_t w = 0; w < replicas; ++w) {
+          const std::string recv = vote + ".r" + std::to_string(w);
+          home.add_task(recv, "Receive",
+                        with_param("label", voter_label(j, w)));
+          home.connect(recv, 0, vote, w);
+        }
+      });
   return plan;
+}
+
+bool is_channel_proxy(const std::string& unit_type) {
+  return unit_type == "Send" || unit_type == "Receive" ||
+         unit_type == "Scatter" || unit_type == "Broadcast";
+}
+
+ChannelLabels channel_labels(const TaskGraph& g) {
+  ChannelLabels out;
+  for (const auto& t : g.tasks()) {
+    if (t.is_group()) {
+      ChannelLabels inner = channel_labels(*t.group);
+      out.inputs.insert(out.inputs.end(), inner.inputs.begin(),
+                        inner.inputs.end());
+      out.outputs.insert(out.outputs.end(), inner.outputs.begin(),
+                         inner.outputs.end());
+    } else if (t.unit_type == "Receive" || t.unit_type == "Send") {
+      auto& to = t.unit_type == "Receive" ? out.inputs : out.outputs;
+      if (auto l = t.params.get("label", ""); !l.empty()) to.push_back(l);
+    } else if (t.unit_type == "Scatter" || t.unit_type == "Broadcast") {
+      for (auto& l : split_labels(t.params.get("labels", ""))) {
+        out.outputs.push_back(std::move(l));
+      }
+    }
+  }
+  return out;
 }
 
 std::unique_ptr<DistributionPolicy> make_policy(const std::string& name) {

@@ -11,15 +11,17 @@
 // A policy is a pure graph rewrite: given a graph, the group to distribute,
 // and how many resources are on offer, it produces (a) the rewritten home
 // graph with proxy units where the group used to be and (b) one fragment
-// per resource, all annotated with unique channel labels. The controller
-// then matches fragments to discovered peers and deploys.
+// per resource, all annotated with unique channel labels (paper 3.4: "each
+// group input and output connection is uniquely labelled"). The controller
+// then matches fragments to discovered peers and deploys. This module is
+// also the one reader of those labels: channel_labels() says which channels
+// any graph, home or fragment, reads and writes.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/graph/group_ops.hpp"
 #include "core/graph/taskgraph.hpp"
 #include "core/unit/proxy_units.hpp"
 
@@ -29,8 +31,6 @@ struct DistributionPlan {
   TaskGraph home_graph;
   /// One fragment per remote resource, in deployment order.
   std::vector<TaskGraph> fragments;
-  /// Labels the home graph will receive results on.
-  std::vector<std::string> home_input_labels;
 };
 
 class DistributionPolicy {
@@ -83,6 +83,19 @@ class ReplicatedPolicy final : public DistributionPolicy {
                         std::size_t workers,
                         const std::string& label_prefix) const override;
 };
+
+/// The data channels at a graph's boundary, in task order (recursing into
+/// groups): `inputs` are Receive labels, `outputs` the labels Send,
+/// Scatter and Broadcast proxies emit on.
+struct ChannelLabels {
+  std::vector<std::string> inputs;
+  std::vector<std::string> outputs;
+};
+ChannelLabels channel_labels(const TaskGraph& g);
+
+/// True for the unit types that carry a graph's boundary channels (engine
+/// infrastructure, never fetched as code modules).
+bool is_channel_proxy(const std::string& unit_type);
 
 /// Factory by policy name ("parallel" | "p2p" | "replicated"); throws
 /// std::invalid_argument otherwise.

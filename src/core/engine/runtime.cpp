@@ -31,7 +31,6 @@ GraphRuntime::GraphRuntime(const TaskGraph& graph,
     n.pending.resize(n.info->inputs.size());
     n.connected.assign(n.info->inputs.size(), false);
     n.routes.resize(n.info->outputs.size());
-    n.is_send = (t.unit_type == "Send");
     n.is_receive = (t.unit_type == "Receive");
     n.serial_only = (n.info->concurrency == Concurrency::kSerialOnly);
     // Memoization applies to kPure units only: no instance state (enforced
@@ -69,8 +68,8 @@ GraphRuntime::GraphRuntime(const TaskGraph& graph,
       }
       receive_by_label_[label] = idx;
     }
-    if (n.is_send || t.unit_type == "Scatter" || t.unit_type == "Broadcast") {
-      auto hook = [this](const std::string& label, DataItem item) {
+    if (auto* out = dynamic_cast<ChannelOut*>(n.unit.get())) {
+      out->set_sender([this](const std::string& label, DataItem item) {
         ++stats_.external_sends;
         stats_.bytes_sent_external += item.byte_size();
         if (!external_sender_) {
@@ -79,14 +78,7 @@ GraphRuntime::GraphRuntime(const TaskGraph& graph,
               label + "')");
         }
         external_sender_(label, std::move(item));
-      };
-      if (auto* send = dynamic_cast<SendUnit*>(n.unit.get())) {
-        send->set_sender(hook);
-      } else if (auto* scatter = dynamic_cast<ScatterUnit*>(n.unit.get())) {
-        scatter->set_sender(hook);
-      } else if (auto* bcast = dynamic_cast<BroadcastUnit*>(n.unit.get())) {
-        bcast->set_sender(hook);
-      }
+      });
     }
     nodes_.push_back(std::move(n));
   }
@@ -105,7 +97,7 @@ GraphRuntime::GraphRuntime(const TaskGraph& graph,
   }
 }
 
-void GraphRuntime::set_external_sender(SendUnit::Sender sender) {
+void GraphRuntime::set_external_sender(ChannelOut::Sender sender) {
   external_sender_ = std::move(sender);
 }
 

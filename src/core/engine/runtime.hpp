@@ -86,10 +86,11 @@ class GraphRuntime {
   GraphRuntime(const GraphRuntime&) = delete;
   GraphRuntime& operator=(const GraphRuntime&) = delete;
 
-  /// Install the egress hook for Send units (label, item). Without one,
-  /// firing a Send unit throws. The hook is always invoked on the thread
-  /// calling tick()/run(), even in wave-parallel mode.
-  void set_external_sender(SendUnit::Sender sender);
+  /// Install the egress hook for Send/Scatter/Broadcast units (label,
+  /// item). Without one, firing any of them throws. The hook is always
+  /// invoked on the thread calling tick()/run(), even in wave-parallel
+  /// mode.
+  void set_external_sender(ChannelOut::Sender sender);
 
   /// Bind the engine's instruments (wave-width and barrier-stall
   /// histograms, per-tick parallelism gauge) into `registry` under
@@ -175,7 +176,6 @@ class GraphRuntime {
     std::vector<bool> connected;
     /// Out-routing: per output port, list of (target node, target port).
     std::vector<std::vector<std::pair<std::size_t, std::size_t>>> routes;
-    bool is_send = false;
     bool is_receive = false;
     /// Concurrency::kSerialOnly -- fires on the coordinator thread.
     bool serial_only = false;
@@ -214,7 +214,7 @@ class GraphRuntime {
 
   RuntimeOptions options_;
   std::unique_ptr<rm::ThreadPool> pool_;  ///< owned when max_threads > 0
-  SendUnit::Sender external_sender_;
+  ChannelOut::Sender external_sender_;
   std::uint64_t iteration_ = 0;
   RuntimeStats stats_;
   /// Atomics: invoke() runs on pool threads in wave-parallel mode.

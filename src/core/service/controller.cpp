@@ -4,21 +4,6 @@
 #include <set>
 
 namespace cg::core {
-namespace {
-
-/// Receive labels of a fragment -- the channels other participants send
-/// into, which must be re-resolved after a migration.
-std::vector<std::string> fragment_input_labels(const TaskGraph& frag) {
-  std::vector<std::string> labels;
-  for (const auto& t : frag.tasks()) {
-    if (t.unit_type == "Receive") {
-      labels.push_back(t.params.get("label", ""));
-    }
-  }
-  return labels;
-}
-
-}  // namespace
 
 void TrianaController::discover_workers(
     const p2p::Query& query, int ttl, std::size_t want, double timeout_s,
@@ -207,8 +192,8 @@ void TrianaController::migrate(std::shared_ptr<DistributedRun> run,
               run->remote_jobs[idx] = ack.job_id;
 
               // Everyone sending into the moved fragment must re-resolve.
-              const auto labels = fragment_input_labels(run->fragments[idx]);
-              for (const auto& label : labels) {
+              for (const auto& label :
+                   channel_labels(run->fragments[idx]).inputs) {
                 home_.rebind_channel(label);
                 for (std::size_t j = 0; j < run->workers.size(); ++j) {
                   if (j == idx) continue;

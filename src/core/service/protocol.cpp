@@ -24,12 +24,20 @@ struct Unpacked {
   serial::Bytes body;
 };
 
-Unpacked unpack(const serial::Frame& f) {
-  serial::Reader r(f.payload);
-  Unpacked u;
-  u.header = xml::parse(r.string());
-  u.body = r.blob();
-  return u;
+/// Decodes a control frame: unpacks it and hands it to `read`. An XML
+/// failure in the header or its attributes is a malformed frame like any
+/// other, so it surfaces as DecodeError.
+template <typename Read>
+auto decode_control(const serial::Frame& f, Read read) {
+  try {
+    serial::Reader r(f.payload);
+    Unpacked u;
+    u.header = xml::parse(r.string());
+    u.body = r.blob();
+    return read(std::move(u));
+  } catch (const xml::XmlError& e) {
+    throw serial::DecodeError(std::string("control frame: ") + e.what());
+  }
 }
 
 /// Fixed-width 16-hex rendering so the attribute (and frame) size is the
@@ -190,121 +198,137 @@ serial::Frame encode(const ResumeMsg& m) {
 }
 
 ControlType control_type(const serial::Frame& f) {
-  return type_from_name(unpack(f).header.name());
+  return decode_control(
+      f, [](Unpacked u) { return type_from_name(u.header.name()); });
 }
 
 DeployMsg decode_deploy(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  DeployMsg m;
-  m.job_id = u.header.require_attr("job");
-  m.owner = u.header.attr_or("owner", "");
-  m.owner_endpoint = net::Endpoint{u.header.attr_or("owner-endpoint", "")};
-  m.iterations =
-      static_cast<std::uint64_t>(u.header.attr_int("iterations", 0));
-  m.graph_xml = u.header.require_child("graph").text();
-  if (const xml::Node* mods = u.header.child("modules")) {
-    for (const xml::Node* mod : mods->children("module")) {
-      const std::string type = mod->attr_or("type", "");
-      const std::string hex = mod->attr_or("sha256", "");
-      if (!type.empty() && !hex.empty()) m.module_hashes[type] = hex;
+  return decode_control(f, [](Unpacked u) {
+    DeployMsg m;
+    m.job_id = u.header.require_attr("job");
+    m.owner = u.header.attr_or("owner", "");
+    m.owner_endpoint = net::Endpoint{u.header.attr_or("owner-endpoint", "")};
+    m.iterations =
+        static_cast<std::uint64_t>(u.header.attr_int("iterations", 0));
+    m.graph_xml = u.header.require_child("graph").text();
+    if (const xml::Node* mods = u.header.child("modules")) {
+      for (const xml::Node* mod : mods->children("module")) {
+        const std::string type = mod->attr_or("type", "");
+        const std::string hex = mod->attr_or("sha256", "");
+        if (!type.empty() && !hex.empty()) m.module_hashes[type] = hex;
+      }
     }
-  }
-  m.checkpoint = std::move(u.body);
-  m.trace.trace_id = parse_hex16(u.header.attr_or("trace", "0"));
-  m.trace.parent_span = parse_hex16(u.header.attr_or("span", "0"));
-  m.trace.lamport = parse_hex16(u.header.attr_or("lc", "0"));
-  m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
-  m.lease_s = u.header.attr_double("lease", 0.0);
-  m.standby = u.header.attr_or("standby", "false") == "true";
-  return m;
+    m.checkpoint = std::move(u.body);
+    m.trace.trace_id = parse_hex16(u.header.attr_or("trace", "0"));
+    m.trace.parent_span = parse_hex16(u.header.attr_or("span", "0"));
+    m.trace.lamport = parse_hex16(u.header.attr_or("lc", "0"));
+    m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
+    m.lease_s = u.header.attr_double("lease", 0.0);
+    m.standby = u.header.attr_or("standby", "false") == "true";
+    return m;
+  });
 }
 
 DeployAckMsg decode_deploy_ack(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  DeployAckMsg m;
-  m.job_id = u.header.require_attr("job");
-  m.ok = u.header.attr_or("ok", "false") == "true";
-  m.error = u.header.attr_or("error", "");
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    DeployAckMsg m;
+    m.job_id = u.header.require_attr("job");
+    m.ok = u.header.attr_or("ok", "false") == "true";
+    m.error = u.header.attr_or("error", "");
+    return m;
+  });
 }
 
 CancelMsg decode_cancel(const serial::Frame& f) {
-  return CancelMsg{unpack(f).header.require_attr("job")};
+  return decode_control(f, [](Unpacked u) {
+    return CancelMsg{u.header.require_attr("job")};
+  });
 }
 
 StatusRequestMsg decode_status_request(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  StatusRequestMsg m;
-  m.job_id = u.header.require_attr("job");
-  m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
-  m.lease_s = u.header.attr_double("lease", 0.0);
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    StatusRequestMsg m;
+    m.job_id = u.header.require_attr("job");
+    m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
+    m.lease_s = u.header.attr_double("lease", 0.0);
+    return m;
+  });
 }
 
 StatusMsg decode_status(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  StatusMsg m;
-  m.job_id = u.header.require_attr("job");
-  m.known = u.header.attr_or("known", "false") == "true";
-  m.running = u.header.attr_or("running", "false") == "true";
-  m.failed = u.header.attr_or("failed", "false") == "true";
-  m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
-  m.suspended = u.header.attr_or("suspended", "false") == "true";
-  m.error = u.header.attr_or("error", "");
-  m.iteration = static_cast<std::uint64_t>(u.header.attr_int("iteration", 0));
-  m.firings = static_cast<std::uint64_t>(u.header.attr_int("firings", 0));
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    StatusMsg m;
+    m.job_id = u.header.require_attr("job");
+    m.known = u.header.attr_or("known", "false") == "true";
+    m.running = u.header.attr_or("running", "false") == "true";
+    m.failed = u.header.attr_or("failed", "false") == "true";
+    m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
+    m.suspended = u.header.attr_or("suspended", "false") == "true";
+    m.error = u.header.attr_or("error", "");
+    m.iteration = static_cast<std::uint64_t>(u.header.attr_int("iteration", 0));
+    m.firings = static_cast<std::uint64_t>(u.header.attr_int("firings", 0));
+    return m;
+  });
 }
 
 CheckpointRequestMsg decode_checkpoint_request(const serial::Frame& f) {
-  return CheckpointRequestMsg{unpack(f).header.require_attr("job")};
+  return decode_control(f, [](Unpacked u) {
+    return CheckpointRequestMsg{u.header.require_attr("job")};
+  });
 }
 
 RebindMsg decode_rebind(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  RebindMsg m;
-  m.label = u.header.require_attr("label");
-  m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    RebindMsg m;
+    m.label = u.header.require_attr("label");
+    m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
+    return m;
+  });
 }
 
 FenceMsg decode_fence(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  FenceMsg m;
-  m.label = u.header.require_attr("label");
-  m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
-  m.target = u.header.attr_or("target", "");
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    FenceMsg m;
+    m.label = u.header.require_attr("label");
+    m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
+    m.target = u.header.attr_or("target", "");
+    return m;
+  });
 }
 
 BounceMsg decode_bounce(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  BounceMsg m;
-  m.label = u.header.require_attr("label");
-  m.payload = std::move(u.body);
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    BounceMsg m;
+    m.label = u.header.require_attr("label");
+    m.payload = std::move(u.body);
+    return m;
+  });
 }
 
 PromoteMsg decode_promote(const serial::Frame& f) {
-  return PromoteMsg{unpack(f).header.require_attr("job")};
+  return decode_control(f, [](Unpacked u) {
+    return PromoteMsg{u.header.require_attr("job")};
+  });
 }
 
 ResumeMsg decode_resume(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  ResumeMsg m;
-  m.job_id = u.header.require_attr("job");
-  m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
-  m.lease_s = u.header.attr_double("lease", 0.0);
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    ResumeMsg m;
+    m.job_id = u.header.require_attr("job");
+    m.epoch = parse_hex16(u.header.attr_or("epoch", "0"));
+    m.lease_s = u.header.attr_double("lease", 0.0);
+    return m;
+  });
 }
 
 CheckpointDataMsg decode_checkpoint_data(const serial::Frame& f) {
-  Unpacked u = unpack(f);
-  CheckpointDataMsg m;
-  m.job_id = u.header.require_attr("job");
-  m.ok = u.header.attr_or("ok", "false") == "true";
-  m.state = std::move(u.body);
-  return m;
+  return decode_control(f, [](Unpacked u) {
+    CheckpointDataMsg m;
+    m.job_id = u.header.require_attr("job");
+    m.ok = u.header.attr_or("ok", "false") == "true";
+    m.state = std::move(u.body);
+    return m;
+  });
 }
 
 }  // namespace cg::core

@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <set>
 
+#include "core/dist/policy.hpp"
 #include "core/graph/taskgraph_xml.hpp"
 #include "obs/http_server.hpp"
 #include "serial/reader.hpp"
 
 namespace cg::core {
 namespace {
-
-/// Unit types that are engine infrastructure, never fetched as modules.
-bool is_infrastructure(const std::string& unit_type) {
-  return unit_type == "Send" || unit_type == "Receive" ||
-         unit_type == "Scatter";
-}
 
 /// Distinct fetchable unit types in a graph (recursing into groups).
 std::set<std::string> module_types(const TaskGraph& g) {
@@ -23,34 +18,11 @@ std::set<std::string> module_types(const TaskGraph& g) {
     if (t.is_group()) {
       auto inner = module_types(*t.group);
       out.insert(inner.begin(), inner.end());
-    } else if (!is_infrastructure(t.unit_type)) {
+    } else if (!is_channel_proxy(t.unit_type)) {
       out.insert(t.unit_type);
     }
   }
   return out;
-}
-
-/// Labels a graph emits on: Send units' "label" plus the comma-separated
-/// "labels" of Scatter/Broadcast proxies (recursing into groups). A fence
-/// naming one of these halts the job that owns it; a bounced payload for
-/// one is re-sent by the job that owns it.
-void collect_send_labels(const TaskGraph& g, std::vector<std::string>& out) {
-  for (const auto& t : g.tasks()) {
-    if (t.is_group()) {
-      collect_send_labels(*t.group, out);
-    } else if (t.unit_type == "Send") {
-      if (auto l = t.params.get("label", ""); !l.empty()) out.push_back(l);
-    } else if (t.unit_type == "Scatter" || t.unit_type == "Broadcast") {
-      const std::string csv = t.params.get("labels", "");
-      std::size_t start = 0;
-      while (start < csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos) comma = csv.size();
-        if (comma > start) out.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-      }
-    }
-  }
 }
 
 bool contains_label(const std::vector<std::string>& labels,
@@ -711,7 +683,7 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
   // adverts (the live incarnation owns the labels) and no lease until a
   // kPromote.
   job.input_labels = job.runtime->receive_labels();
-  collect_send_labels(graph, job.output_labels);
+  job.output_labels = channel_labels(graph).outputs;
   auto [jit, _] = jobs_.emplace(job_id, std::move(job));
   Job& stored = jit->second;
   if (!pending.msg.standby) transition(stored, JobEvent::kStart);

@@ -6,24 +6,6 @@
 namespace cg::core {
 namespace {
 
-std::vector<std::string> receive_labels_of(const TaskGraph& frag) {
-  std::vector<std::string> labels;
-  for (const auto& t : frag.tasks()) {
-    if (t.unit_type == "Receive") labels.push_back(t.params.get("label", ""));
-  }
-  return labels;
-}
-
-/// Fragments emit through Send proxies only (Scatter/Broadcast live in the
-/// home graph); these are the labels a fenced recovery must fence.
-std::vector<std::string> send_labels_of(const TaskGraph& frag) {
-  std::vector<std::string> labels;
-  for (const auto& t : frag.tasks()) {
-    if (t.unit_type == "Send") labels.push_back(t.params.get("label", ""));
-  }
-  return labels;
-}
-
 std::string fragment_key(std::size_t idx) {
   return "fragment#" + std::to_string(idx);
 }
@@ -431,7 +413,7 @@ void RunSupervisor::broadcast_refence(std::size_t idx, std::uint64_t epoch,
   // the rebind also halts a zombie still ADVERTISING these labels -- and is
   // sent to the dead host itself so a returning partitionee learns its
   // fate without guessing.
-  for (const auto& label : receive_labels_of(run_->fragments[idx])) {
+  for (const auto& label : channel_labels(run_->fragments[idx]).inputs) {
     home().rebind_channel(label);
     for (std::size_t j = 0; j < run_->workers.size(); ++j) {
       if (j == idx) continue;
@@ -452,7 +434,7 @@ void RunSupervisor::broadcast_refence(std::size_t idx, std::uint64_t epoch,
   // there. The scope matters for fan-in labels, which every sibling
   // replica shares at its own epoch: an unscoped fence would halt healthy
   // jobs. The dead host itself is told to halt its zombie sender.
-  for (const auto& label : send_labels_of(run_->fragments[idx])) {
+  for (const auto& label : channel_labels(run_->fragments[idx]).outputs) {
     home().pipes().fence(label, epoch, dead.value);
     for (std::size_t j = 0; j < run_->workers.size(); ++j) {
       if (j == idx) continue;

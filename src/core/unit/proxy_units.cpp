@@ -4,6 +4,35 @@
 
 namespace cg::core {
 
+std::vector<std::string> split_labels(const std::string& csv) {
+  std::vector<std::string> labels;
+  std::size_t start = 0;
+  while (start < csv.size()) {
+    std::size_t comma = csv.find(',', start);
+    if (comma == std::string::npos) comma = csv.size();
+    if (comma > start) labels.push_back(csv.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return labels;
+}
+
+void ChannelOut::set_labels(std::vector<std::string> labels,
+                            const char* param) {
+  std::erase(labels, std::string());
+  if (labels.empty()) {
+    throw std::invalid_argument(info().type_name + ": missing " + param);
+  }
+  labels_ = std::move(labels);
+}
+
+void ChannelOut::send(const std::string& label, const DataItem& item) const {
+  if (!sender_) {
+    throw std::logic_error(info().type_name + " '" + label +
+                           "' fired with no channel sender installed");
+  }
+  sender_(label, item);
+}
+
 UnitInfo SendUnit::make_info() {
   UnitInfo i;
   i.type_name = "Send";
@@ -20,16 +49,11 @@ const UnitInfo& SendUnit::info() const {
 }
 
 void SendUnit::configure(const ParamSet& p) {
-  label_ = p.get("label", "");
-  if (label_.empty()) throw std::invalid_argument("Send: missing label");
+  set_labels({p.get("label", "")}, "label");
 }
 
 void SendUnit::process(ProcessContext& ctx) {
-  if (!sender_) {
-    throw std::logic_error("Send '" + label_ +
-                           "' fired with no channel sender installed");
-  }
-  sender_(label_, ctx.input(0));
+  send(labels_[0], ctx.input(0));
 }
 
 UnitInfo ScatterUnit::make_info() {
@@ -48,27 +72,11 @@ const UnitInfo& ScatterUnit::info() const {
 }
 
 void ScatterUnit::configure(const ParamSet& p) {
-  labels_.clear();
-  std::string csv = p.get("labels", "");
-  std::size_t start = 0;
-  while (start <= csv.size() && !csv.empty()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string label = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!label.empty()) labels_.push_back(label);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (labels_.empty()) {
-    throw std::invalid_argument("Scatter: missing labels");
-  }
+  set_labels(split_labels(p.get("labels", "")), "labels");
 }
 
 void ScatterUnit::process(ProcessContext& ctx) {
-  if (!sender_) {
-    throw std::logic_error("Scatter fired with no channel sender installed");
-  }
-  sender_(labels_[next_ % labels_.size()], ctx.input(0));
+  send(labels_[next_ % labels_.size()], ctx.input(0));
   next_ = (next_ + 1) % labels_.size();
 }
 
@@ -98,27 +106,11 @@ const UnitInfo& BroadcastUnit::info() const {
 }
 
 void BroadcastUnit::configure(const ParamSet& p) {
-  labels_.clear();
-  const std::string csv = p.get("labels", "");
-  std::size_t start = 0;
-  while (start <= csv.size() && !csv.empty()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string label = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!label.empty()) labels_.push_back(label);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (labels_.empty()) {
-    throw std::invalid_argument("Broadcast: missing labels");
-  }
+  set_labels(split_labels(p.get("labels", "")), "labels");
 }
 
 void BroadcastUnit::process(ProcessContext& ctx) {
-  if (!sender_) {
-    throw std::logic_error("Broadcast fired with no channel sender installed");
-  }
-  for (const auto& label : labels_) sender_(label, ctx.input(0));
+  for (const auto& label : labels_) send(label, ctx.input(0));
 }
 
 UnitInfo VoteUnit::make_info() {

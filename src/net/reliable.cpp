@@ -303,7 +303,7 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
   if (frame.type != serial::FrameType::kReliable) {
     ++stats_.passthrough_delivered;
     obs_.passthrough_delivered.inc();
-    if (handler_) handler_(from, std::move(frame));
+    deliver_up(from, std::move(frame));
     return;
   }
 
@@ -360,7 +360,18 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
             " conn=" + conn_name(from, inner_.local()) + " type=" +
             type_tag(env.inner.type));
   }
-  if (handler_) handler_(from, std::move(env.inner));
+  deliver_up(from, std::move(env.inner));
+}
+
+void ReliableTransport::deliver_up(const Endpoint& from, serial::Frame frame) {
+  if (!handler_) return;
+  try {
+    handler_(from, std::move(frame));
+  } catch (const serial::DecodeError&) {
+    // The layer above could not decode a frame a peer sent: drop it like
+    // a malformed envelope instead of unwinding through the reactor.
+    ++stats_.malformed_dropped;
+  }
 }
 
 }  // namespace cg::net

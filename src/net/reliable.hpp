@@ -206,6 +206,9 @@ class ReliableTransport final : public Transport {
 
   bool is_reliable_type(serial::FrameType t) const;
   void on_frame(const Endpoint& from, serial::Frame frame);
+  /// Hands `frame` to the handler; a DecodeError it throws is counted in
+  /// malformed_dropped.
+  void deliver_up(const Endpoint& from, serial::Frame frame);
   void arm_retry_timer();
   void on_retry_timer();
   double jittered(double delay_s);

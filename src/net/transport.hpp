@@ -2,8 +2,8 @@
 //
 // Everything above this layer (pipes, discovery, the service/controller
 // protocol) is transport-agnostic: the same peer code runs over the
-// discrete-event simulator (for 1000s of peers in benches), the in-process
-// hub (for multi-threaded tests) and real TCP sockets (for the
+// discrete-event simulator (for 1000s of peers in benches) and over real
+// TCP sockets (TcpLoopbackBackend for whole grids on 127.0.0.1, and the
 // p2p_discovery example). This is ConGrid's version of the paper's
 // "middleware independence" design constraint (section 3.3).
 //

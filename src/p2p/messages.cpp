@@ -1,5 +1,7 @@
 #include "p2p/messages.hpp"
 
+#include <algorithm>
+
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "xml/parse.hpp"
@@ -23,12 +25,25 @@ void write_adverts(serial::Writer& w,
   }
 }
 
+/// Reads an Advertisement or Query carried as XML text. A malformed body
+/// is a malformed frame, so it surfaces as DecodeError.
+template <typename T>
+T read_xml(serial::Reader& r) {
+  const std::string text = r.string();
+  try {
+    return T::from_xml(xml::parse(text));
+  } catch (const xml::XmlError& e) {
+    throw serial::DecodeError(std::string("discovery message: ") + e.what());
+  }
+}
+
 std::vector<Advertisement> read_adverts(serial::Reader& r) {
   const std::uint64_t n = r.varint();
   std::vector<Advertisement> out;
-  out.reserve(n);
+  // Each advert takes at least its one-byte length prefix.
+  out.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(Advertisement::from_xml(xml::parse(r.string())));
+    out.push_back(read_xml<Advertisement>(r));
   }
   return out;
 }
@@ -98,7 +113,7 @@ QueryMsg decode_query(const serial::Frame& f) {
   m.query_id = r.u64();
   m.origin = net::Endpoint{r.string()};
   m.ttl = r.u8();
-  m.query = Query::from_xml(xml::parse(r.string()));
+  m.query = read_xml<Query>(r);
   return m;
 }
 
@@ -195,7 +210,8 @@ FindNodeReplyMsg decode_find_node_reply(const serial::Frame& f) {
   m.rpc_id = r.u64();
   m.from = r.u64();
   const std::uint64_t n = r.varint();
-  m.contacts.reserve(n);
+  // Each contact takes at least its 8-byte id and 1-byte endpoint prefix.
+  m.contacts.reserve(std::min<std::uint64_t>(n, r.remaining() / 9));
   for (std::uint64_t i = 0; i < n; ++i) {
     WireContact c;
     c.id = r.u64();
@@ -224,7 +240,7 @@ IndexQueryMsg decode_index_query(const serial::Frame& f) {
   m.origin = net::Endpoint{r.string()};
   m.shard = r.u32();
   m.limit = r.u32();
-  m.query = Query::from_xml(xml::parse(r.string()));
+  m.query = read_xml<Query>(r);
   return m;
 }
 

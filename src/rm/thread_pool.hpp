@@ -1,10 +1,9 @@
 // ConGrid -- thread pool.
 //
-// The real-execution substrate behind the data-flow engine and the
-// ThreadPoolManager: a fixed set of workers draining a task queue. The
-// wave scheduler (core/engine) drives it through submit_batch(), which
-// enqueues a whole wave under one lock and hands back a Batch barrier to
-// wait on at the wave boundary.
+// The real-execution substrate behind the data-flow engine: a fixed set
+// of workers draining a task queue. The wave scheduler (core/engine)
+// drives it through submit_batch(), which enqueues a whole wave under one
+// lock and hands back a Batch barrier to wait on at the wave boundary.
 #pragma once
 
 #include <condition_variable>

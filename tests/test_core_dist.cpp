@@ -1,9 +1,11 @@
 // Tests for the distribution policies: plan structure for parallel (farm)
-// and p2p (pipeline), and end-to-end equivalence -- a distributed plan
-// executed through an in-memory channel router must compute the same
-// results as running the original graph locally.
+// and p2p (pipeline), channel closure across all three policies, and
+// end-to-end equivalence -- a distributed plan executed through an
+// in-memory channel router must compute the same results as running the
+// original graph locally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/dist/policy.hpp"
@@ -99,8 +101,8 @@ TEST(ParallelPolicy, PlanShape) {
   EXPECT_NE(scatter->params.get("labels", "").find("run1/w1/in0"),
             std::string::npos);
   EXPECT_EQ(plan.home_graph.task("G.out0")->unit_type, "Receive");
-  ASSERT_EQ(plan.home_input_labels.size(), 1u);
-  EXPECT_EQ(plan.home_input_labels[0], "run1/out0");
+  EXPECT_EQ(channel_labels(plan.home_graph).inputs,
+            std::vector<std::string>{"run1/out0"});
 }
 
 TEST(ParallelPolicy, DistributedEqualsLocal) {
@@ -207,6 +209,83 @@ TEST(PipelinePolicy, FewerWorkersThanTasksRoundRobins) {
     if (c.from_task == "Scale" && c.to_task == "Shift") local_edge = true;
   }
   EXPECT_TRUE(local_edge);
+}
+
+/// Two-input, three-output group [Add -> Scale, Add -> Shift -> Clip] that
+/// exposes Shift both directly and through Clip.
+TaskGraph multi_port_graph() {
+  TaskGraph inner("inner");
+  inner.add_task("Add", "Adder");
+  inner.add_task("Scale", "Scaler");
+  inner.add_task("Shift", "Offset");
+  inner.add_task("Clip", "Clipper");
+  inner.connect("Add", 0, "Scale", 0);
+  inner.connect("Add", 0, "Shift", 0);
+  inner.connect("Shift", 0, "Clip", 0);
+
+  TaskGraph g("multi");
+  g.add_task("WaveA", "Wave");
+  g.add_task("WaveB", "Wave");
+  TaskDef& grp = g.add_group("G", std::move(inner), "parallel");
+  grp.group_inputs = {GroupPort{"Add", 0}, GroupPort{"Add", 1}};
+  grp.group_outputs = {GroupPort{"Scale", 0}, GroupPort{"Clip", 0},
+                       GroupPort{"Shift", 0}};
+  g.add_task("SinkA", "Grapher");
+  g.add_task("SinkB", "Grapher");
+  g.add_task("SinkC", "Grapher");
+  g.connect("WaveA", 0, "G", 0);
+  g.connect("WaveB", 0, "G", 1);
+  g.connect("G", 0, "SinkA", 0);
+  g.connect("G", 1, "SinkB", 0);
+  g.connect("G", 2, "SinkC", 0);
+  return g;
+}
+
+/// Every label of a plan, home and fragments together.
+ChannelLabels plan_labels(const DistributionPlan& plan) {
+  ChannelLabels all = channel_labels(plan.home_graph);
+  for (const auto& frag : plan.fragments) {
+    ChannelLabels f = channel_labels(frag);
+    all.inputs.insert(all.inputs.end(), f.inputs.begin(), f.inputs.end());
+    all.outputs.insert(all.outputs.end(), f.outputs.begin(), f.outputs.end());
+  }
+  return all;
+}
+
+// The cut is closed: whatever the policy, worker count or port count,
+// every channel written has exactly one reader, every channel read has a
+// writer, and two deployments (prefixes) never share a channel.
+TEST(Policies, ChannelsAreClosedAndPrivateToTheirPrefix) {
+  for (const std::string name : {"parallel", "p2p", "replicated"}) {
+    const auto policy = make_policy(name);
+    for (const TaskGraph& g : {pipeline_graph(), multi_port_graph()}) {
+      for (std::size_t workers = 1; workers <= 6; ++workers) {
+        SCOPED_TRACE(name + " " + g.name() + " x" + std::to_string(workers));
+        if (name == "replicated" && workers < 2) {
+          EXPECT_THROW(policy->plan(g, "G", workers, "a"),
+                       std::invalid_argument);
+          continue;
+        }
+        const ChannelLabels a = plan_labels(policy->plan(g, "G", workers, "a"));
+        ASSERT_FALSE(a.outputs.empty());
+        for (const auto& label : a.outputs) {
+          EXPECT_EQ(std::count(a.inputs.begin(), a.inputs.end(), label), 1)
+              << label;
+        }
+        for (const auto& label : a.inputs) {
+          EXPECT_NE(std::find(a.outputs.begin(), a.outputs.end(), label),
+                    a.outputs.end())
+              << label;
+        }
+        const ChannelLabels b = plan_labels(policy->plan(g, "G", workers, "b"));
+        for (const auto& label : b.inputs) {
+          EXPECT_EQ(std::find(a.inputs.begin(), a.inputs.end(), label),
+                    a.inputs.end())
+              << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(Policies, Errors) {

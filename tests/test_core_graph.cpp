@@ -1,9 +1,8 @@
 // Tests for task graphs: construction, XML round-trips (including the
-// paper's Code Segment 1 shape), validation, flattening of nested groups,
-// and group extraction with unique channel labels.
+// paper's Code Segment 1 shape), validation and flattening of nested
+// groups.
 #include <gtest/gtest.h>
 
-#include "core/graph/group_ops.hpp"
 #include "core/graph/taskgraph.hpp"
 #include "core/graph/taskgraph_xml.hpp"
 #include "core/graph/validate.hpp"
@@ -256,43 +255,6 @@ TEST(Flatten, NestedGroupsResolveRecursively) {
   }
   EXPECT_TRUE(wired);
   EXPECT_TRUE(validate(flat, reg()).ok());
-}
-
-TEST(ExtractGroup, SplitsIntoHomeAndRemote) {
-  GroupExtraction ex =
-      extract_group(code_segment_1(), "GroupTask", "job42");
-
-  // Remote: Gaussian, FFT + one Receive + one Send.
-  EXPECT_EQ(ex.remote_fragment.tasks().size(), 4u);
-  const TaskDef* recv = ex.remote_fragment.task("__recv0");
-  ASSERT_NE(recv, nullptr);
-  EXPECT_EQ(recv->params.get("label", ""), "job42/in0");
-  const TaskDef* send = ex.remote_fragment.task("__send0");
-  ASSERT_NE(send, nullptr);
-  EXPECT_EQ(send->params.get("label", ""), "job42/out0");
-  EXPECT_TRUE(validate(ex.remote_fragment, reg()).ok());
-
-  // Home: Wave, Grapher + Send/Receive proxies.
-  EXPECT_EQ(ex.home_graph.tasks().size(), 4u);
-  EXPECT_NE(ex.home_graph.task("GroupTask.in0"), nullptr);
-  EXPECT_NE(ex.home_graph.task("GroupTask.out0"), nullptr);
-  EXPECT_TRUE(validate(ex.home_graph, reg()).ok());
-
-  ASSERT_EQ(ex.channels.size(), 2u);
-  EXPECT_TRUE(ex.channels[0].into_group);
-  EXPECT_FALSE(ex.channels[1].into_group);
-}
-
-TEST(ExtractGroup, DifferentPrefixesGiveDifferentLabels) {
-  auto a = extract_group(code_segment_1(), "GroupTask", "p1");
-  auto b = extract_group(code_segment_1(), "GroupTask", "p2");
-  EXPECT_NE(a.channels[0].label, b.channels[0].label);
-}
-
-TEST(ExtractGroup, NonGroupRejected) {
-  TaskGraph g = code_segment_1();
-  EXPECT_THROW(extract_group(g, "Wave", "p"), std::invalid_argument);
-  EXPECT_THROW(extract_group(g, "Ghost", "p"), std::out_of_range);
 }
 
 }  // namespace

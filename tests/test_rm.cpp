@@ -1,12 +1,11 @@
-// Tests for cg_rm: the thread pool, the launch managers, and the simulated
-// batch queue's slot/queueing behaviour in virtual time.
+// Tests for cg_rm: the thread pool and the simulated batch queue's
+// slot/queueing behaviour in virtual time.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "net/sim_network.hpp"
 #include "rm/batch_queue.hpp"
-#include "rm/manager.hpp"
 #include "rm/thread_pool.hpp"
 
 namespace cg::rm {
@@ -137,45 +136,6 @@ TEST(ThreadPool, ShutdownIsIdempotentAndJoins) {
   pool.shutdown();
   pool.shutdown();  // second call is a no-op
   EXPECT_EQ(count.load(), 8);
-}
-
-TEST(InlineManager, RunsSynchronouslyAndReportsSuccess) {
-  InlineManager mgr;
-  bool ran = false, done_ok = false;
-  mgr.launch(Job{"j1", [&] { ran = true; },
-                 [&](bool ok, const std::string&) { done_ok = ok; }});
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(done_ok);
-  EXPECT_EQ(mgr.stats().launched, 1u);
-  EXPECT_EQ(mgr.stats().succeeded, 1u);
-  EXPECT_EQ(mgr.kind(), "inline");
-}
-
-TEST(InlineManager, CapturesFailure) {
-  InlineManager mgr;
-  std::string error;
-  mgr.launch(Job{"j1", [] { throw std::runtime_error("module crashed"); },
-                 [&](bool ok, const std::string& e) {
-                   EXPECT_FALSE(ok);
-                   error = e;
-                 }});
-  EXPECT_EQ(error, "module crashed");
-  EXPECT_EQ(mgr.stats().failed, 1u);
-}
-
-TEST(ThreadPoolManager, RunsJobsOnPool) {
-  ThreadPool pool(2);
-  ThreadPoolManager mgr(pool);
-  std::atomic<int> ok_count{0};
-  for (int i = 0; i < 20; ++i) {
-    mgr.launch(Job{"j", [] {},
-                   [&](bool ok, const std::string&) { ok_count += ok; }});
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ok_count.load(), 20);
-  EXPECT_EQ(mgr.stats().launched, 20u);
-  EXPECT_EQ(mgr.stats().succeeded, 20u);
-  EXPECT_EQ(mgr.kind(), "thread-pool");
 }
 
 TEST(BatchQueue, RespectsSlotLimit) {

@@ -1,8 +1,9 @@
 // Wire-batching and TCP output-path tests: coalescing thresholds and flush
 // ticks in ReliableTransport, the oversized-frame bypass, batching over a
 // real socket, the partial-write/no-interleaving guarantee under a tiny
-// SO_SNDBUF, and a cross-thread TCP ping-pong (the TSan canary for the
-// per-connection buffers).
+// SO_SNDBUF, a cross-thread TCP ping-pong (the TSan canary for the
+// per-connection buffers), and a service that survives malformed frames
+// from a socket peer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/service/service.hpp"
+#include "core/unit/builtin.hpp"
 #include "net/loopback.hpp"
 #include "net/reliable.hpp"
 #include "net/sim_network.hpp"
 #include "net/tcp.hpp"
+#include "p2p/messages.hpp"
+#include "serial/writer.hpp"
 
 namespace cg::net {
 namespace {
@@ -392,6 +397,85 @@ TEST(TcpWire, CrossThreadPingPongIsRaceFree) {
 
   EXPECT_EQ(b_got.load(), kRounds);
   EXPECT_EQ(a_got.load(), kRounds);
+}
+
+// Every byte from a socket is hostile: a peer that sends undecodable
+// control, discovery, code or data frames -- truncated, with broken XML,
+// or with an element count that lies; bare or inside a reliable envelope
+// -- gets them dropped and counted, and the service keeps serving. Before
+// the decoders reported XML failures as DecodeError, bounded their
+// reserves by the bytes left, and the reliable layer caught DecodeError
+// from the layer above, each of these unwound out of the pump.
+TEST(TcpWire, MalformedFramesAreDroppedAndTheServiceKeepsServing) {
+  TcpLoopbackBackend be;
+  auto clock = be.clock();
+  auto sched = be.scheduler();
+  static core::UnitRegistry reg = core::UnitRegistry::with_builtins();
+  core::ServiceConfig hc;
+  hc.peer_id = "home";
+  core::TrianaService home(be.add_node(), clock, sched, reg, hc);
+  core::ServiceConfig wc;
+  wc.peer_id = "worker";
+  core::TrianaService worker(be.add_node(), clock, sched, reg, wc);
+  Transport& rogue = be.add_node();
+  ReliableTransport rogue_reliable(rogue, clock, sched, ReliableConfig{});
+
+  // A length prefix claiming 4 GiB with nothing behind it.
+  const serial::Bytes truncated{0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
+  const auto control = [](std::string_view header) {
+    serial::Writer w;
+    w.string(header);
+    w.blob(serial::Bytes{});
+    return w.take();
+  };
+  serial::Writer query;  // well-framed query whose XML body is cut short
+  query.u8(static_cast<std::uint8_t>(p2p::DiscoveryMsgType::kQuery));
+  for (int i = 0; i < 4; ++i) query.u64(0);
+  query.string("rogue:0");
+  query.u8(3);
+  query.string("<query");
+  serial::Writer response;  // claims 2^62 adverts and carries none
+  response.u8(static_cast<std::uint8_t>(p2p::DiscoveryMsgType::kResponse));
+  for (int i = 0; i < 4; ++i) response.u64(0);
+  response.varint(std::uint64_t{1} << 62);
+  const std::vector<std::pair<serial::FrameType, serial::Bytes>> cases = {
+      {serial::FrameType::kControl, truncated},
+      {serial::FrameType::kControl, control("<deploy job='j'")},
+      {serial::FrameType::kControl, control("<deploy/>")},
+      {serial::FrameType::kDiscovery, serial::Bytes{1, 0xFF, 0xFF}},  // query
+      {serial::FrameType::kDiscovery, query.take()},
+      {serial::FrameType::kDiscovery, response.take()},
+      {serial::FrameType::kCode, serial::Bytes{1, 0xFF, 0xFF}},  // request
+      {serial::FrameType::kData, truncated},
+  };
+  for (const auto& [type, payload] : cases) {
+    serial::Frame f;
+    f.type = type;
+    f.payload = payload;
+    rogue.send(worker.endpoint(), f);           // bare
+    rogue_reliable.send(worker.endpoint(), f);  // wrapped
+  }
+  const std::uint64_t want = 2 * cases.size();
+  ASSERT_TRUE(be.run_until(be.now() + 10.0, [&] {
+    return worker.reliable().stats().malformed_dropped == want &&
+           rogue_reliable.stats().acked == cases.size();
+  })) << "dropped " << worker.reliable().stats().malformed_dropped;
+
+  core::TaskGraph simple("after-rogue");
+  simple.add_task("Wave", "Wave");
+  simple.add_task("Sink", "NullSink");
+  simple.connect("Wave", 0, "Sink", 0);
+  home.publish_graph_modules(simple, 1024);
+  bool acked = false;
+  core::DeployAckMsg got;
+  home.deploy_remote(worker.endpoint(), simple, 1,
+                     [&](const core::DeployAckMsg& a) {
+                       acked = true;
+                       got = a;
+                     });
+  ASSERT_TRUE(be.run_until(be.now() + 10.0, [&] { return acked; }));
+  EXPECT_TRUE(got.ok) << got.error;
+  EXPECT_EQ(worker.reliable().stats().malformed_dropped, want);
 }
 
 }  // namespace
