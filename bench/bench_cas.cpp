@@ -56,10 +56,8 @@ struct Grid {
   Grid(std::size_t n_workers, obs::Registry& registry,
        const std::string& phase, std::vector<cas::ContentStore*> stores,
        bool memoize) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto clock = net.clock();
+    auto sched = net.scheduler();
     ServiceConfig home_cfg;
     home_cfg.peer_id = "home";
     home = std::make_unique<TrianaService>(net.add_node(), clock, sched,

@@ -100,10 +100,8 @@ int main() {
   // Live migration on the service stack: AccumStat state survives.
   {
     net::SimNetwork net({}, 1);
-    auto clock = [&net] { return net.now(); };
-    auto sched = [&net](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto clock = net.clock();
+    auto sched = net.scheduler();
     core::ServiceConfig hc;
     hc.peer_id = "home";
     core::TrianaService home(net.add_node(), clock, sched, registry, hc);
@@ -174,10 +172,8 @@ int main() {
 
   for (const bool supervised : {false, true}) {
     net::SimNetwork simnet({}, 1);
-    auto clock = [&simnet] { return simnet.now(); };
-    auto sched = [&simnet](double d, std::function<void()> fn) {
-      simnet.schedule(d, std::move(fn));
-    };
+    auto clock = simnet.clock();
+    auto sched = simnet.scheduler();
     core::ServiceConfig hc;
     hc.peer_id = "home";
     core::TrianaService home(simnet.add_node(), clock, sched, registry, hc);

@@ -142,10 +142,8 @@ void apply_trace(net::SimNetwork& net, std::uint32_t node,
 Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
                  obs::Tracer* tracer) {
   net::SimNetwork net({}, spec.seed);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   // Data must survive multi-round outages: generous retry budget, like the
   // chaos tests.
   net::ReliableConfig rel;

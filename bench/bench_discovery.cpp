@@ -63,9 +63,7 @@ Outcome run_expanding_ring(std::size_t n, std::uint64_t seed) {
   opt.initial_ttl = 2;
   opt.max_ttl = 64;
   opt.ring_timeout_s = 2.0;
-  auto sched = [&](double d, std::function<void()> fn) {
-    ov.net.schedule(d, std::move(fn));
-  };
+  auto sched = ov.net.scheduler();
   return bench::measure_queries(
       ov, [&] { return ov.rng.below(n); },
       [&](std::size_t origin, const std::function<void()>& hit) {

@@ -100,9 +100,7 @@ struct Swarm : bench::PeerRing {
     cfg.bootstrap = [sorted](p2p::NodeId self) {
       return sample_buckets(self, *sorted, 2);
     };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto sched = net.scheduler();
     for (std::size_t i = 0; i < n; ++i) {
       overlays.push_back(
           std::make_unique<p2p::OverlayNode>(*nodes[i], sched, cfg));

@@ -244,11 +244,7 @@ int main(int argc, char** argv) {
     rm::BatchQueueOptions opt;
     opt.slots = 20;
     opt.mean_queue_overhead_s = overhead;
-    rm::SimBatchQueue queue(
-        [&sim](double d, std::function<void()> fn) {
-          sim.schedule(d, std::move(fn));
-        },
-        [&sim] { return sim.now(); }, opt, 11);
+    rm::SimBatchQueue queue(sim.scheduler(), sim.clock(), opt, 11);
     dsp::RunningStats latency;
     double makespan = 0;
     for (int c = 0; c < 200; ++c) {

@@ -69,10 +69,8 @@ Result run_policy(const std::string& policy, int samples, int items,
                   obs::Registry* obs_registry = nullptr,
                   obs::Tracer* tracer = nullptr) {
   net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
 
   core::ServiceConfig hc;

@@ -71,8 +71,7 @@ double run_raw(double loss, std::uint64_t seed) {
 
   net::FaultPlan plan;
   plan.default_link.drop = loss;
-  net::FaultInjector inj(net, plan, seed);
-  inj.arm();
+  net.arm_faults(plan, seed);
 
   int got = 0;
   b.set_handler([&](const net::Endpoint&, serial::Frame) { ++got; });
@@ -88,10 +87,8 @@ Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
   net::SimNetwork net({}, seed);
   auto& ta = net.add_node();
   auto& tb = net.add_node();
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
 
   net::ReliableConfig cfg;
   cfg.seed = seed;
@@ -108,8 +105,7 @@ Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
 
   net::FaultPlan plan;
   plan.default_link.drop = loss;
-  net::FaultInjector inj(net, plan, seed);
-  inj.arm();
+  net.arm_faults(plan, seed);
 
   std::vector<double> sent_at(g_messages, 0.0);
   int got = 0;

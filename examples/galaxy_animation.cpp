@@ -51,10 +51,8 @@ double frame_brightness(const core::ImageFrame& f) {
 
 int main() {
   net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
   galaxy::register_galaxy_units(registry);
 

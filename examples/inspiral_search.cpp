@@ -18,10 +18,8 @@ using namespace cg;
 int main() {
   // -- the consumer grid: 1 controller + 4 volunteer services -------------
   net::SimNetwork net({}, /*seed=*/1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
   gw::register_gw_units(registry);
 

@@ -4,60 +4,23 @@
 // Peer C advertises capabilities and an input pipe; peer A discovers C by
 // attribute query through flooding (via B), binds the pipe by its unique
 // name, and streams data to it -- the JXTA-style interaction of paper 3.4,
-// but on the from-scratch epoll transport instead of the simulator.
+// but on the from-scratch epoll transport instead of the simulator. The
+// loopback backend owns the sockets and the timer queue and pumps both.
 #include <cstdio>
 
-#include "net/tcp.hpp"
-#include "net/time.hpp"
+#include "net/loopback.hpp"
 #include "p2p/pipes.hpp"
 
 using namespace cg;
 
-namespace {
-
-/// A trivial wall-clock timer queue so PipeServe's Scheduler works outside
-/// the simulator: poll() fires due callbacks.
-class TimerQueue {
- public:
-  explicit TimerQueue(net::Clock clock) : clock_(std::move(clock)) {}
-  void add(double delay_s, std::function<void()> fn) {
-    timers_.push_back({clock_() + delay_s, std::move(fn)});
-  }
-  void poll() {
-    const double now = clock_();
-    for (std::size_t i = 0; i < timers_.size();) {
-      if (timers_[i].due <= now) {
-        auto fn = std::move(timers_[i].fn);
-        timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        fn();
-      } else {
-        ++i;
-      }
-    }
-  }
-
- private:
-  struct Timer {
-    double due;
-    std::function<void()> fn;
-  };
-  net::Clock clock_;
-  std::vector<Timer> timers_;
-};
-
-}  // namespace
-
 int main() {
-  net::Clock clock = net::steady_clock_seconds();
-  TimerQueue timers(clock);
-  auto sched = [&timers](double d, std::function<void()> fn) {
-    timers.add(d, std::move(fn));
-  };
-
-  net::TcpTransport ta(0), tb(0), tc(0);
-  p2p::PeerNode a(ta, clock, p2p::PeerConfig{.peer_id = "alice"});
-  p2p::PeerNode b(tb, clock, p2p::PeerConfig{.peer_id = "bob"});
-  p2p::PeerNode c(tc, clock, p2p::PeerConfig{.peer_id = "carol"});
+  net::TcpLoopbackBackend world;
+  net::Transport& ta = world.add_node();
+  net::Transport& tb = world.add_node();
+  net::Transport& tc = world.add_node();
+  p2p::PeerNode a(ta, world.clock(), p2p::PeerConfig{.peer_id = "alice"});
+  p2p::PeerNode b(tb, world.clock(), p2p::PeerConfig{.peer_id = "bob"});
+  p2p::PeerNode c(tc, world.clock(), p2p::PeerConfig{.peer_id = "carol"});
   std::printf("alice @ %s\nbob   @ %s\ncarol @ %s\n", ta.local().value.c_str(),
               tb.local().value.c_str(), tc.local().value.c_str());
 
@@ -67,8 +30,8 @@ int main() {
   b.add_neighbor(tc.local());
   c.add_neighbor(tb.local());
 
-  p2p::PipeServe pipes_a(a, sched);
-  p2p::PipeServe pipes_c(c, sched);
+  p2p::PipeServe pipes_a(a, world.scheduler());
+  p2p::PipeServe pipes_c(c, world.scheduler());
 
   // Carol: publish capabilities + serve an input pipe.
   c.publish_local(c.make_peer_advert({{"cpu_mhz", "1800"},
@@ -82,13 +45,8 @@ int main() {
                                         from.value.c_str());
                           });
 
-  auto pump = [&](int rounds) {
-    for (int i = 0; i < rounds; ++i) {
-      ta.poll_wait(2);
-      tb.poll_wait(2);
-      tc.poll_wait(2);
-      timers.poll();
-    }
+  auto pump = [&](const std::function<bool()>& done) {
+    world.run_until(world.now() + 2.0, done);
   };
 
   // Alice: find a peer with >= 1 GHz by flooding through bob.
@@ -104,7 +62,7 @@ int main() {
       found = true;
     }
   });
-  pump(200);
+  pump([&] { return found; });
   if (!found) {
     std::fprintf(stderr, "discovery failed\n");
     return 1;
@@ -114,7 +72,7 @@ int main() {
   p2p::OutputPipe pipe;
   pipes_a.bind_output("results-channel",
                       [&](p2p::OutputPipe p) { pipe = std::move(p); });
-  pump(200);
+  pump([&] { return pipe.bound(); });
   if (!pipe.bound()) {
     std::fprintf(stderr, "pipe bind failed\n");
     return 1;
@@ -125,7 +83,7 @@ int main() {
   for (int i = 0; i < 3; ++i) {
     pipes_a.send(pipe, serial::to_bytes("payload #" + std::to_string(i)));
   }
-  for (int spin = 0; spin < 500 && received < 3; ++spin) pump(1);
+  pump([&] { return received == 3; });
 
   std::printf("delivered %d/3 payloads over TCP\n", received);
   return received == 3 ? 0 : 1;

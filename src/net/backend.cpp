@@ -10,9 +10,4 @@ bool SimBackend::run_until(double t_s, const std::function<bool()>& done) {
   return done();
 }
 
-void SimBackend::arm_faults(const FaultPlan& plan, std::uint64_t seed) {
-  injector_ = std::make_unique<FaultInjector>(net_, plan, seed);
-  injector_->arm();
-}
-
 }  // namespace cg::net

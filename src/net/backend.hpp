@@ -9,9 +9,12 @@
 // Semantics both backends honour:
 //   * add_node() hands out transports for consecutive node ids 0, 1, 2...;
 //   * clock()/scheduler() are the ambient time functions for that world
-//     (virtual seconds for sim, wall seconds since construction for TCP);
-//   * arm_faults() applies a FaultPlan at the transport boundary: per-link
-//     drop/duplicate/delay/corrupt plus scripted crash windows, where a
+//     (virtual seconds for sim, wall seconds since construction for TCP),
+//     built on now() and schedule();
+//   * arm_faults() replays a FaultPlan through one FaultInjector
+//     (net/fault.hpp) owned by the backend, so the same (plan, seed) makes
+//     the same per-frame decisions on both: drop/duplicate/delay/corrupt
+//     per link, plus crash windows at absolute backend times, where a
 //     "crashed" node blackholes frames in both directions while its timers
 //     keep firing (matching SimNetwork::set_up);
 //   * run_until(t) drives I/O and timers until the backend clock passes t.
@@ -44,14 +47,21 @@ class NetworkBackend {
   /// the backend; valid until the backend dies. Call before run_until.
   virtual Transport& add_node() = 0;
 
-  /// Ambient time functions for services living in this world.
-  virtual Clock clock() = 0;
-  virtual Scheduler scheduler() = 0;
-
   virtual double now() const = 0;
 
   /// Run `fn` after `delay_s` seconds of backend time.
   virtual void schedule(double delay_s, std::function<void()> fn) = 0;
+
+  /// now() and schedule() as ambient time functions for services living
+  /// in this world.
+  Clock clock() {
+    return [this] { return now(); };
+  }
+  Scheduler scheduler() {
+    return [this](double d, std::function<void()> fn) {
+      schedule(d, std::move(fn));
+    };
+  }
 
   /// Drive I/O and timers until now() >= t_s.
   virtual void run_until(double t_s) = 0;
@@ -61,9 +71,9 @@ class NetworkBackend {
   /// completion instead of racing a timer.
   virtual bool run_until(double t_s, const std::function<bool()>& done) = 0;
 
-  /// Install a fault script. Crash windows are scheduled relative to the
-  /// CURRENT backend time. Call at most once, before the traffic it should
-  /// affect.
+  /// Install a fault script, before the traffic it should affect. Crash
+  /// windows are absolute backend times; one that opens before now() throws
+  /// std::invalid_argument. A second call throws std::logic_error.
   virtual void arm_faults(const FaultPlan& plan, std::uint64_t seed) = 0;
 
   /// What the fault machinery actually did (zeroes when never armed).
@@ -76,7 +86,7 @@ class NetworkBackend {
   virtual std::string name() const = 0;
 };
 
-/// The discrete-event world: wraps SimNetwork + FaultInjector.
+/// The discrete-event world: wraps SimNetwork.
 class SimBackend final : public NetworkBackend {
  public:
   explicit SimBackend(LinkParams params = {}, std::uint64_t seed = 1)
@@ -85,24 +95,16 @@ class SimBackend final : public NetworkBackend {
   SimNetwork& net() { return net_; }
 
   Transport& add_node() override { return net_.add_node(); }
-  Clock clock() override {
-    return [this] { return net_.now(); };
-  }
-  Scheduler scheduler() override {
-    return [this](double d, std::function<void()> fn) {
-      net_.schedule(d, std::move(fn));
-    };
-  }
   double now() const override { return net_.now(); }
   void schedule(double delay_s, std::function<void()> fn) override {
     net_.schedule(delay_s, std::move(fn));
   }
   void run_until(double t_s) override { net_.run_until(t_s); }
   bool run_until(double t_s, const std::function<bool()>& done) override;
-  void arm_faults(const FaultPlan& plan, std::uint64_t seed) override;
-  FaultStats fault_stats() const override {
-    return injector_ ? injector_->stats() : FaultStats{};
+  void arm_faults(const FaultPlan& plan, std::uint64_t seed) override {
+    net_.arm_faults(plan, seed);
   }
+  FaultStats fault_stats() const override { return net_.fault_stats(); }
   void set_up(std::size_t node, bool up) override {
     net_.set_up(static_cast<std::uint32_t>(node), up);
   }
@@ -110,7 +112,6 @@ class SimBackend final : public NetworkBackend {
 
  private:
   SimNetwork net_;
-  std::unique_ptr<FaultInjector> injector_;
 };
 
 }  // namespace cg::net

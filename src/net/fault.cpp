@@ -4,53 +4,36 @@
 
 namespace cg::net {
 
-FaultInjector::FaultInjector(SimNetwork& net, FaultPlan plan,
-                             std::uint64_t seed)
-    : net_(net), plan_(std::move(plan)), rng_(seed) {}
+FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
+    : plan_(std::move(plan)), rng_(seed) {}
 
-void FaultInjector::arm() {
-  if (armed_) throw std::logic_error("FaultInjector::arm called twice");
-  armed_ = true;
-
-  net_.set_fault_fn([this](std::uint32_t from, std::uint32_t to,
-                           const serial::Frame& frame) {
-    return on_frame(from, to, frame);
-  });
-
-  const double now = net_.now();
+void FaultInjector::schedule_crashes(
+    double now, const Scheduler& scheduler,
+    std::function<void(std::uint32_t, bool)> set_up) {
   for (const CrashWindow& cw : plan_.crashes) {
     if (cw.at_s < now) {
       throw std::invalid_argument("FaultInjector: crash window in the past");
     }
-    net_.schedule(cw.at_s - now, [this, node = cw.node] {
-      net_.set_up(node, false);
+  }
+  for (const CrashWindow& cw : plan_.crashes) {
+    scheduler(cw.at_s - now, [this, set_up, node = cw.node] {
+      set_up(node, false);
       ++stats_.crashes_opened;
     });
     if (cw.duration_s > 0.0) {
-      net_.schedule(cw.at_s + cw.duration_s - now, [this, node = cw.node] {
-        net_.set_up(node, true);
+      scheduler(cw.at_s + cw.duration_s - now, [this, set_up, node = cw.node] {
+        set_up(node, true);
         ++stats_.crashes_closed;
       });
     }
   }
 }
 
-void FaultInjector::disarm() {
-  net_.set_fault_fn(nullptr);
-  armed_ = false;
-}
-
-const LinkFaults& FaultInjector::faults_for(std::uint32_t from,
-                                            std::uint32_t to) const {
-  auto it = plan_.per_link.find({from, to});
-  return it != plan_.per_link.end() ? it->second : plan_.default_link;
-}
-
-FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to,
-                                    const serial::Frame& frame) {
-  (void)frame;
+FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to) {
   ++stats_.frames_seen;
-  const LinkFaults& lf = faults_for(from, to);
+  auto it = plan_.per_link.find({from, to});
+  const LinkFaults& lf =
+      it != plan_.per_link.end() ? it->second : plan_.default_link;
 
   FaultAction a;
   // Sample every fault class even when an earlier one already decided the
@@ -71,6 +54,7 @@ FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to,
   }
   if (dup) {
     a.duplicates = 1;
+    a.dup_delay_s = extra;
     ++stats_.duplicated;
   }
   if (corrupt) {

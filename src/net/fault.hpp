@@ -1,27 +1,31 @@
-// ConGrid -- scripted fault injection for SimNetwork.
+// ConGrid -- scripted fault injection, one model for every backend.
 //
 // Chaos tests need misbehaving networks that misbehave the *same way* every
-// run. FaultInjector compiles a declarative FaultPlan -- per-link frame
-// fault probabilities plus per-node crash windows -- into the SimNetwork
-// fault hook (set_fault_fn) and scheduled set_up() calls. All randomness
-// comes from the injector's own seeded Rng, independent of the network's
-// latency/loss stream, so the same (seed, plan) pair replays bit-for-bit.
+// run. A declarative FaultPlan -- per-link frame fault probabilities plus
+// per-node crash windows -- is replayed by one FaultInjector, owned by the
+// backend (SimNetwork::arm_faults, TcpLoopbackBackend::arm_faults). The
+// injector decides; the backend applies the decision at its own boundary.
+// All randomness comes from the injector's own seeded Rng, independent of
+// any network latency/loss stream, so the same (seed, plan) pair makes the
+// same decisions for the same frames on either backend.
 //
-// What it can do to a frame in flight, per link: drop it, deliver extra
-// copies (each with fresh latency, so duplicates also arrive out of order),
-// delay it by a sampled extra latency (reordering it past later frames),
-// or flip a payload bit (the simulator's CRC check then rejects it at the
-// receiver, which the reliable layer experiences as loss). Crash windows
-// take a node down at a scripted time and optionally bring it back up.
+// What it can do to a frame in flight, per link: drop it, deliver an extra
+// copy, delay it by a sampled extra latency (reordering it past later
+// frames), or flip a payload bit. The simulator gives each copy fresh
+// latency and rejects the flipped bit with its CRC check; TCP sends the
+// copy late and treats corruption as the loss it becomes on a real wire.
+// Crash windows take a node down at a scripted absolute time and
+// optionally bring it back up.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "dsp/rng.hpp"
-#include "net/sim_network.hpp"
+#include "net/time.hpp"
 
 namespace cg::net {
 
@@ -36,9 +40,9 @@ struct LinkFaults {
   double delay_max_s = 0.50;
 };
 
-/// One scripted outage: `node` goes down at `at_s` and, if `duration_s` is
-/// positive, comes back up at `at_s + duration_s` (a crash-and-restart).
-/// A non-positive duration is a permanent crash.
+/// One scripted outage: `node` goes down at backend time `at_s` and, if
+/// `duration_s` is positive, comes back up at `at_s + duration_s` (a
+/// crash-and-restart). A non-positive duration is a permanent crash.
 struct CrashWindow {
   std::uint32_t node = 0;
   double at_s = 0.0;
@@ -51,6 +55,18 @@ struct FaultPlan {
   LinkFaults default_link;
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkFaults> per_link;
   std::vector<CrashWindow> crashes;
+};
+
+/// What to do to one frame in flight. A duplicated frame is delivered
+/// `1 + duplicates` times.
+struct FaultAction {
+  bool drop = false;
+  int duplicates = 0;
+  double extra_delay_s = 0.0;  ///< added to the frame's latency (reordering)
+  /// How late a duplicate arrives on a backend that has no per-copy
+  /// latency of its own: the injector's delay sample for this frame.
+  double dup_delay_s = 0.0;
+  bool corrupt = false;        ///< flip payload bits in flight
 };
 
 /// What the injector actually did, for assertions and reports.
@@ -66,35 +82,31 @@ struct FaultStats {
   bool operator==(const FaultStats&) const = default;
 };
 
-/// Owns the plan + RNG and drives one SimNetwork. Construct, then arm()
-/// once before running the simulation. The injector must outlive the
-/// network's event processing (it is captured by reference in the hook).
+/// Holds the plan, the RNG and the stats; decides each frame and crash
+/// edge. Knows nothing of any backend.
 class FaultInjector {
  public:
-  FaultInjector(SimNetwork& net, FaultPlan plan, std::uint64_t seed = 1);
+  FaultInjector(FaultPlan plan, std::uint64_t seed);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Install the fault hook and schedule every crash window. Call once.
-  void arm();
+  /// Decide the fate of one frame on the link from -> to.
+  FaultAction on_frame(std::uint32_t from, std::uint32_t to);
 
-  /// Remove the fault hook (crash windows already scheduled still fire).
-  void disarm();
+  /// Schedule every crash window on `scheduler`, whose clock reads `now`:
+  /// `set_up(node, false)` at `at_s`, `set_up(node, true)` at the window's
+  /// end. Throws std::invalid_argument if a window opens before `now`. The
+  /// injector must outlive the scheduled callbacks.
+  void schedule_crashes(double now, const Scheduler& scheduler,
+                        std::function<void(std::uint32_t, bool)> set_up);
 
   const FaultStats& stats() const { return stats_; }
-  const FaultPlan& plan() const { return plan_; }
 
  private:
-  FaultAction on_frame(std::uint32_t from, std::uint32_t to,
-                       const serial::Frame& frame);
-  const LinkFaults& faults_for(std::uint32_t from, std::uint32_t to) const;
-
-  SimNetwork& net_;
   FaultPlan plan_;
   dsp::Rng rng_;
   FaultStats stats_;
-  bool armed_ = false;
 };
 
 }  // namespace cg::net

@@ -1,6 +1,8 @@
 #include "net/loopback.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 namespace cg::net {
@@ -16,7 +18,7 @@ FaultTransport::FaultTransport(TcpLoopbackBackend& owner, std::uint32_t node,
 }
 
 void FaultTransport::send(const Endpoint& to, serial::Frame frame) {
-  owner_.route_send(node_, to, std::move(frame), /*is_replay=*/false);
+  owner_.route_send(node_, to, std::move(frame));
 }
 
 void FaultTransport::set_handler(FrameHandler handler) {
@@ -29,7 +31,6 @@ TcpLoopbackBackend::TcpLoopbackBackend() : clock_(steady_clock_seconds()) {}
 
 Transport& TcpLoopbackBackend::add_node() {
   auto tcp = std::make_unique<TcpTransport>();
-  if (socket_buf_bytes_ > 0) tcp->set_socket_buffer_bytes(socket_buf_bytes_);
   const auto id = static_cast<std::uint32_t>(nodes_.size());
   node_by_endpoint_[tcp->local().value] = id;
   tcps_.push_back(std::move(tcp));
@@ -37,44 +38,18 @@ Transport& TcpLoopbackBackend::add_node() {
   return *nodes_.back();
 }
 
-Clock TcpLoopbackBackend::clock() { return clock_; }
-
-Scheduler TcpLoopbackBackend::scheduler() {
-  return [this](double d, std::function<void()> fn) {
-    schedule(d, std::move(fn));
-  };
-}
-
 void TcpLoopbackBackend::schedule(double delay_s, std::function<void()> fn) {
-  timers_.push(
-      Timer{clock_() + std::max(delay_s, 0.0), timer_seq_++, std::move(fn)});
+  timers_.push(clock_() + std::max(delay_s, 0.0), std::move(fn));
 }
 
 bool TcpLoopbackBackend::pump() {
-  bool moved = false;
   // Fire timers due now. Timers scheduled by a firing timer for "now" run
   // in the same pump, like the simulator's event loop.
-  const double t = clock_();
-  while (!timers_.empty() && timers_.top().at <= t) {
-    auto fn = std::move(const_cast<Timer&>(timers_.top()).fn);
-    timers_.pop();
-    fn();
-    moved = true;
-  }
+  bool moved = timers_.run_due(clock_()) > 0;
   for (auto& tcp : tcps_) {
     if (tcp->poll_wait(0) > 0) moved = true;
   }
   return moved;
-}
-
-void TcpLoopbackBackend::run_until(double t_s) {
-  while (clock_() < t_s) {
-    if (!pump()) {
-      // Idle: sleep briefly rather than spin. 200 us keeps the compressed
-      // test timelines (timers of a few ms) accurate enough.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
 }
 
 bool TcpLoopbackBackend::run_until(double t_s,
@@ -82,6 +57,8 @@ bool TcpLoopbackBackend::run_until(double t_s,
   while (!done()) {
     if (clock_() >= t_s) break;
     if (!pump()) {
+      // Idle: sleep briefly rather than spin. 200 us keeps the compressed
+      // test timelines (timers of a few ms) accurate enough.
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
@@ -90,31 +67,17 @@ bool TcpLoopbackBackend::run_until(double t_s,
 
 void TcpLoopbackBackend::arm_faults(const FaultPlan& plan,
                                     std::uint64_t seed) {
-  plan_ = plan;
-  rng_ = dsp::Rng(seed);
-  faults_armed_ = true;
-  for (const CrashWindow& w : plan_.crashes) {
-    schedule(w.at_s, [this, w] {
-      set_up(w.node, false);
-      ++fault_stats_.crashes_opened;
-    });
-    if (w.duration_s > 0.0) {
-      schedule(w.at_s + w.duration_s, [this, w] {
-        set_up(w.node, true);
-        ++fault_stats_.crashes_closed;
-      });
-    }
-  }
+  if (injector_) throw std::logic_error("arm_faults called twice");
+  auto injector = std::make_unique<FaultInjector>(plan, seed);
+  injector->schedule_crashes(now(), scheduler(),
+                             [this](std::uint32_t node, bool up) {
+                               set_up(node, up);
+                             });
+  injector_ = std::move(injector);
 }
 
 void TcpLoopbackBackend::set_up(std::size_t node, bool up) {
   if (node < nodes_.size()) nodes_[node]->up_ = up;
-}
-
-const LinkFaults& TcpLoopbackBackend::faults_for(std::uint32_t from,
-                                                 std::uint32_t to) const {
-  auto it = plan_.per_link.find({from, to});
-  return it != plan_.per_link.end() ? it->second : plan_.default_link;
 }
 
 std::uint32_t TcpLoopbackBackend::node_of(const Endpoint& e) const {
@@ -134,55 +97,47 @@ void TcpLoopbackBackend::log_frame(std::uint32_t from, std::uint32_t to,
 }
 
 void TcpLoopbackBackend::route_send(std::uint32_t from, const Endpoint& to,
-                                    serial::Frame frame, bool is_replay) {
+                                    serial::Frame frame) {
+  // A node inside a crash window sends nothing, so the injector never sees
+  // its frames (as in the sim).
+  if (!injector_ || !nodes_[from]->up_) {
+    wire_send(from, to, std::move(frame));
+    return;
+  }
   const std::uint32_t dst = node_of(to);
-  // A node inside a crash window sends nothing.
-  if (from < nodes_.size() && !nodes_[from]->up_) {
+  const FaultAction a = injector_->on_frame(from, dst);
+  // On a real wire, corruption IS loss: the kernel checksum or our frame
+  // CRC rejects the bytes and the reliable layer retransmits. Model it as
+  // a drop so both backends exercise the same recovery path.
+  if (a.drop || a.corrupt) {
     log_frame(from, dst, frame, "dropped");
     return;
   }
-  if (faults_armed_ && !is_replay) {
-    ++fault_stats_.frames_seen;
-    const LinkFaults& lf = faults_for(from, dst);
-    if (lf.drop > 0.0 && rng_.uniform() < lf.drop) {
-      ++fault_stats_.dropped;
-      log_frame(from, dst, frame, "dropped");
-      return;
-    }
-    // On a real wire, corruption IS loss: the kernel checksum or our frame
-    // CRC rejects the bytes and the reliable layer retransmits. Model it
-    // as a drop so both backends exercise the same recovery path.
-    if (lf.corrupt > 0.0 && rng_.uniform() < lf.corrupt) {
-      ++fault_stats_.corrupted;
-      log_frame(from, dst, frame, "dropped");
-      return;
-    }
-    if (lf.duplicate > 0.0 && rng_.uniform() < lf.duplicate) {
-      ++fault_stats_.duplicated;
-      serial::Frame copy = frame;
-      log_frame(from, dst, copy, "dup");
-      // The extra copy arrives late, like the sim's fresh-latency copy.
-      const double extra =
-          lf.delay_min_s +
-          (lf.delay_max_s - lf.delay_min_s) * rng_.uniform();
-      schedule(extra, [this, from, to, copy = std::move(copy)]() mutable {
-        route_send(from, to, std::move(copy), /*is_replay=*/true);
-      });
-    }
-    if (lf.delay > 0.0 && rng_.uniform() < lf.delay) {
-      ++fault_stats_.delayed;
-      const double extra =
-          lf.delay_min_s +
-          (lf.delay_max_s - lf.delay_min_s) * rng_.uniform();
-      log_frame(from, dst, frame, "delayed");
-      schedule(extra, [this, from, to, f = std::move(frame)]() mutable {
-        route_send(from, to, std::move(f), /*is_replay=*/true);
-      });
-      return;
-    }
+  // Extra copies arrive late, like the sim's fresh-latency copies.
+  for (int i = 0; i < a.duplicates; ++i) {
+    log_frame(from, dst, frame, "dup");
+    send_later(from, to, frame, a.dup_delay_s);
   }
-  log_frame(from, dst, frame, "sent");
-  tcps_[from]->send(to, std::move(frame));
+  if (a.extra_delay_s > 0.0) {
+    log_frame(from, dst, frame, "delayed");
+    send_later(from, to, std::move(frame), a.extra_delay_s);
+    return;
+  }
+  wire_send(from, to, std::move(frame));
+}
+
+void TcpLoopbackBackend::send_later(std::uint32_t from, const Endpoint& to,
+                                    serial::Frame frame, double delay_s) {
+  schedule(delay_s, [this, from, to, f = std::move(frame)]() mutable {
+    wire_send(from, to, std::move(f));
+  });
+}
+
+void TcpLoopbackBackend::wire_send(std::uint32_t from, const Endpoint& to,
+                                   serial::Frame frame) {
+  const bool up = nodes_[from]->up_;
+  log_frame(from, node_of(to), frame, up ? "sent" : "dropped");
+  if (up) tcps_[from]->send(to, std::move(frame));
 }
 
 void TcpLoopbackBackend::route_recv(FaultTransport& ft, const Endpoint& from,

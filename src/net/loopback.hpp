@@ -7,20 +7,20 @@
 // frame crosses a real kernel socket: connect/accept, partial writes,
 // coalesced reads -- the failure modes the simulator cannot show.
 //
-// Fault injection ports the SimNetwork FaultPlan to the socket world with a
-// decorator (FaultTransport) between each service and its TcpTransport:
-// outbound frames are dropped / duplicated / delayed by the scripted
-// per-link probabilities, and a node inside a crash window blackholes both
-// directions while its timers keep running -- the same observable semantics
-// chaos tests rely on in the sim. Frame corruption maps to a drop at the
-// boundary: on a real wire TCP's checksum (and our CRC at the decoder)
-// already turns corruption into loss, which is exactly how the sim's
-// CRC-reject path behaves.
+// Faults come from the same FaultInjector the simulator uses (net/fault.hpp),
+// applied by a decorator (FaultTransport) between each service and its
+// TcpTransport: each outbound frame is dropped, duplicated (the copy sent
+// late) or delayed as the injector decides, and a node inside a crash
+// window blackholes both directions while its timers keep running -- the
+// same observable semantics chaos tests rely on in the sim. Frame
+// corruption maps to a drop at the boundary: on a real wire TCP's checksum
+// (and our CRC at the decoder) already turns corruption into loss, which is
+// exactly how the sim's CRC-reject path behaves.
 //
-// Timers (retransmits, supervisor probes, batch flushes) run on an ordered
-// wall-clock TimerQueue owned by the backend; the scheduler() closure feeds
-// it. run_until pumps: fire due timers, poll every socket, sleep briefly
-// when idle.
+// Timers (retransmits, supervisor probes, batch flushes) run on a
+// wall-clock EventQueue owned by the backend; schedule() feeds it.
+// run_until pumps: fire due timers, poll every socket, sleep briefly when
+// idle.
 //
 // Every frame decision can be recorded to a pcap-style JSONL wire log
 // (bounded ring) for post-mortem when a CI run fails.
@@ -30,12 +30,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "dsp/rng.hpp"
 #include "net/backend.hpp"
 #include "net/tcp.hpp"
 
@@ -85,14 +83,16 @@ class TcpLoopbackBackend final : public NetworkBackend {
   TcpLoopbackBackend();
 
   Transport& add_node() override;
-  Clock clock() override;
-  Scheduler scheduler() override;
   double now() const override { return clock_(); }
   void schedule(double delay_s, std::function<void()> fn) override;
-  void run_until(double t_s) override;
+  void run_until(double t_s) override {
+    run_until(t_s, [] { return false; });
+  }
   bool run_until(double t_s, const std::function<bool()>& done) override;
   void arm_faults(const FaultPlan& plan, std::uint64_t seed) override;
-  FaultStats fault_stats() const override { return fault_stats_; }
+  FaultStats fault_stats() const override {
+    return injector_ ? injector_->stats() : FaultStats{};
+  }
   void set_up(std::size_t node, bool up) override;
   std::string name() const override { return "tcp"; }
 
@@ -100,12 +100,9 @@ class TcpLoopbackBackend final : public NetworkBackend {
   /// timer fired or frame moved (used to decide whether to sleep).
   bool pump();
 
-  /// Raw TCP transport of a node (stats, socket-buffer hooks). Valid after
-  /// that node's add_node().
+  /// Raw TCP transport of a node (stats). Valid after that node's
+  /// add_node().
   TcpTransport& tcp(std::size_t node) { return nodes_[node]->tcp(); }
-
-  /// Force SO_SNDBUF/SO_RCVBUF on sockets of nodes created from now on.
-  void set_socket_buffer_bytes(int bytes) { socket_buf_bytes_ = bytes; }
 
   /// Keep the last `cap` frame decisions for dump_wire_log. 0 disables.
   void set_wire_log_capacity(std::size_t cap) { wire_log_cap_ = cap; }
@@ -117,22 +114,16 @@ class TcpLoopbackBackend final : public NetworkBackend {
  private:
   friend class FaultTransport;
 
-  struct Timer {
-    double at = 0.0;
-    std::uint64_t seq = 0;  ///< insertion order breaks at-ties
-    std::function<void()> fn;
-    bool operator>(const Timer& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-
-  /// Deliver or fault one outbound frame from `from` towards `to`.
-  void route_send(std::uint32_t from, const Endpoint& to, serial::Frame frame,
-                  bool is_replay);
+  /// Apply the injector's decision to one outbound frame.
+  void route_send(std::uint32_t from, const Endpoint& to, serial::Frame frame);
+  /// wire_send after `delay_s`.
+  void send_later(std::uint32_t from, const Endpoint& to, serial::Frame frame,
+                  double delay_s);
+  /// Put a frame on the wire unless its sender is down.
+  void wire_send(std::uint32_t from, const Endpoint& to, serial::Frame frame);
   /// Inbound boundary: drops frames addressed to a down node.
   void route_recv(FaultTransport& ft, const Endpoint& from,
                   serial::Frame frame);
-  const LinkFaults& faults_for(std::uint32_t from, std::uint32_t to) const;
   std::uint32_t node_of(const Endpoint& e) const;
   void log_frame(std::uint32_t from, std::uint32_t to, const serial::Frame& f,
                  const char* verdict);
@@ -141,15 +132,9 @@ class TcpLoopbackBackend final : public NetworkBackend {
   std::vector<std::unique_ptr<TcpTransport>> tcps_;
   std::vector<std::unique_ptr<FaultTransport>> nodes_;
   std::unordered_map<std::string, std::uint32_t> node_by_endpoint_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  std::uint64_t timer_seq_ = 0;
+  EventQueue timers_;
+  std::unique_ptr<FaultInjector> injector_;
 
-  bool faults_armed_ = false;
-  FaultPlan plan_;
-  dsp::Rng rng_{1};
-  FaultStats fault_stats_;
-
-  int socket_buf_bytes_ = 0;
   std::size_t wire_log_cap_ = 0;
   std::deque<WireLogRecord> wire_log_;
 };

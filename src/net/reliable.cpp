@@ -35,6 +35,13 @@ std::string conn_name(const Endpoint& src, const Endpoint& dst) {
   return src.value + ">" + dst.value;
 }
 
+// Everything is sent reliably except the layer's own traffic, which is
+// never re-wrapped, and liveness probes, which are only useful fresh.
+bool is_reliable_type(serial::FrameType t) {
+  return t != serial::FrameType::kReliable && t != serial::FrameType::kAck &&
+         t != serial::FrameType::kBatch && t != serial::FrameType::kHeartbeat;
+}
+
 }  // namespace
 
 ReliableTransport::ReliableTransport(Transport& inner, Clock clock,
@@ -90,17 +97,6 @@ void ReliableTransport::set_trace(std::uint64_t trace_id) {
 #else
   (void)trace_id;  // zeros stay on the wire; sizes are unchanged either way
 #endif
-}
-
-bool ReliableTransport::is_reliable_type(serial::FrameType t) const {
-  // Never re-wrap the layer's own traffic, whatever the policy says.
-  if (t == serial::FrameType::kReliable || t == serial::FrameType::kAck ||
-      t == serial::FrameType::kBatch) {
-    return false;
-  }
-  if (config_.reliable_type) return config_.reliable_type(t);
-  // Default: everything but liveness probes, which are only useful fresh.
-  return t != serial::FrameType::kHeartbeat;
 }
 
 double ReliableTransport::jittered(double delay_s) {
@@ -249,7 +245,7 @@ void ReliableTransport::on_retry_timer() {
                             " conn=" + conn_name(inner_.local(), p.to) +
                             " try=" + std::to_string(p.retries));
     }
-    p.rto_s = std::min(p.rto_s * config_.backoff, config_.rto_max_s);
+    p.rto_s = std::min(p.rto_s * kRtoBackoff, config_.rto_max_s);
     const double wait = jittered(p.rto_s);
     obs_.backoff_wait_s.observe(wait);
     p.due_at = now + wait;

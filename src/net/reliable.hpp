@@ -5,8 +5,9 @@
 // distributed run on a single lost deploy or ack. ReliableTransport wraps
 // any Transport with at-least-once delivery:
 //
-//   * every selected outbound frame rides in a kReliable envelope carrying
-//     a sender-scoped message id (serial::encode_envelope);
+//   * each outbound frame (bar the types below) rides in a kReliable
+//     envelope carrying a sender-scoped message id
+//     (serial::encode_envelope);
 //   * the receiver confirms each envelope with a kAck and suppresses
 //     duplicate ids per sender, so retried deploys/cancels stay idempotent
 //     -- at-least-once + dedup = effectively-once for control messages;
@@ -18,9 +19,9 @@
 //     message: they wait in a set ordered by due time, an ack just removes
 //     its entry, and the timer sleeps until the earliest due instant.
 //
-// Which frame types get the treatment is policy: by default everything
-// except kHeartbeat (liveness probes are only meaningful fresh) and kAck
-// itself. Acks ride unreliable -- a lost ack simply provokes one more
+// Every frame type gets the treatment except kHeartbeat (liveness probes
+// are only meaningful fresh) and the layer's own kReliable/kAck/kBatch
+// frames. Acks ride unreliable -- a lost ack simply provokes one more
 // retransmission, which provokes a fresh ack.
 //
 // The layer is transport-agnostic and single-threaded per instance, like
@@ -44,12 +45,14 @@
 
 namespace cg::net {
 
+/// RTO multiplier per retry.
+inline constexpr double kRtoBackoff = 2.0;
+
 /// Retry/dedup tuning. Defaults suit simulated consumer-DSL links (~40 ms
 /// one-way): first retry after ~8x RTT, give up after ~20 s.
 struct ReliableConfig {
   double rto_initial_s = 0.6;  ///< first retransmission timeout
   double rto_max_s = 5.0;      ///< backoff ceiling
-  double backoff = 2.0;        ///< RTO multiplier per retry
   /// Uniform jitter applied to every (re)transmission timer as a fraction
   /// of the RTO, desynchronising retry storms after an outage.
   double jitter_frac = 0.1;
@@ -57,9 +60,6 @@ struct ReliableConfig {
   int max_retries = 6;         ///< retransmissions before giving up
   std::size_t dedup_window = 1024;  ///< remembered ids per sender
   std::uint64_t seed = 1;      ///< jitter RNG seed (determinism)
-  /// Which frame types are sent reliably; the rest pass through untouched.
-  /// Null means the default policy (everything but kHeartbeat).
-  std::function<bool(serial::FrameType)> reliable_type;
 
   /// Wire batching (GraphLab-style buffered exchange): when on, small
   /// outbound frames headed for the same peer -- envelopes, acks,
@@ -204,7 +204,6 @@ class ReliableTransport final : public Transport {
     bool flush_scheduled = false; ///< a flush timer is in flight
   };
 
-  bool is_reliable_type(serial::FrameType t) const;
   void on_frame(const Endpoint& from, serial::Frame frame);
   /// Hands `frame` to the handler; a DecodeError it throws is counted in
   /// malformed_dropped.

@@ -1,6 +1,5 @@
 #include "net/sim_network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "serial/crc32.hpp"
@@ -8,6 +7,12 @@
 #include "serial/reader.hpp"
 
 namespace cg::net {
+
+namespace {
+/// Frames up to this size (control traffic) skip the bandwidth term -- they
+/// fit in one MTU and their cost is latency-dominated.
+constexpr std::size_t kSmallFrameBytes = 1200;
+}  // namespace
 
 void SimTransport::send(const Endpoint& to, serial::Frame frame) {
   net_->submit(id_, to, std::move(frame));
@@ -62,11 +67,21 @@ void SimNetwork::set_obs(obs::Registry& registry, obs::Tracer* tracer,
 
 void SimNetwork::schedule(double delay_s, std::function<void()> fn) {
   if (delay_s < 0.0) throw std::invalid_argument("schedule: negative delay");
-  push_event(now_ + delay_s, std::move(fn));
+  queue_.push(now_ + delay_s, std::move(fn));
 }
 
-void SimNetwork::push_event(double time, std::function<void()> fn) {
-  queue_.push(Event{time, next_seq_++, std::move(fn)});
+void SimNetwork::arm_faults(const FaultPlan& plan, std::uint64_t seed) {
+  if (injector_) throw std::logic_error("arm_faults called twice");
+  auto injector = std::make_unique<FaultInjector>(plan, seed);
+  injector->schedule_crashes(now_, scheduler(),
+                             [this](std::uint32_t node, bool up) {
+                               set_up(node, up);
+                             });
+  injector_ = std::move(injector);
+  set_fault_fn([this](std::uint32_t from, std::uint32_t to,
+                      const serial::Frame&) {
+    return injector_->on_frame(from, to);
+  });
 }
 
 void SimNetwork::submit(std::uint32_t from, const Endpoint& to,
@@ -144,84 +159,68 @@ void SimNetwork::deliver_copy(std::uint32_t from, std::uint32_t dst,
   const std::size_t wire_bytes = serial::kFrameHeaderSize +
                                  frame.payload.size() +
                                  serial::kFrameTrailerSize;
-  double latency = latency_fn_ ? latency_fn_(from, dst)
-                               : params_.base_latency_s +
-                                     rng_.uniform() * params_.jitter_s;
-  if (wire_bytes > params_.small_frame_bytes && params_.bandwidth_Bps > 0.0) {
+  double latency = params_.base_latency_s + rng_.uniform() * params_.jitter_s;
+  if (wire_bytes > kSmallFrameBytes && params_.bandwidth_Bps > 0.0) {
     latency += static_cast<double>(wire_bytes) / params_.bandwidth_Bps;
   }
   latency += extra_delay_s;
   obs_.link_delay_s.observe(latency);
 
-  push_event(now_ + latency,
-             [this, from, dst, verify_crc, sent_crc,
-              f = std::move(frame)]() mutable {
-               if (!up_.at(dst)) {
-                 ++stats_.messages_to_down_node;
-                 obs_.frames_to_down.inc();
-                 return;
-               }
-               if (verify_crc && serial::crc32(f.payload) != sent_crc) {
-                 ++stats_.messages_corrupt_rejected;
-                 obs_.frames_corrupt_rejected.inc();
-                 if (obs_.tracer) {
-                   obs_.tracer.event("sim:" + std::to_string(dst),
-                                     "net.corrupt_reject",
-                                     obs::TraceContext{0, 0, lamport_of(dst)});
-                 }
-                 return;
-               }
-               ++stats_.messages_delivered;
-               obs_.frames_delivered.inc();
-               // Wire-level clock merge: envelopes carry the sender's
-               // Lamport stamp; merging here orders this node's network
-               // events after the send even when the layers above never
-               // look at the context. Skipped entirely when untraced.
-               if (obs_.tracer && f.type == serial::FrameType::kReliable &&
-                   f.payload.size() >= 8 + obs::kTraceContextWireSize) {
-                 lamports_[dst].merge(serial::peek_envelope_trace(f).lamport);
-               } else if (obs_.tracer &&
-                          f.type == serial::FrameType::kBatch) {
-                 // A batch may carry several envelopes; merge each stamp so
-                 // batching never loosens the happens-before order.
-                 try {
-                   for (const serial::Frame& sub : serial::decode_batch(f)) {
-                     if (sub.type == serial::FrameType::kReliable &&
-                         sub.payload.size() >=
-                             8 + obs::kTraceContextWireSize) {
-                       lamports_[dst].merge(
-                           serial::peek_envelope_trace(sub).lamport);
-                     }
-                   }
-                 } catch (const serial::DecodeError&) {
-                   // Corrupt batch: deliver anyway; the layer above drops it.
-                 }
-               }
-               auto& node = *nodes_.at(dst);
-               if (node.handler_) {
-                 node.handler_(sim_endpoint(from), std::move(f));
-               }
-             });
+  queue_.push(now_ + latency,
+              [this, from, dst, verify_crc, sent_crc,
+               f = std::move(frame)]() mutable {
+                if (!up_.at(dst)) {
+                  ++stats_.messages_to_down_node;
+                  obs_.frames_to_down.inc();
+                  return;
+                }
+                if (verify_crc && serial::crc32(f.payload) != sent_crc) {
+                  ++stats_.messages_corrupt_rejected;
+                  obs_.frames_corrupt_rejected.inc();
+                  if (obs_.tracer) {
+                    obs_.tracer.event("sim:" + std::to_string(dst),
+                                      "net.corrupt_reject",
+                                      obs::TraceContext{0, 0, lamport_of(dst)});
+                  }
+                  return;
+                }
+                ++stats_.messages_delivered;
+                obs_.frames_delivered.inc();
+                // Wire-level clock merge: envelopes carry the sender's
+                // Lamport stamp; merging here orders this node's network
+                // events after the send even when the layers above never
+                // look at the context. Skipped entirely when untraced.
+                if (obs_.tracer && f.type == serial::FrameType::kReliable &&
+                    f.payload.size() >= 8 + obs::kTraceContextWireSize) {
+                  lamports_[dst].merge(serial::peek_envelope_trace(f).lamport);
+                } else if (obs_.tracer &&
+                           f.type == serial::FrameType::kBatch) {
+                  // A batch may carry several envelopes; merge each stamp so
+                  // batching never loosens the happens-before order.
+                  try {
+                    for (const serial::Frame& sub : serial::decode_batch(f)) {
+                      if (sub.type == serial::FrameType::kReliable &&
+                          sub.payload.size() >=
+                              8 + obs::kTraceContextWireSize) {
+                        lamports_[dst].merge(
+                            serial::peek_envelope_trace(sub).lamport);
+                      }
+                    }
+                  } catch (const serial::DecodeError&) {
+                    // Corrupt batch: deliver anyway; the layer above drops it.
+                  }
+                }
+                auto& node = *nodes_.at(dst);
+                if (node.handler_) {
+                  node.handler_(sim_endpoint(from), std::move(f));
+                }
+              });
 }
 
-bool SimNetwork::step() {
-  if (queue_.empty()) return false;
-  // Move the event out before running it: the callback may push new events.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.time;
-  ev.fn();
-  return true;
-}
+bool SimNetwork::step() { return queue_.step(now_); }
 
 std::size_t SimNetwork::run_until(double t) {
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.top().time <= t) {
-    step();
-    ++n;
-  }
-  now_ = std::max(now_, t);
-  return n;
+  return queue_.run_until(t, now_);
 }
 
 std::size_t SimNetwork::run_all(std::size_t max_events) {

@@ -14,16 +14,18 @@
 // Higher layers may also schedule plain callbacks (schedule()) to model
 // computation time on a node -- e.g. "this peer spends 3.2 s filtering a
 // chunk" -- so end-to-end experiments account for compute and communication
-// in the same clock.
+// in the same clock; clock() and scheduler() hand that clock to them.
+// arm_faults() replays a FaultPlan (net/fault.hpp) on top of the link model.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "dsp/rng.hpp"
+#include "net/fault.hpp"
+#include "net/time.hpp"
 #include "net/transport.hpp"
 #include "obs/obs.hpp"
 
@@ -36,9 +38,6 @@ struct LinkParams {
   double jitter_s = 0.010;          ///< uniform extra latency in [0, jitter]
   double bandwidth_Bps = 128e3;     ///< serialisation rate, bytes/second
   double loss_probability = 0.0;    ///< independent per-message drop chance
-  /// Frames below this size (control traffic) skip the bandwidth term --
-  /// they fit in one MTU and their cost is latency-dominated.
-  std::size_t small_frame_bytes = 1200;
 };
 
 /// Aggregate traffic counters, readable at any time.
@@ -55,16 +54,6 @@ struct SimStats {
   std::uint64_t bytes_sent = 0;
 
   bool operator==(const SimStats&) const = default;
-};
-
-/// What the fault hook may do to one frame in flight. A duplicated frame is
-/// delivered `1 + duplicates` times, each copy with independently sampled
-/// latency (so duplicates also reorder).
-struct FaultAction {
-  bool drop = false;
-  int duplicates = 0;
-  double extra_delay_s = 0.0;  ///< added to each copy's latency (reordering)
-  bool corrupt = false;        ///< flip payload bits in flight
 };
 
 class SimNetwork;
@@ -109,6 +98,16 @@ class SimNetwork {
   /// Current virtual time in seconds.
   double now() const { return now_; }
 
+  /// now() and schedule() as the ambient time functions of this world.
+  Clock clock() {
+    return [this] { return now_; };
+  }
+  Scheduler scheduler() {
+    return [this](double d, std::function<void()> fn) {
+      schedule(d, std::move(fn));
+    };
+  }
+
   /// Mark a node up or down. Frames addressed to a down node are counted
   /// and discarded at delivery time (the sender cannot tell -- as with a
   /// consumer host whose DSL dropped).
@@ -133,21 +132,26 @@ class SimNetwork {
   const SimStats& stats() const { return stats_; }
   const LinkParams& params() const { return params_; }
 
-  /// Per-message latency override hook: when set, replaces the base+jitter
-  /// part of the delay (bandwidth still applies). Lets experiments model
-  /// heterogeneous link quality.
-  using LatencyFn = std::function<double(std::uint32_t from, std::uint32_t to)>;
-  void set_latency_fn(LatencyFn fn) { latency_fn_ = std::move(fn); }
-
-  /// Per-message fault hook, consulted after the loss model: the
-  /// FaultInjector (net/fault.hpp) layers scripted drop / duplicate /
-  /// delay / corrupt behaviour through this. While a hook is installed the
-  /// simulator also models wire integrity: each frame's payload CRC is
-  /// captured at send time and re-verified at delivery, so a corrupted
-  /// frame is rejected (messages_corrupt_rejected) instead of trusted.
+  /// Per-message fault hook, consulted after the loss model. Each copy of
+  /// a duplicated frame gets independently sampled latency, so duplicates
+  /// also reorder. While a hook is installed the simulator also models wire
+  /// integrity: each frame's payload CRC is captured at send time and
+  /// re-verified at delivery, so a corrupted frame is rejected
+  /// (messages_corrupt_rejected) instead of trusted. Tests install targeted
+  /// hooks ("drop exactly the first ack") directly.
   using FaultFn = std::function<FaultAction(
       std::uint32_t from, std::uint32_t to, const serial::Frame& frame)>;
   void set_fault_fn(FaultFn fn) { fault_fn_ = std::move(fn); }
+
+  /// Replay `plan` with a FaultInjector seeded by `seed`, installed as the
+  /// fault hook; crash windows are absolute virtual times, and one that
+  /// opens before now() throws std::invalid_argument. A second call throws
+  /// std::logic_error.
+  void arm_faults(const FaultPlan& plan, std::uint64_t seed);
+  /// What the injector did (zeroes when never armed).
+  FaultStats fault_stats() const {
+    return injector_ ? injector_->stats() : FaultStats{};
+  }
 
   /// Bind metrics/tracing (obs/obs.hpp). Counters land under
   /// "<scope>.net.*" plus a "net.link_delay_s" latency histogram; node
@@ -170,20 +174,7 @@ class SimNetwork {
  private:
   friend class SimTransport;
 
-  struct Event {
-    double time;
-    std::uint64_t seq;  ///< tie-breaker: FIFO among simultaneous events
-    std::function<void()> fn;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   void submit(std::uint32_t from, const Endpoint& to, serial::Frame frame);
-  void push_event(double time, std::function<void()> fn);
   void deliver_copy(std::uint32_t from, std::uint32_t dst, serial::Frame frame,
                     double extra_delay_s, std::uint32_t sent_crc,
                     bool verify_crc);
@@ -200,14 +191,13 @@ class SimNetwork {
   dsp::Rng rng_;
   Obs obs_;
   double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  EventQueue queue_;
   std::vector<std::unique_ptr<SimTransport>> nodes_;
   std::vector<bool> up_;
   std::vector<obs::LamportClock> lamports_;  ///< wire-level clocks, per node
   SimStats stats_;
-  LatencyFn latency_fn_;
   FaultFn fault_fn_;
+  std::unique_ptr<FaultInjector> injector_;
 };
 
 }  // namespace cg::net

@@ -261,14 +261,12 @@ struct GridOutcome {
   std::uint64_t retransmits = 0;           ///< reliable-layer total
 };
 
-/// One full deploy -> stream -> shutdown cycle. `loss` arms a FaultInjector
+/// One full deploy -> stream -> shutdown cycle. `loss` arms a drop rate
 /// on every link; `traced` binds a Tracer to the network, home and workers.
 GridOutcome run_grid(std::uint64_t seed, double loss, bool traced) {
   net::SimNetwork net({}, seed);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
 
   // Generous retry pacing so the LOSS-FREE run never retransmits (the
   // default first-RTO can fire before a slow code frame's ack returns,
@@ -308,8 +306,7 @@ GridOutcome run_grid(std::uint64_t seed, double loss, bool traced) {
 
   net::FaultPlan plan;
   plan.default_link.drop = loss;
-  net::FaultInjector inj(net, plan, seed ^ 0xCAFEu);
-  if (loss > 0) inj.arm();
+  if (loss > 0) net.arm_faults(plan, seed ^ 0xCAFEu);
 
   TaskGraph g = pipeline_graph();
   home.publish_graph_modules(g, 16 * 1024);

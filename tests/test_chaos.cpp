@@ -47,10 +47,8 @@ TaskGraph scaler_farm_graph() {
 /// Sim node ids: home=0, w0=1, w1=2, w2=3, spare=4.
 struct ChaosGrid {
   explicit ChaosGrid(std::uint64_t seed) : net({}, seed) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto clock = net.clock();
+    auto sched = net.scheduler();
     // Generous retry budget: a crash window must not expire messages, only
     // delay them.
     net::ReliableConfig rel;
@@ -111,8 +109,7 @@ RunOutcome run_farm(std::uint64_t seed, bool chaotic) {
     plan.crashes.push_back(
         net::CrashWindow{.node = 2, .at_s = 8.0, .duration_s = 8.0});
   }
-  net::FaultInjector inj(grid.net, plan, seed ^ 0xFA01u);
-  if (chaotic) inj.arm();
+  if (chaotic) grid.net.arm_faults(plan, seed ^ 0xFA01u);
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G",
@@ -151,7 +148,7 @@ RunOutcome run_farm(std::uint64_t seed, bool chaotic) {
     out.duplicate_deploys += w->stats().duplicate_deploys;
     out.jobs_started += w->stats().jobs_started;
   }
-  out.faults = inj.stats();
+  out.faults = grid.net.fault_stats();
   out.recoveries = sup->stats().recoveries;
   out.corrupt_rejected = grid.net.stats().messages_corrupt_rejected;
   return out;
@@ -261,8 +258,7 @@ FencedOutcome run_fenced_farm(std::uint64_t seed, bool chaotic) {
     plan.crashes.push_back(
         net::CrashWindow{.node = 2, .at_s = 8.0, .duration_s = 20.0});
   }
-  net::FaultInjector inj(grid.net, plan, seed ^ 0xFA01u);
-  if (chaotic) inj.arm();
+  if (chaotic) grid.net.arm_faults(plan, seed ^ 0xFA01u);
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G",
@@ -310,7 +306,7 @@ FencedOutcome run_fenced_farm(std::uint64_t seed, bool chaotic) {
   out.zombie_suspended = grid.workers[1]->stats().jobs_suspended;
   out.zombie_fenced = grid.workers[1]->stats().jobs_fenced;
   out.final_epoch = sup->epoch_of(1);
-  out.faults = inj.stats();
+  out.faults = grid.net.fault_stats();
   return out;
 }
 
@@ -414,9 +410,10 @@ std::vector<std::vector<double>> run_pipeline(
   net::LinkFaults dead;
   dead.drop = 1.0;
   plan.per_link[{0u, 2u}] = dead;
-  net::FaultInjector inj(grid.net, plan, seed ^ 0xFA01u);
   // Armed mid-run, after deploy and a few healthy probe rounds.
-  if (blackhole) grid.net.schedule(7.5, [&] { inj.arm(); });
+  if (blackhole) {
+    grid.net.schedule(7.5, [&] { grid.net.arm_faults(plan, seed ^ 0xFA01u); });
+  }
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint(),

@@ -30,10 +30,8 @@ struct Grid {
   explicit Grid(std::size_t n_workers, ServiceConfig worker_cfg = {},
                 net::LinkParams lp = {})
       : net(lp, 1) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto clock = net.clock();
+    auto sched = net.scheduler();
     ServiceConfig home_cfg;
     home_cfg.peer_id = "home";
     home =

@@ -134,7 +134,7 @@ TEST(PeerGroups, QueryXmlRoundTripsGroups) {
 TEST(PeerGroups, NodeMembershipFlowsIntoAdverts) {
   net::SimNetwork net({}, 1);
   auto& t = net.add_node();
-  p2p::PeerNode node(t, [&] { return net.now(); });
+  p2p::PeerNode node(t, net.clock());
   node.join_group("gw-search");
   node.join_group("render-farm");
   node.join_group("gw-search");  // idempotent
@@ -153,7 +153,7 @@ TEST(PeerGroups, GroupScopedDiscovery) {
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   for (int i = 0; i < 3; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), [&net] { return net.now(); },
+        net.add_node(), net.clock(),
         p2p::PeerConfig{.peer_id = "n" + std::to_string(i)}));
   }
   nodes[0]->add_neighbor(nodes[1]->endpoint());
@@ -249,10 +249,8 @@ TEST(Broadcast, SendsToEveryLabel) {
 
 TEST(ReplicatedPolicy, EndToEndOverSimGrid) {
   net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
 
   core::ServiceConfig hc;
   hc.peer_id = "home";
@@ -338,10 +336,8 @@ TEST(ReplicatedPolicy, PlanValidatesAndCaps) {
 
 TEST(ControllerTrust, AcksFeedScoresAndDiscoveryRanks) {
   net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   core::ServiceConfig hc;
   hc.peer_id = "home";
   core::TrianaService home(net.add_node(), clock, sched, reg(), hc);
@@ -404,10 +400,8 @@ TEST(Describe, UnitPortTypeListsPortsAndTypes) {
 
 TEST(Describe, ServiceDocumentIsCompleteAndParses) {
   net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   core::ServiceConfig cfg;
   cfg.peer_id = "describe-me";
   cfg.capabilities = {{"cpu_mhz", "1500"}};

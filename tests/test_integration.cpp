@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
+#include "net/loopback.hpp"
 #include "net/tcp.hpp"
 #include "net/time.hpp"
 
@@ -22,43 +22,19 @@ UnitRegistry& reg() {
   return r;
 }
 
-/// Wall-clock timer queue; poll() fires due callbacks on the owner thread.
-class TimerQueue {
- public:
-  explicit TimerQueue(net::Clock clock) : clock_(std::move(clock)) {}
-
+/// Wall-clock timers for services confined to one thread: that thread's
+/// loop fires whatever is due.
+struct WallTimers {
+  explicit WallTimers(net::Clock c) : clock(std::move(c)) {}
   net::Scheduler scheduler() {
     return [this](double d, std::function<void()> fn) {
-      std::lock_guard lock(mu_);
-      timers_.push_back({clock_() + d, std::move(fn)});
+      queue.push(clock() + d, std::move(fn));
     };
   }
+  void poll() { queue.run_due(clock()); }
 
-  void poll() {
-    std::vector<std::function<void()>> due;
-    {
-      std::lock_guard lock(mu_);
-      const double now = clock_();
-      for (std::size_t i = 0; i < timers_.size();) {
-        if (timers_[i].due <= now) {
-          due.push_back(std::move(timers_[i].fn));
-          timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-    for (auto& fn : due) fn();
-  }
-
- private:
-  struct Timer {
-    double due;
-    std::function<void()> fn;
-  };
-  net::Clock clock_;
-  std::mutex mu_;
-  std::vector<Timer> timers_;
+  net::Clock clock;
+  net::EventQueue queue;
 };
 
 TaskGraph farm_graph() {
@@ -84,7 +60,7 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
 
   net::TcpTransport home_t(0), w0_t(0), w1_t(0);
 
-  TimerQueue home_timers(clock), w0_timers(clock), w1_timers(clock);
+  WallTimers home_timers(clock), w0_timers(clock), w1_timers(clock);
 
   ServiceConfig hc;
   hc.peer_id = "home";
@@ -152,16 +128,13 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
 }
 
 TEST(IntegrationTcp, DeployRunAndStatusOverRealSockets) {
-  net::Clock clock = net::steady_clock_seconds();
-  TimerQueue timers(clock);
-
-  net::TcpTransport home_t(0), worker_t(0);
+  net::TcpLoopbackBackend be;
   ServiceConfig hc;
   hc.peer_id = "home";
-  TrianaService home(home_t, clock, timers.scheduler(), reg(), hc);
+  TrianaService home(be.add_node(), be.clock(), be.scheduler(), reg(), hc);
   ServiceConfig wc;
   wc.peer_id = "worker";
-  TrianaService worker(worker_t, clock, timers.scheduler(), reg(), wc);
+  TrianaService worker(be.add_node(), be.clock(), be.scheduler(), reg(), wc);
   home.node().add_neighbor(worker.endpoint());
   worker.node().add_neighbor(home.endpoint());
 
@@ -173,12 +146,8 @@ TEST(IntegrationTcp, DeployRunAndStatusOverRealSockets) {
   g.connect("Wave", 0, "Sink", 0);
   home.publish_graph_modules(g, 4096);
 
-  auto pump = [&](auto pred) {
-    for (int spin = 0; spin < 20000 && !pred(); ++spin) {
-      home_t.poll_wait(1);
-      worker_t.poll_wait(1);
-      timers.poll();
-    }
+  auto pump = [&](const std::function<bool()>& pred) {
+    be.run_until(be.now() + 20.0, pred);
   };
 
   DeployAckMsg ack;

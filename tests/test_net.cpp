@@ -218,18 +218,6 @@ TEST(Sim, UnknownNodeThrows) {
                std::invalid_argument);
 }
 
-TEST(Sim, LatencyFnOverridesLinkModel) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  net.set_latency_fn([](std::uint32_t, std::uint32_t) { return 7.0; });
-  double at = -1;
-  b.set_handler([&](const Endpoint&, serial::Frame) { at = net.now(); });
-  a.send(b.local(), text_frame("x"));
-  net.run_all();
-  EXPECT_NEAR(at, 7.0, 1e-12);
-}
-
 TEST(Sim, StatsCountBytes) {
   SimNetwork net({}, 1);
   auto& a = net.add_node();
@@ -261,13 +249,12 @@ TEST(Fault, HookDropsFrames) {
 
   FaultPlan plan;
   plan.default_link.drop = 1.0;
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  net.arm_faults(plan, 7);
 
   for (int i = 0; i < 5; ++i) a.send(b.local(), text_frame("m"));
   net.run_all();
   EXPECT_EQ(got, 0);
-  EXPECT_EQ(inj.stats().dropped, 5u);
+  EXPECT_EQ(net.fault_stats().dropped, 5u);
   EXPECT_EQ(net.stats().messages_dropped, 5u);
 }
 
@@ -280,13 +267,12 @@ TEST(Fault, HookDuplicatesFrames) {
 
   FaultPlan plan;
   plan.default_link.duplicate = 1.0;
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  net.arm_faults(plan, 7);
 
   a.send(b.local(), text_frame("twin"));
   net.run_all();
   EXPECT_EQ(got, 2);
-  EXPECT_EQ(inj.stats().duplicated, 1u);
+  EXPECT_EQ(net.fault_stats().duplicated, 1u);
   EXPECT_EQ(net.stats().messages_duplicated, 1u);
 }
 
@@ -299,13 +285,12 @@ TEST(Fault, CorruptedFrameIsRejectedAndCounted) {
 
   FaultPlan plan;
   plan.default_link.corrupt = 1.0;
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  net.arm_faults(plan, 7);
 
   a.send(b.local(), text_frame("fragile payload"));
   net.run_all();
   EXPECT_EQ(got, 0);  // never handed to the application
-  EXPECT_EQ(inj.stats().corrupted, 1u);
+  EXPECT_EQ(net.fault_stats().corrupted, 1u);
   EXPECT_EQ(net.stats().messages_corrupt_rejected, 1u);
   EXPECT_EQ(net.stats().messages_delivered, 0u);
 }
@@ -349,8 +334,7 @@ TEST(Fault, PerLinkOverridesDefault) {
 
   FaultPlan plan;  // clean by default; the a->b link loses everything
   plan.per_link[{0, 1}] = LinkFaults{.drop = 1.0};
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  net.arm_faults(plan, 7);
 
   a.send(b.local(), text_frame("m"));
   a.send(c.local(), text_frame("m"));
@@ -369,16 +353,15 @@ TEST(Fault, CrashWindowTakesNodeDownAndBack) {
   FaultPlan plan;
   plan.crashes.push_back(CrashWindow{.node = 1, .at_s = 1.0,
                                      .duration_s = 2.0});
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  net.arm_faults(plan, 7);
 
   net.schedule(1.5, [&] { a.send(b.local(), text_frame("into-void")); });
   net.schedule(4.0, [&] { a.send(b.local(), text_frame("after")); });
   net.run_all();
 
   EXPECT_EQ(got, 1);  // only the post-restart frame lands
-  EXPECT_EQ(inj.stats().crashes_opened, 1u);
-  EXPECT_EQ(inj.stats().crashes_closed, 1u);
+  EXPECT_EQ(net.fault_stats().crashes_opened, 1u);
+  EXPECT_EQ(net.fault_stats().crashes_closed, 1u);
   EXPECT_TRUE(net.is_up(1));  // restarted
 }
 
@@ -395,11 +378,10 @@ TEST(Fault, DeterministicForSeedAndPlan) {
     FaultPlan plan;
     plan.default_link = LinkFaults{.drop = 0.2, .duplicate = 0.1,
                                    .corrupt = 0.05, .delay = 0.3};
-    FaultInjector inj(net, plan, 23);
-    inj.arm();
+    net.arm_faults(plan, 23);
     for (int i = 0; i < 500; ++i) a.send(b.local(), text_frame("m"));
     net.run_all();
-    return std::make_pair(inj.stats(), net.stats());
+    return std::make_pair(net.fault_stats(), net.stats());
   };
   auto [f1, n1] = run();
   auto [f2, n2] = run();

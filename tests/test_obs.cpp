@@ -311,10 +311,8 @@ TEST(Tracer, RingOverwritesExportedAsGauge) {
 
 struct LossyPair {
   explicit LossyPair(double drop, std::uint64_t seed = 11) : net({}, seed) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto clock = net.clock();
+    auto sched = net.scheduler();
     a = std::make_unique<net::ReliableTransport>(net.add_node(), clock, sched,
                                                  net::ReliableConfig{});
     b = std::make_unique<net::ReliableTransport>(net.add_node(), clock, sched,
@@ -322,9 +320,9 @@ struct LossyPair {
     net.set_obs(registry, &tracer);
     a->set_obs(registry, &tracer, "a");
     b->set_obs(registry, &tracer, "b");
+    net::FaultPlan plan;
     plan.default_link.drop = drop;
-    inj = std::make_unique<net::FaultInjector>(net, plan, seed ^ 0x5eedu);
-    if (drop > 0) inj->arm();
+    if (drop > 0) net.arm_faults(plan, seed ^ 0x5eedu);
   }
 
   void send_burst(int n) {
@@ -343,8 +341,6 @@ struct LossyPair {
   net::SimNetwork net;
   obs::Registry registry;
   obs::Tracer tracer{1 << 12};
-  net::FaultPlan plan;
-  std::unique_ptr<net::FaultInjector> inj;
   std::unique_ptr<net::ReliableTransport> a, b;
 };
 
@@ -406,8 +402,7 @@ TEST(ObsNetwork, FrameCountersMirrorSimStats) {
   auto& b = net.add_node();
   net::FaultPlan plan;
   plan.default_link.drop = 0.3;
-  net::FaultInjector inj(net, plan, 99);
-  inj.arm();
+  net.arm_faults(plan, 99);
 
   int got = 0;
   b.set_handler([&](const net::Endpoint&, serial::Frame) { ++got; });
@@ -508,10 +503,8 @@ TEST(ObsService, RemoteDeployRecordsLifecycle) {
   using namespace cg::core;
   static UnitRegistry ureg = UnitRegistry::with_builtins();
   net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto clock = net.clock();
+  auto sched = net.scheduler();
   ServiceConfig hc;
   hc.peer_id = "home";
   TrianaService home(net.add_node(), clock, sched, ureg, hc);

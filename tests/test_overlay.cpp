@@ -308,7 +308,7 @@ class OverlaySwarm {
     for (std::size_t i = 0; i < n; ++i) {
       auto& t = net_.add_node();
       nodes_.push_back(std::make_unique<PeerNode>(
-          t, [this] { return net_.now(); },
+          t, net_.clock(),
           PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
       sorted.emplace_back(node_id_of(nodes_.back()->id()).bits,
                           nodes_.back()->endpoint());
@@ -319,7 +319,7 @@ class OverlaySwarm {
     };
     for (std::size_t i = 0; i < n; ++i) {
       overlays_.push_back(
-          std::make_unique<OverlayNode>(*nodes_[i], scheduler(), cfg));
+          std::make_unique<OverlayNode>(*nodes_[i], net_.scheduler(), cfg));
     }
   }
 
@@ -327,11 +327,6 @@ class OverlaySwarm {
   OverlayNode& operator[](std::size_t i) { return *overlays_[i]; }
   std::size_t size() const { return overlays_.size(); }
   net::SimNetwork& net() { return net_; }
-  Scheduler scheduler() {
-    return [this](double d, std::function<void()> fn) {
-      net_.schedule(d, std::move(fn));
-    };
-  }
 
  private:
   net::SimNetwork net_;
@@ -363,12 +358,8 @@ TEST(OverlayLookup, ConvergesToTargetAcrossSparseTables) {
 TEST(OverlayLookup, LonerResolvesToItselfSynchronously) {
   net::SimNetwork net;
   auto& t = net.add_node();
-  PeerNode peer(t, [&net] { return net.now(); },
-                PeerConfig{.peer_id = "loner"});
-  OverlayNode overlay(
-      peer, [&net](double d, std::function<void()> fn) {
-        net.schedule(d, std::move(fn));
-      });
+  PeerNode peer(t, net.clock(), PeerConfig{.peer_id = "loner"});
+  OverlayNode overlay(peer, net.scheduler());
   bool done = false;
   // A node with no contacts is still part of its own ring: every id
   // resolves to itself, which is what lets a one-node grid self-host
@@ -564,7 +555,7 @@ TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
   for (int i = 0; i < 6; ++i) {
     auto& t = net.add_node();
     nodes.push_back(std::make_unique<PeerNode>(
-        t, [&net] { return net.now(); },
+        t, net.clock(),
         PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
   }
   for (int i = 0; i + 1 < 6; ++i) {
@@ -582,9 +573,7 @@ TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
   opt.ring_timeout_s = 1.0;
   opt.min_results = 2;
 
-  auto scheduler = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto scheduler = net.scheduler();
   SearchResult result;
   bool done = false;
   auto search = std::make_shared<ExpandingRingSearch>(*nodes[0], scheduler, q,

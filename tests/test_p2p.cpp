@@ -225,7 +225,7 @@ class Swarm {
     for (std::size_t i = 0; i < n; ++i) {
       auto& t = net_.add_node();
       nodes_.push_back(std::make_unique<PeerNode>(
-          t, [this] { return net_.now(); },
+          t, net_.clock(),
           PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
     }
   }
@@ -241,11 +241,7 @@ class Swarm {
 
   PeerNode& operator[](std::size_t i) { return *nodes_[i]; }
   net::SimNetwork& net() { return net_; }
-  Scheduler scheduler() {
-    return [this](double d, std::function<void()> fn) {
-      net_.schedule(d, std::move(fn));
-    };
-  }
+  Scheduler scheduler() { return net_.scheduler(); }
 
  private:
   net::SimNetwork net_;

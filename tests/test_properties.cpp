@@ -375,7 +375,7 @@ TEST_P(Seeded, FloodingMessagesBoundedByTwiceEdges) {
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), [&net] { return net.now(); },
+        net.add_node(), net.clock(),
         p2p::PeerConfig{
             .peer_id = std::string("n").append(std::to_string(i))}));
   }

@@ -143,9 +143,7 @@ TEST(BatchQueue, RespectsSlotLimit) {
   BatchQueueOptions opt;
   opt.slots = 2;
   opt.mean_queue_overhead_s = 0.0;
-  SimBatchQueue q([&](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  }, [&] { return net.now(); }, opt, 1);
+  SimBatchQueue q(net.scheduler(), net.clock(), opt, 1);
 
   std::vector<double> completions;
   for (int i = 0; i < 4; ++i) {
@@ -168,9 +166,7 @@ TEST(BatchQueue, QueueOverheadDelaysStart) {
   BatchQueueOptions opt;
   opt.slots = 8;
   opt.mean_queue_overhead_s = 100.0;
-  SimBatchQueue q([&](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  }, [&] { return net.now(); }, opt, 7);
+  SimBatchQueue q(net.scheduler(), net.clock(), opt, 7);
 
   double done_at = -1.0;
   q.submit(1.0, [&] { done_at = net.now(); });
@@ -183,9 +179,7 @@ TEST(BatchQueue, ManyJobsAllComplete) {
   BatchQueueOptions opt;
   opt.slots = 3;
   opt.mean_queue_overhead_s = 5.0;
-  SimBatchQueue q([&](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  }, [&] { return net.now(); }, opt, 3);
+  SimBatchQueue q(net.scheduler(), net.clock(), opt, 3);
   int done = 0;
   for (int i = 0; i < 50; ++i) q.submit(2.0, [&] { ++done; });
   net.run_all();

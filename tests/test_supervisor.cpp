@@ -58,8 +58,8 @@ struct SupGrid {
   explicit SupGrid(int n = 3) : net({}, 1) {
     ServiceConfig hc;
     hc.peer_id = "home";
-    home = std::make_unique<TrianaService>(net.add_node(), clock(), sched(),
-                                           reg(), hc);
+    home = std::make_unique<TrianaService>(net.add_node(), net.clock(),
+                                           net.scheduler(), reg(), hc);
     for (int i = 0; i < n; ++i) {
       ServiceConfig cfg;
       cfg.peer_id = std::string("w").append(std::to_string(i));
@@ -69,20 +69,11 @@ struct SupGrid {
 
   /// Workers are sim nodes 1..n in creation order (home is node 0).
   TrianaService& add_worker(ServiceConfig cfg) {
-    workers.push_back(std::make_unique<TrianaService>(net.add_node(), clock(),
-                                                      sched(), reg(), cfg));
+    workers.push_back(std::make_unique<TrianaService>(
+        net.add_node(), net.clock(), net.scheduler(), reg(), cfg));
     home->node().add_neighbor(workers.back()->endpoint());
     workers.back()->node().add_neighbor(home->endpoint());
     return *workers.back();
-  }
-
-  std::function<double()> clock() {
-    return [this] { return net.now(); };
-  }
-  std::function<void(double, std::function<void()>)> sched() {
-    return [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
   }
 
   net::SimNetwork net;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/service/supervisor.hpp"
@@ -360,6 +361,91 @@ TEST(TcpParity, SimBackendStaysDeterministicThroughTheSeam) {
   EXPECT_EQ(r1.jobs_started, r2.jobs_started);
   EXPECT_EQ(r1.faults.dropped, r2.faults.dropped);
   EXPECT_EQ(r1.zombie_fenced, r2.zombie_fenced);
+}
+
+// -- one fault model ----------------------------------------------------------
+
+serial::Frame raw_frame() {
+  serial::Frame f;
+  f.type = serial::FrameType::kControl;
+  f.payload = {1, 2, 3};
+  return f;
+}
+
+/// One FaultInjector decides for both worlds: the same plan and seed over
+/// the same frames must make the same decisions, class by class.
+TEST(TcpParity, OneFaultScriptDecidesAlikeOnBothBackends) {
+  net::FaultPlan plan;
+  plan.default_link = net::LinkFaults{
+      .drop = 0.2, .duplicate = 0.1, .corrupt = 0.05, .delay = 0.3};
+  auto decide = [&plan](net::NetworkBackend& be) {
+    net::Transport& a = be.add_node();
+    net::Transport& b = be.add_node();
+    b.set_handler([](const net::Endpoint&, serial::Frame) {});
+    be.arm_faults(plan, 23);
+    for (int i = 0; i < 500; ++i) a.send(b.local(), raw_frame());
+    return be.fault_stats();
+  };
+  net::SimBackend sim_be;
+  net::TcpLoopbackBackend tcp_be;
+  const net::FaultStats sim = decide(sim_be);
+  const net::FaultStats tcp = decide(tcp_be);
+
+  EXPECT_EQ(sim.frames_seen, 500u);
+  EXPECT_GT(sim.dropped, 0u);
+  EXPECT_GT(sim.duplicated, 0u);
+  EXPECT_GT(sim.corrupted, 0u);
+  EXPECT_GT(sim.delayed, 0u);
+  EXPECT_EQ(sim, tcp) << "tcp dropped " << tcp.dropped << " duplicated "
+                      << tcp.duplicated << " corrupted " << tcp.corrupted
+                      << " delayed " << tcp.delayed;
+}
+
+/// Crash windows are absolute backend times on both backends: armed at
+/// T > 0 for T + delta, the node goes dark at about T + delta (not
+/// 2T + delta), and a window that already opened is refused.
+TEST(TcpParity, CrashWindowsOpenAtAbsoluteBackendTime) {
+  constexpr double kT = 0.5;
+  constexpr double kDelta = 0.1;
+  constexpr double kDown = 0.2;
+  auto check = [](net::NetworkBackend& be) {
+    SCOPED_TRACE(be.name());
+    net::Transport& a = be.add_node();
+    net::Transport& b = be.add_node();
+    int got = 0;
+    b.set_handler([&got](const net::Endpoint&, serial::Frame) { ++got; });
+    be.run_until(kT);
+    const double t0 = be.now();
+
+    net::FaultPlan past;
+    past.crashes.push_back(
+        net::CrashWindow{.node = 1, .at_s = t0 - kDelta, .duration_s = kDown});
+    EXPECT_THROW(be.arm_faults(past, 1), std::invalid_argument);
+
+    net::FaultPlan plan;
+    plan.crashes.push_back(
+        net::CrashWindow{.node = 1, .at_s = t0 + kDelta, .duration_s = kDown});
+    be.arm_faults(plan, 1);
+    ASSERT_TRUE(be.run_until(t0 + 10.0, [&be] {
+      return be.fault_stats().crashes_opened == 1;
+    }));
+    const double opened = be.now();
+    EXPECT_GE(opened, t0 + kDelta - 1e-9);
+    EXPECT_LT(opened, t0 + kDelta + 0.2);  // relative timing: ~2T + delta
+
+    a.send(b.local(), raw_frame());  // into the void
+    ASSERT_TRUE(be.run_until(opened + 10.0, [&be] {
+      return be.fault_stats().crashes_closed == 1;
+    }));
+    EXPECT_GE(be.now(), t0 + kDelta + kDown - 1e-9);
+    EXPECT_EQ(got, 0);
+    a.send(b.local(), raw_frame());
+    EXPECT_TRUE(be.run_until(be.now() + 10.0, [&got] { return got == 1; }));
+  };
+  net::SimBackend sim_be;
+  check(sim_be);
+  net::TcpLoopbackBackend tcp_be;
+  check(tcp_be);
 }
 
 }  // namespace

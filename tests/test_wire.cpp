@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,32 +46,8 @@ struct CaptureTransport final : Transport {
   std::size_t poll() override { return 0; }
 };
 
-/// Hand-cranked clock + timer queue, so flush ticks fire exactly when a
-/// test says so.
-struct ManualTime {
-  double now = 0.0;
-  std::multimap<double, std::function<void()>> timers;
-
-  Clock clock() {
-    return [this] { return now; };
-  }
-  Scheduler sched() {
-    return [this](double d, std::function<void()> fn) {
-      timers.emplace(now + d, std::move(fn));
-    };
-  }
-  void advance_to(double t) {
-    while (!timers.empty() && timers.begin()->first <= t) {
-      auto it = timers.begin();
-      now = it->first;
-      auto fn = std::move(it->second);
-      timers.erase(it);
-      fn();
-    }
-    now = t;
-  }
-};
-
+// The WireBatch tests crank time by hand with a node-less SimNetwork, so
+// flush ticks fire exactly when a test's run_until says so.
 ReliableConfig batching_config() {
   ReliableConfig cfg;
   cfg.batch = true;
@@ -85,8 +60,8 @@ ReliableConfig batching_config() {
 
 TEST(WireBatch, CoalescesUpToCountThresholdIntoOneFrame) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), batching_config());
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), batching_config());
 
   const Endpoint dst{"cap:peer"};
   // Heartbeats ride passthrough: no envelope/ack machinery in the way.
@@ -109,15 +84,15 @@ TEST(WireBatch, CoalescesUpToCountThresholdIntoOneFrame) {
 
 TEST(WireBatch, FlushTimerSendsAPartialBatch) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), batching_config());
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), batching_config());
 
   const Endpoint dst{"cap:peer"};
   rel.send(dst, text_frame("a", serial::FrameType::kHeartbeat));
   rel.send(dst, text_frame("b", serial::FrameType::kHeartbeat));
   EXPECT_TRUE(cap.sent.empty());  // below both thresholds: still buffered
 
-  time.advance_to(0.011);  // past batch_flush_s
+  sim.run_until(0.011);  // past batch_flush_s
   ASSERT_EQ(cap.sent.size(), 1u);
   EXPECT_EQ(cap.sent[0].second.type, serial::FrameType::kBatch);
   EXPECT_EQ(serial::decode_batch(cap.sent[0].second).size(), 2u);
@@ -125,12 +100,12 @@ TEST(WireBatch, FlushTimerSendsAPartialBatch) {
 
 TEST(WireBatch, SingleBufferedFrameFlushesUnwrapped) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), batching_config());
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), batching_config());
 
   rel.send(Endpoint{"cap:peer"},
            text_frame("solo", serial::FrameType::kHeartbeat));
-  time.advance_to(0.011);
+  sim.run_until(0.011);
   ASSERT_EQ(cap.sent.size(), 1u);
   // One frame gains nothing from batch framing; it goes out as itself.
   EXPECT_EQ(cap.sent[0].second.type, serial::FrameType::kHeartbeat);
@@ -139,8 +114,8 @@ TEST(WireBatch, SingleBufferedFrameFlushesUnwrapped) {
 
 TEST(WireBatch, OversizedFrameBypassesAfterFlushingSmallOnes) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), batching_config());
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), batching_config());
 
   const Endpoint dst{"cap:peer"};
   rel.send(dst, text_frame("small1", serial::FrameType::kHeartbeat));
@@ -162,8 +137,8 @@ TEST(WireBatch, OversizedFrameBypassesAfterFlushingSmallOnes) {
 
 TEST(WireBatch, DestinationsBatchIndependently) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), batching_config());
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), batching_config());
 
   for (int i = 0; i < 3; ++i) {
     rel.send(Endpoint{"cap:p1"}, text_frame("x", serial::FrameType::kHeartbeat));
@@ -177,8 +152,8 @@ TEST(WireBatch, DestinationsBatchIndependently) {
 
 TEST(WireBatch, ExplicitFlushBeatsTheTimer) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), batching_config());
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), batching_config());
 
   const Endpoint dst{"cap:peer"};
   rel.send(dst, text_frame("a", serial::FrameType::kHeartbeat));
@@ -188,14 +163,14 @@ TEST(WireBatch, ExplicitFlushBeatsTheTimer) {
   EXPECT_EQ(cap.sent[0].second.type, serial::FrameType::kBatch);
 
   // The still-pending flush timer finds an empty buffer: no extra frame.
-  time.advance_to(1.0);
+  sim.run_until(1.0);
   EXPECT_EQ(cap.sent.size(), 1u);
 }
 
 TEST(WireBatch, OffByDefaultSendsEveryFrameAlone) {
   CaptureTransport cap;
-  ManualTime time;
-  ReliableTransport rel(cap, time.clock(), time.sched(), ReliableConfig{});
+  SimNetwork sim;
+  ReliableTransport rel(cap, sim.clock(), sim.scheduler(), ReliableConfig{});
 
   for (int i = 0; i < 8; ++i) {
     rel.send(Endpoint{"cap:peer"},
@@ -216,12 +191,8 @@ TEST(WireBatch, ReliableDeliveryIsExactlyOnceWithBatchingOn) {
   SimNetwork net({}, 99);
   SimTransport& ta = net.add_node();
   SimTransport& tb = net.add_node();
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
-  ReliableTransport a(ta, clock, sched, cfg);
-  ReliableTransport b(tb, clock, sched, cfg);
+  ReliableTransport a(ta, net.clock(), net.scheduler(), cfg);
+  ReliableTransport b(tb, net.clock(), net.scheduler(), cfg);
 
   std::vector<std::string> got;
   b.set_handler([&](const Endpoint&, serial::Frame f) {
