@@ -109,36 +109,6 @@ TaskGraph farm_graph() {
   return g;
 }
 
-/// Turn an availability trace (relative to the churn window) into
-/// scheduled set_up toggles: down in every gap, forced back up when the
-/// drain begins so zombies return to be fenced and acks flush.
-void apply_trace(net::SimNetwork& net, std::uint32_t node,
-                 const churn::Trace& t, double t0, double window_s) {
-  const auto down_at = [&](double rel) {
-    if (rel < window_s) net.schedule(t0 + rel, [&net, node] {
-      net.set_up(node, false);
-    });
-  };
-  const auto up_at = [&](double rel) {
-    if (rel < window_s) net.schedule(t0 + rel, [&net, node] {
-      net.set_up(node, true);
-    });
-  };
-  if (t.empty()) {
-    down_at(0.0);
-  } else {
-    if (t.front().start > 0.0) {
-      down_at(0.0);
-      up_at(t.front().start);
-    }
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      down_at(t[i].end);
-      if (i + 1 < t.size()) up_at(t[i + 1].start);
-    }
-  }
-  net.schedule(t0 + window_s, [&net, node] { net.set_up(node, true); });
-}
-
 Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
                  obs::Tracer* tracer) {
   net::SimNetwork net({}, spec.seed);
@@ -199,15 +169,21 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   if (obs_registry != nullptr) sup->set_obs(*obs_registry, tracer, scope);
 
   // Every non-home peer follows its own availability trace once the
-  // warmup ends. One Rng for the whole population: per-peer traces differ
-  // but the campaign replays bit-for-bit.
+  // warmup ends: down in every gap, forced back up when the drain begins
+  // so zombies return to be fenced and acks flush. One Rng for the whole
+  // population: per-peer traces differ but the campaign replays
+  // bit-for-bit.
   churn::PoissonChurnModel model(spec.mean_up_s, spec.mean_down_s);
   dsp::Rng churn_rng(spec.seed ^ 0xC4A2u);
+  net::FaultPlan churn_plan;
   for (std::size_t i = 0; i < peers.size(); ++i) {
-    const auto trace = model.sample(spec.churn_s, churn_rng);
-    apply_trace(net, static_cast<std::uint32_t>(i + 1), trace, spec.warmup_s,
-                spec.churn_s);
+    const auto windows = churn::crash_windows(
+        static_cast<std::uint32_t>(i + 1),
+        model.sample(spec.churn_s, churn_rng), spec.warmup_s, spec.churn_s);
+    churn_plan.crashes.insert(churn_plan.crashes.end(), windows.begin(),
+                              windows.end());
   }
+  net.arm_faults(churn_plan, spec.seed);
 
   net.run_until(5.0);
   if (!run->deployed_ok()) {

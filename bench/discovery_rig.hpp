@@ -29,9 +29,7 @@ struct PeerRing {
     for (std::size_t i = 0; i < n; ++i) {
       auto& t = net.add_node();
       nodes.push_back(std::make_unique<p2p::PeerNode>(
-          t, net.clock(),
-          p2p::PeerConfig{
-              .peer_id = std::string("p").append(std::to_string(i))}));
+          t, net.clock(), std::string("p").append(std::to_string(i))));
     }
   }
 

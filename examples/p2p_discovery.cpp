@@ -18,9 +18,9 @@ int main() {
   net::Transport& ta = world.add_node();
   net::Transport& tb = world.add_node();
   net::Transport& tc = world.add_node();
-  p2p::PeerNode a(ta, world.clock(), p2p::PeerConfig{.peer_id = "alice"});
-  p2p::PeerNode b(tb, world.clock(), p2p::PeerConfig{.peer_id = "bob"});
-  p2p::PeerNode c(tc, world.clock(), p2p::PeerConfig{.peer_id = "carol"});
+  p2p::PeerNode a(ta, world.clock(), "alice");
+  p2p::PeerNode b(tb, world.clock(), "bob");
+  p2p::PeerNode c(tc, world.clock(), "carol");
   std::printf("alice @ %s\nbob   @ %s\ncarol @ %s\n", ta.local().value.c_str(),
               tb.local().value.c_str(), tc.local().value.c_str());
 

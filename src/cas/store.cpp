@@ -335,7 +335,7 @@ std::optional<serial::Bytes> ContentStore::get(const Digest& d) {
     serial::Bytes raw;
     try {
       raw = cfg_.compress ? decompress(stored) : std::move(stored);
-      if (cfg_.verify_on_read && sha256(raw) != d) {
+      if (sha256(raw) != d) {
         throw serial::DecodeError("cas: object digest mismatch");
       }
     } catch (const serial::DecodeError&) {

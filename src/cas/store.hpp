@@ -50,8 +50,7 @@ struct CasConfig {
   std::string dir;
   std::size_t memory_bytes = 32u << 20;  ///< raw-byte budget, memory tier
   std::size_t disk_bytes = 256u << 20;   ///< stored-byte budget, disk tier
-  bool compress = true;       ///< compress disk objects (cas/compress.hpp)
-  bool verify_on_read = true; ///< re-hash disk reads, drop on mismatch
+  bool compress = true;  ///< compress disk objects (cas/compress.hpp)
 
   /// Honour the environment knobs: CONGRID_CAS_DIR (disk root),
   /// CONGRID_CAS_MEM_BYTES and CONGRID_CAS_DISK_BYTES (decimal byte

@@ -139,4 +139,24 @@ std::size_t completed_tasks(const Trace& t, double duration_s, double task_s,
   return done;
 }
 
+std::vector<net::CrashWindow> crash_windows(std::uint32_t node,
+                                            const Trace& t, double t0,
+                                            double window_s) {
+  std::vector<net::CrashWindow> out;
+  const auto gap = [&](double from, double to) {
+    if (from >= window_s || to <= from) return;
+    const double at = t0 + from;
+    // Duration from the absolute up edge, so at + duration rounds back to
+    // t0 + to rather than drifting by the rounding of to - from.
+    out.push_back({node, at, std::isinf(to) ? 0.0 : (t0 + to) - at});
+  };
+  double up_until = 0.0;
+  for (const Interval& iv : t) {
+    gap(up_until, std::min(iv.start, window_s));
+    up_until = iv.end;
+  }
+  gap(up_until, window_s);
+  return out;
+}
+
 }  // namespace cg::churn

@@ -16,14 +16,18 @@
 //
 // A trace is a sorted list of disjoint [start, end) intervals during which
 // the host is usable. Helpers compute the aggregate statistics benches
-// report and the "work actually completed" arithmetic used by E3/E8.
+// report and the "work actually completed" arithmetic used by E3/E8, and
+// turn a trace into the crash windows a simulator replays it with.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "dsp/rng.hpp"
+#include "net/fault.hpp"
 
 namespace cg::churn {
 
@@ -110,5 +114,16 @@ double mean_session_length(const Trace& t);
 /// and the task resumes in the next interval. Returns completed task count.
 std::size_t completed_tasks(const Trace& t, double duration_s, double task_s,
                             double checkpoint_s = 0.0);
+
+/// The gaps of `t` as crash windows for `node`, to replay the trace on a
+/// simulator with SimNetwork::arm_faults: down before the first interval,
+/// between intervals and after the last. Window times are `t0` plus trace
+/// time. A finite `window_s` clips the trace: gaps opening at or after it
+/// are dropped, and the node is up for good from t0 + window_s. Without
+/// one, the gap after the last interval is a permanent crash. Empty gaps
+/// are skipped.
+std::vector<net::CrashWindow> crash_windows(
+    std::uint32_t node, const Trace& t, double t0 = 0.0,
+    double window_s = std::numeric_limits<double>::infinity());
 
 }  // namespace cg::churn

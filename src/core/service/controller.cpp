@@ -192,19 +192,31 @@ void TrianaController::migrate(std::shared_ptr<DistributedRun> run,
               run->remote_jobs[idx] = ack.job_id;
 
               // Everyone sending into the moved fragment must re-resolve.
-              for (const auto& label :
-                   channel_labels(run->fragments[idx]).inputs) {
-                home_.rebind_channel(label);
-                for (std::size_t j = 0; j < run->workers.size(); ++j) {
-                  if (j == idx) continue;
-                  home_.node().transport().send(run->workers[j],
-                                                encode(RebindMsg{label}));
-                }
-              }
+              rebind_inputs(*run, idx);
               done(true);
             },
             ckpt.state);
       });
+}
+
+std::size_t TrianaController::rebind_inputs(const DistributedRun& run,
+                                            std::size_t idx,
+                                            std::uint64_t epoch,
+                                            const net::Endpoint& also) {
+  auto& transport = home_.node().transport();
+  std::size_t sent = 0;
+  const auto send = [&](const net::Endpoint& to, const std::string& label) {
+    transport.send(to, encode(RebindMsg{label, epoch}));
+    ++sent;
+  };
+  for (const auto& label : channel_labels(run.fragments[idx]).inputs) {
+    home_.rebind_channel(label);
+    for (std::size_t j = 0; j < run.workers.size(); ++j) {
+      if (j != idx) send(run.workers[j], label);
+    }
+    if (!also.empty()) send(also, label);
+  }
+  return sent;
 }
 
 }  // namespace cg::core

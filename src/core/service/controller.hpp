@@ -102,6 +102,14 @@ class TrianaController {
                const net::Endpoint& new_worker,
                std::function<void(bool)> done);
 
+  /// Make every sender into fragment `idx` re-resolve its input labels:
+  /// per label, the home drops its own binding, then every other worker
+  /// and `also` (when set) get a RebindMsg stamped with `epoch` (0 =
+  /// unfenced). Returns the number of messages sent.
+  std::size_t rebind_inputs(const DistributedRun& run, std::size_t idx,
+                            std::uint64_t epoch = 0,
+                            const net::Endpoint& also = {});
+
  private:
   TrianaService& home_;
   sandbox::TrustManager* trust_ = nullptr;

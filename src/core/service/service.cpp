@@ -11,6 +11,12 @@
 namespace cg::core {
 namespace {
 
+constexpr std::size_t kModuleCacheBytes = 64u << 20;
+/// Re-resolve attempts for a bounced payload, and for a failed output
+/// bind, before giving up (spaced by ServiceConfig's *_retry_s).
+constexpr int kBounceRetries = 8;
+constexpr int kBindRetries = 10;
+
 /// Distinct fetchable unit types in a graph (recursing into groups).
 std::set<std::string> module_types(const TaskGraph& g) {
   std::set<std::string> out;
@@ -47,27 +53,26 @@ TrianaService::TrianaService(net::Transport& transport, net::Clock clock,
       registry_(registry),
       config_(std::move(config)),
       transport_(transport, clock_, scheduler_, config_.reliable),
-      node_(transport_, clock_,
-            p2p::PeerConfig{.peer_id = config_.peer_id}),
+      node_(transport_, clock_, config_.peer_id),
       pipes_(node_, scheduler_),
       code_(transport_),
-      module_cache_(config_.module_cache_bytes),
+      module_cache_(kModuleCacheBytes),
       account_(config_.peer_id.empty() ? transport.local().value
                                        : config_.peer_id,
                config_.sandbox_policy, config_.certified_library) {
   if (config_.peer_id.empty()) config_.peer_id = transport.local().value;
   module_cache_.set_backing_store(config_.cas);
   code_.serve_from(&local_repo_);
-  // Frame chain: PeerNode (discovery) -> PipeServe (data) -> CodeExchange
-  // (code) -> control messages.
-  pipes_.set_fallback_handler(
-      [this](const net::Endpoint& from, serial::Frame f) {
-        code_.on_frame(from, std::move(f));
-      });
-  code_.set_fallback_handler(
-      [this](const net::Endpoint& from, serial::Frame f) {
-        handle_control(from, std::move(f));
-      });
+  // PeerNode consumes discovery and PipeServe has routed kData; the code
+  // protocol and control messages are ours.
+  node_.route(serial::FrameType::kCode,
+              [this](const net::Endpoint& from, serial::Frame f) {
+                code_.on_frame(from, std::move(f));
+              });
+  node_.route(serial::FrameType::kControl,
+              [this](const net::Endpoint& from, serial::Frame f) {
+                handle_control(from, std::move(f));
+              });
   // Payloads for a label whose job is suspended or fenced go back to their
   // sender instead of vanishing: the sender re-resolves the label and the
   // item lands at the live incarnation.
@@ -308,7 +313,6 @@ bool TrianaService::cancel_local(const std::string& job_id) {
 
 void TrianaService::handle_control(const net::Endpoint& from,
                                    serial::Frame frame) {
-  if (frame.type != serial::FrameType::kControl) return;  // nothing else left
   switch (control_type(frame)) {
     case ControlType::kDeploy:
       handle_deploy(from, decode_deploy(frame));
@@ -766,7 +770,7 @@ void TrianaService::on_channel_send(const std::string& job_id,
   // (including retries while the provider is down or mid-recovery).
   const std::uint64_t bspan = obs_.tracer.begin_span(
       config_.peer_id, "pipe.bind", job.trace, "label=" + label);
-  start_output_bind(job_id, label, config_.bind_retries, bspan);
+  start_output_bind(job_id, label, kBindRetries, bspan);
 }
 
 void TrianaService::start_output_bind(const std::string& job_id,
@@ -1007,7 +1011,7 @@ void TrianaService::handle_bounce(const net::Endpoint& from, BounceMsg m) {
   // stale binding and re-resolve -- the advert cache prefers the highest
   // epoch, so the re-send lands at the replacement.
   rebind_channel(m.label);
-  resend_bounced(m.label, std::move(m.payload), config_.bounce_retries);
+  resend_bounced(m.label, std::move(m.payload), kBounceRetries);
 }
 
 void TrianaService::resend_bounced(const std::string& label,

@@ -45,7 +45,6 @@ struct ServiceConfig {
       {"cpu_mhz", "2000"}, {"free_mem_mb", "256"}};
   sandbox::Policy sandbox_policy;
   const sandbox::CertifiedLibrary* certified_library = nullptr;
-  std::size_t module_cache_bytes = 64u << 20;
   /// When false, deploys only run if every unit type's module is already
   /// cached or locally owned (no network fetch).
   bool fetch_code_on_demand = true;
@@ -68,19 +67,17 @@ struct ServiceConfig {
   bool memoize_pure_units = false;
   /// Bounced-payload re-send: when a payload this service sent comes back
   /// (consumer suspended or fenced), re-resolve the channel and re-send;
-  /// retry a failed re-resolve this many times, this far apart (recovery
-  /// may still be in flight when the bounce arrives).
+  /// retry a failed re-resolve up to 8 times, this far apart (recovery may
+  /// still be in flight when the bounce arrives).
   double bounce_retry_s = 1.0;
-  int bounce_retries = 8;
   /// Output-channel bind retry: a failed discovery for an output label is
-  /// retried this many times, this far apart, before the job is failed.
+  /// retried up to 10 times, this far apart, before the job is failed.
   /// Under churn the provider may be down for a blip -- or dead and mid
   /// recovery -- when the flood goes out; by the next attempt the host is
   /// back (or the supervisor has redeployed the fragment and the retry
   /// binds the replacement's higher-epoch advert). Only the final failure
   /// is fatal to the job.
   double bind_retry_s = 2.0;
-  int bind_retries = 10;
 };
 
 /// Client-side knobs for supervised deployments: the fragment's fencing
@@ -134,9 +131,8 @@ class TrianaService {
  public:
   /// Everything passed in must outlive the service. The service wraps the
   /// raw transport in a ReliableTransport (controller protocol, code
-  /// exchange and discovery all ride it) and installs itself at the end of
-  /// the frame-handler chain
-  /// (PeerNode -> PipeServe -> CodeExchange -> control).
+  /// exchange and discovery all ride it) and routes the peer's kCode frames
+  /// to its CodeExchange and kControl frames to itself (PeerNode::route).
   TrianaService(net::Transport& transport, net::Clock clock,
                 net::Scheduler scheduler, const UnitRegistry& registry,
                 ServiceConfig config = {});

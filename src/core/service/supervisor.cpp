@@ -21,7 +21,6 @@ RunSupervisor::RunSupervisor(TrianaController& controller,
       spares_(std::move(spares)),
       options_(options) {
   net::FailureDetectorOptions d;
-  d.window = options_.detector_window;
   d.min_std_s = options_.detector_min_std_s;
   Fragment fresh;
   fresh.detector = net::PhiAccrualDetector(d);
@@ -413,20 +412,14 @@ void RunSupervisor::broadcast_refence(std::size_t idx, std::uint64_t epoch,
   // the rebind also halts a zombie still ADVERTISING these labels -- and is
   // sent to the dead host itself so a returning partitionee learns its
   // fate without guessing.
-  for (const auto& label : channel_labels(run_->fragments[idx]).inputs) {
-    home().rebind_channel(label);
-    for (std::size_t j = 0; j < run_->workers.size(); ++j) {
-      if (j == idx) continue;
-      if (fenced) {
-        send_fence_msg(run_->workers[j], encode(RebindMsg{label, epoch}));
-      } else {
-        transport.send(run_->workers[j], encode(RebindMsg{label}));
-      }
-    }
-    if (fenced) send_fence_msg(dead, encode(RebindMsg{label, epoch}));
+  if (!fenced) {
+    controller_.rebind_inputs(*run_, idx);
+    return;
   }
-
-  if (!fenced) return;
+  const std::size_t rebinds =
+      controller_.rebind_inputs(*run_, idx, epoch, dead);
+  stats_.fences_sent += rebinds;
+  obs_.fenced_msgs.inc(rebinds);
 
   // Producer fences on the fragment's output labels, scoped to the dead
   // host: stale-epoch payloads FROM it are dropped (counted, never

@@ -51,10 +51,9 @@ struct SupervisorOptions {
   int max_missed = 3;
 
   // -- adaptive (phi-accrual) detection ------------------------------------
-  /// Reply inter-arrival window and variance floor (see FailureDetector-
-  /// Options); the floor keeps one metronomic link from turning into a
-  /// hair trigger.
-  std::size_t detector_window = 32;
+  /// Reply inter-arrival variance floor (see FailureDetectorOptions, whose
+  /// default 32-reply window the detector keeps); the floor keeps one
+  /// metronomic link from turning into a hair trigger.
   double detector_min_std_s = 0.25;
   /// Suspicion threshold: phi at which a host is *suspected* (eligible for
   /// a speculative standby, not yet recovered from).

@@ -255,8 +255,7 @@ HttpServer::HttpServer(Registry& registry, Tracer* tracer,
     : registry_(registry),
       tracer_(tracer),
       opt_(opt),
-      sampler_(registry,
-               Sampler::Options{opt.sample_period_s, opt.sample_window}) {}
+      sampler_(registry, Sampler::Options{.period_s = opt.sample_period_s}) {}
 
 HttpServer::~HttpServer() { stop(); }
 

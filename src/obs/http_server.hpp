@@ -53,7 +53,6 @@ struct HttpServerOptions {
   /// and the connection is closed -- the server never buffers unboundedly.
   std::size_t max_request_bytes = 8192;
   double sample_period_s = 1.0;  ///< sampler cadence on the pump thread
-  std::size_t sample_window = 64;
 };
 
 class HttpServer {

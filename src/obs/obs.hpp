@@ -2,7 +2,7 @@
 //
 // Include this one header to instrument a component. The pattern every
 // instrumented subsystem follows (SimNetwork, ReliableTransport,
-// TrianaService, RunSupervisor, ModuleCache, churn driver):
+// TrianaService, RunSupervisor, ModuleCache):
 //
 //   * hold unbound CounterRef / GaugeRef / HistogramRef / TracerRef
 //     members -- all no-ops until bound, all compiled out entirely under

@@ -4,6 +4,14 @@
 #include <cmath>
 
 namespace cg::p2p {
+namespace {
+
+constexpr std::size_t kAlpha = 3;  ///< parallel RPCs per lookup round
+constexpr double kRpcTimeoutS = 1.0;
+const std::string kPrimaryAttr = "cpu_mhz";
+constexpr std::size_t kMaxResponseAdverts = 64;  ///< cap per index reply
+
+}  // namespace
 
 OverlayNode::OverlayNode(PeerNode& node, Scheduler scheduler,
                          OverlayConfig config)
@@ -12,7 +20,7 @@ OverlayNode::OverlayNode(PeerNode& node, Scheduler scheduler,
       config_(std::move(config)),
       id_(node_id_of(node.id())),
       routing_(id_, config_.routing),
-      index_(config_.primary_attr) {
+      index_(kPrimaryAttr) {
   node_.set_discovery_extension(
       [this](const net::Endpoint& from, const serial::Frame& f) {
         on_frame(from, f);
@@ -60,7 +68,7 @@ std::uint32_t OverlayNode::shard_of(double primary_value) const {
 }
 
 std::uint32_t OverlayNode::first_shard(const Query& q) const {
-  const auto it = q.require_min.find(config_.primary_attr);
+  const auto it = q.require_min.find(kPrimaryAttr);
   if (it == q.require_min.end()) return 0;
   return shard_of(it->second);
 }
@@ -150,7 +158,7 @@ void OverlayNode::handle_index_query(IndexQueryMsg m) {
   r.rpc_id = m.rpc_id;
   r.shard = m.shard;
   const std::size_t cap =
-      m.limit != 0 ? m.limit : config_.max_response_adverts;
+      m.limit != 0 ? m.limit : kMaxResponseAdverts;
   r.adverts = index_.find(m.query, node_.now(), cap);
   r.trace = m.trace;
   node_.transport().send(m.origin, encode(r));
@@ -226,7 +234,7 @@ void OverlayNode::send_find_node(std::uint64_t lookup_id, Lookup& l,
   ++stats_.lookup_rpcs;
   lookup_rpcs_c_.inc();
   node_.transport().send(c.endpoint, encode(m));
-  scheduler_(config_.rpc_timeout_s, [this, rpc_id] {
+  scheduler_(kRpcTimeoutS, [this, rpc_id] {
     auto it = find_node_rpcs_.find(rpc_id);
     if (it == find_node_rpcs_.end()) return;  // answered in time
     const FindNodeRpc rpc = it->second;
@@ -249,7 +257,7 @@ void OverlayNode::lookup_step(std::uint64_t lookup_id) {
   // Kademlia convergence: only the k closest non-failed shortlist entries
   // are ever candidates; when all of them have been queried and no RPC is
   // in flight, the lookup cannot improve and terminates.
-  while (l.pending < config_.alpha) {
+  while (l.pending < kAlpha) {
     const Contact* next = nullptr;
     std::size_t considered = 0;
     for (const auto& c : l.shortlist) {
@@ -305,7 +313,7 @@ void OverlayNode::publish(const std::vector<Advertisement>& adverts,
   ensure_seeded();
   std::map<std::uint32_t, std::vector<Advertisement>> by_shard;
   for (const auto& a : adverts) {
-    const auto v = a.numeric_attr(config_.primary_attr);
+    const auto v = a.numeric_attr(kPrimaryAttr);
     by_shard[shard_of(v ? *v : config_.primary_lo)].push_back(a);
     ++stats_.publishes;
   }
@@ -390,7 +398,7 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
     if (index_enabled_) {
       ++stats_.index_queries_served;
       const std::size_t cap =
-          std::min<std::size_t>(f.limit, config_.max_response_adverts);
+          std::min<std::size_t>(f.limit, kMaxResponseAdverts);
       for (const auto& a : index_.find(f.query, node_.now(), cap)) {
         if (f.seen_ids.insert(a.id).second) f.found.push_back(a);
       }
@@ -411,7 +419,7 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
   m.origin = node_.endpoint();
   m.shard = shard;
   m.limit = static_cast<std::uint32_t>(
-      std::min<std::size_t>(f.limit, config_.max_response_adverts));
+      std::min<std::size_t>(f.limit, kMaxResponseAdverts));
   m.query = f.query;
   m.trace = rpc_context(f.span);
   const Contact target = replicas[attempt];
@@ -419,7 +427,7 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
   ++stats_.find_rpcs;
   find_rpcs_c_.inc();
   node_.transport().send(target.endpoint, encode(m));
-  scheduler_(config_.rpc_timeout_s, [this, rpc_id] {
+  scheduler_(kRpcTimeoutS, [this, rpc_id] {
     auto it = index_rpcs_.find(rpc_id);
     if (it == index_rpcs_.end()) return;  // answered in time
     IndexRpc rpc = std::move(it->second);

@@ -7,12 +7,12 @@
 //
 //   * Kademlia-style routing (routing_table.hpp): every peer sits on a
 //     64-bit XOR ring (node_id.hpp) and keeps k contacts per distance
-//     bucket. An iterative lookup asks the alpha closest known contacts
-//     for *their* closest contacts and repeats, halving the distance per
-//     round -- O(log N) RPCs to reach any id at any population.
+//     bucket. An iterative lookup asks the 3 closest known contacts at a
+//     time for *their* closest contacts and repeats, halving the distance
+//     per round -- O(log N) RPCs to reach any id at any population.
 //
-//   * Sharded attribute rendezvous: the primary capability attribute
-//     (cpu_mhz by default) is banded into S shards; shard s lives at ring
+//   * Sharded attribute rendezvous: the primary capability attribute,
+//     cpu_mhz, is banded into S shards; shard s lives at ring
 //     position shard_key(s), replicated on the `replication` XOR-closest
 //     index-serving peers. Publishing an advert means storing it on one
 //     shard's replicas; a range query "cpu_mhz >= X" touches only the
@@ -23,8 +23,8 @@
 // extension (kDiscovery subtypes >= 4), so the flooding protocols keep
 // working untouched and experiment E14 can race the two on identical
 // advert sets. Liveness plugs into the same phi-accrual machinery as the
-// supervisor: responses are heartbeats, timeouts are failures, and the
-// churn driver's verdicts feed RoutingTable eviction.
+// supervisor: responses are heartbeats, timeouts are failures, and a
+// churned-out contact's timeouts feed RoutingTable eviction.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +45,15 @@
 
 namespace cg::p2p {
 
+/// Fixed (overlay.cpp): 3 parallel RPCs per lookup round, a 1 s RPC
+/// timeout, cpu_mhz as the primary attribute, and at most 64 adverts per
+/// index reply.
 struct OverlayConfig {
   RoutingOptions routing;     ///< k doubles as lookup width
-  std::size_t alpha = 3;      ///< parallel RPCs per lookup round
-  double rpc_timeout_s = 1.0;
   std::uint32_t shards = 16;  ///< bands of the primary attribute
   std::size_t replication = 3;
-  std::string primary_attr = "cpu_mhz";
   double primary_lo = 0.0;     ///< band edges: values map linearly
   double primary_hi = 4000.0;  ///< into [0, shards)
-  std::size_t max_response_adverts = 64;  ///< cap per index reply
   /// Lazy routing-table seeding: invoked once, on first overlay use, with
   /// this node's id; the returned contacts become the initial table. Big
   /// simulations hand out analytic neighbourhoods this way instead of

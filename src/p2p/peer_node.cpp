@@ -1,15 +1,16 @@
 #include "p2p/peer_node.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace cg::p2p {
 
-PeerNode::PeerNode(net::Transport& transport, Clock clock, PeerConfig config)
+PeerNode::PeerNode(net::Transport& transport, Clock clock, std::string peer_id)
     : transport_(transport),
       clock_(std::move(clock)),
-      config_(std::move(config)),
-      cache_(config_.cache_capacity) {
-  if (config_.peer_id.empty()) config_.peer_id = transport_.local().value;
+      peer_id_(std::move(peer_id)),
+      cache_(kCacheCapacity) {
+  if (peer_id_.empty()) peer_id_ = transport_.local().value;
   transport_.set_handler([this](const net::Endpoint& from, serial::Frame f) {
     on_frame(from, std::move(f));
   });
@@ -37,8 +38,8 @@ Advertisement PeerNode::make_peer_advert(
     std::map<std::string, std::string> attrs) const {
   Advertisement a;
   a.kind = AdvertKind::kPeer;
-  a.id = "peer:" + config_.peer_id;
-  a.name = config_.peer_id;
+  a.id = "peer:" + peer_id_;
+  a.name = peer_id_;
   a.provider = transport_.local();
   a.attrs = std::move(attrs);
   if (!groups_.empty()) {
@@ -49,17 +50,17 @@ Advertisement PeerNode::make_peer_advert(
     }
     a.attrs[kGroupsAttr] = csv;
   }
-  a.expires_at = clock_() + config_.advert_lifetime_s;
+  a.expires_at = clock_() + kAdvertLifetimeS;
   return a;
 }
 
 Advertisement PeerNode::make_pipe_advert(const std::string& pipe_name) const {
   Advertisement a;
   a.kind = AdvertKind::kPipe;
-  a.id = "pipe:" + config_.peer_id + ":" + pipe_name;
+  a.id = "pipe:" + peer_id_ + ":" + pipe_name;
   a.name = pipe_name;
   a.provider = transport_.local();
-  a.expires_at = clock_() + config_.advert_lifetime_s;
+  a.expires_at = clock_() + kAdvertLifetimeS;
   return a;
 }
 
@@ -67,11 +68,11 @@ Advertisement PeerNode::make_module_advert(const std::string& module_name,
                                            const std::string& version) const {
   Advertisement a;
   a.kind = AdvertKind::kModule;
-  a.id = "module:" + config_.peer_id + ":" + module_name + "@" + version;
+  a.id = "module:" + peer_id_ + ":" + module_name + "@" + version;
   a.name = module_name;
   a.provider = transport_.local();
   a.attrs["version"] = version;
-  a.expires_at = clock_() + config_.advert_lifetime_s;
+  a.expires_at = clock_() + kAdvertLifetimeS;
   return a;
 }
 
@@ -81,7 +82,7 @@ void PeerNode::publish_local(const Advertisement& a) {
 
 void PeerNode::set_obs(obs::Tracer* tracer, std::string_view node) {
   tracer_ = tracer;
-  trace_node_ = node.empty() ? config_.peer_id : std::string(node);
+  trace_node_ = node.empty() ? peer_id_ : std::string(node);
 }
 
 void PeerNode::publish_to(const net::Endpoint& target,
@@ -96,7 +97,7 @@ void PeerNode::publish_to(const net::Endpoint& target,
 std::uint64_t PeerNode::fresh_query_id() {
   // Mix the peer id hash in so ids from different peers don't collide in
   // seen-sets even though each node counts from 1.
-  return (std::hash<std::string>{}(config_.peer_id) << 20) ^ next_query_++;
+  return (std::hash<std::string>{}(peer_id_) << 20) ^ next_query_++;
 }
 
 std::uint64_t PeerNode::discover_flood(const Query& q, int ttl,
@@ -111,7 +112,7 @@ std::uint64_t PeerNode::discover_flood(const Query& q, int ttl,
             static_cast<std::uint8_t>(std::clamp(ttl, 0, 255)));
 
   // Local cache may already answer.
-  auto local = find_local(q, config_.max_response_adverts);
+  auto local = find_local(q, kMaxResponseAdverts);
   pending_[id] = std::move(on);
   if (!local.empty()) pending_[id](local);
 
@@ -144,7 +145,7 @@ std::uint64_t PeerNode::discover_rendezvous(const Query& q,
   ++stats_.queries_initiated;
   seen_gate(endpoint().value + "#" + std::to_string(id), 2);
 
-  auto local = find_local(q, config_.max_response_adverts);
+  auto local = find_local(q, kMaxResponseAdverts);
   pending_[id] = std::move(on);
   if (!local.empty()) pending_[id](local);
 
@@ -183,16 +184,26 @@ PeerNode::SeenGate PeerNode::seen_gate(const std::string& key,
   }
   seen_.emplace(key, ttl);
   seen_fifo_.push_back(key);
-  while (seen_fifo_.size() > config_.seen_query_capacity) {
+  while (seen_fifo_.size() > kSeenQueryCapacity) {
     seen_.erase(seen_fifo_.front());
     seen_fifo_.pop_front();
   }
   return SeenGate::kNew;
 }
 
+void PeerNode::route(serial::FrameType type, net::FrameHandler h) {
+  // at() throws std::out_of_range, a std::logic_error, for unknown types.
+  net::FrameHandler& slot = routes_.at(static_cast<std::size_t>(type));
+  if (slot || type == serial::FrameType::kDiscovery) {
+    throw std::logic_error("PeerNode::route: frame type already routed");
+  }
+  slot = std::move(h);
+}
+
 void PeerNode::on_frame(const net::Endpoint& from, serial::Frame frame) {
   if (frame.type != serial::FrameType::kDiscovery) {
-    if (fallback_) fallback_(from, std::move(frame));
+    const auto i = static_cast<std::size_t>(frame.type);
+    if (i < routes_.size() && routes_[i]) routes_[i](from, std::move(frame));
     return;
   }
   switch (discovery_type(frame)) {
@@ -236,7 +247,7 @@ void PeerNode::handle_query(const net::Endpoint& from, QueryMsg m) {
   // Widened re-arrivals answer again on purpose: the cache may have
   // gained matches since the narrower ring (a migrated pipe re-advertises
   // mid-search), and origins dedup responses by advert id anyway.
-  auto matches = find_local(m.query, config_.max_response_adverts);
+  auto matches = find_local(m.query, kMaxResponseAdverts);
   if (!matches.empty()) {
     ResponseMsg r;
     r.query_id = m.query_id;

@@ -14,10 +14,12 @@
 //   * expanding ring -- retried flooding with growing TTL (discovery.hpp).
 //
 // PeerNode installs itself as the transport's frame handler and consumes
-// kDiscovery frames; everything else is passed to the fallback handler, so
-// pipes (pipes.hpp) and the Triana service protocol chain behind it.
+// kDiscovery frames. Every other frame type goes to the one handler its
+// consumer registered with route(): kData to pipes (pipes.hpp), kCode and
+// kControl to the Triana service. Unrouted types are dropped.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -43,14 +45,6 @@ using Clock = net::Clock;
 /// SimNetwork::schedule (simulated) or a local timer wheel (real).
 using Scheduler = net::Scheduler;
 
-struct PeerConfig {
-  std::string peer_id;                 ///< defaults to the endpoint value
-  double advert_lifetime_s = 300.0;    ///< lifetime stamped on own adverts
-  std::size_t cache_capacity = 4096;
-  std::size_t seen_query_capacity = 8192;
-  std::size_t max_response_adverts = 16;  ///< cap per response message
-};
-
 struct PeerNodeStats {
   std::uint64_t queries_initiated = 0;
   std::uint64_t queries_received = 0;   ///< excluding duplicates
@@ -65,14 +59,21 @@ struct PeerNodeStats {
 
 class PeerNode {
  public:
+  static constexpr double kAdvertLifetimeS = 300.0;  ///< on own adverts
+  static constexpr std::size_t kCacheCapacity = 4096;
+  /// Seen "origin#id" query keys remembered, oldest forgotten first.
+  static constexpr std::size_t kSeenQueryCapacity = 8192;
+  static constexpr std::size_t kMaxResponseAdverts = 16;  ///< per response
+
   /// The transport must outlive the node. The node takes over the
-  /// transport's frame handler.
-  PeerNode(net::Transport& transport, Clock clock, PeerConfig config = {});
+  /// transport's frame handler. An empty `peer_id` defaults to the
+  /// endpoint value.
+  PeerNode(net::Transport& transport, Clock clock, std::string peer_id = {});
 
   PeerNode(const PeerNode&) = delete;
   PeerNode& operator=(const PeerNode&) = delete;
 
-  const std::string& id() const { return config_.peer_id; }
+  const std::string& id() const { return peer_id_; }
   net::Endpoint endpoint() const { return transport_.local(); }
   net::Transport& transport() { return transport_; }
   double now() const { return clock_(); }
@@ -148,14 +149,11 @@ class PeerNode {
                                         std::size_t limit = SIZE_MAX);
 
   // -- frame plumbing ---------------------------------------------------------
-  /// Receives every non-discovery frame (pipes, service protocol).
-  void set_fallback_handler(net::FrameHandler h) { fallback_ = std::move(h); }
-
-  /// The currently installed fallback (empty when none). A new chain link
-  /// (e.g. PipeServe) captures this before replacing it, so earlier links
-  /// keep receiving the frame types they consume whatever the install
-  /// order.
-  const net::FrameHandler& fallback_handler() const { return fallback_; }
+  /// Deliver every frame of `type` to `h`. One handler per type, so the
+  /// order consumers register in does not matter. Throws std::logic_error
+  /// for a type that already has a handler, and for kDiscovery, which this
+  /// node consumes itself.
+  void route(serial::FrameType type, net::FrameHandler h);
 
   /// Receives kDiscovery frames whose subtype this node does not speak
   /// (the structured-overlay RPCs, subtypes >= 4). An attached OverlayNode
@@ -198,7 +196,7 @@ class PeerNode {
 
   net::Transport& transport_;
   Clock clock_;
-  PeerConfig config_;
+  std::string peer_id_;
   AdvertisementCache cache_;
   std::vector<net::Endpoint> neighbors_;
   std::vector<std::string> groups_;
@@ -214,7 +212,10 @@ class PeerNode {
   std::unordered_map<std::uint64_t, ResponseHandler> pending_;
   std::uint64_t next_query_ = 1;
 
-  net::FrameHandler fallback_;
+  /// Indexed by frame type; types past the end are never routed.
+  std::array<net::FrameHandler,
+             static_cast<std::size_t>(serial::FrameType::kBatch) + 1>
+      routes_;
   DiscoveryExtension extension_;
   PeerNodeStats stats_;
   obs::TracerRef tracer_;

@@ -29,15 +29,11 @@ const Advertisement& best_advert(const std::vector<Advertisement>& adverts) {
 }  // namespace
 
 PipeServe::PipeServe(PeerNode& node, Scheduler scheduler)
-    : node_(node),
-      scheduler_(std::move(scheduler)),
-      // Chain, don't clobber: whatever fallback was installed on the node
-      // before us keeps receiving the frames we don't consume.
-      fallback_(node.fallback_handler()) {
-  node_.set_fallback_handler(
-      [this](const net::Endpoint& from, serial::Frame f) {
-        on_frame(from, std::move(f));
-      });
+    : node_(node), scheduler_(std::move(scheduler)) {
+  node_.route(serial::FrameType::kData,
+              [this](const net::Endpoint& from, serial::Frame f) {
+                on_frame(from, std::move(f));
+              });
 }
 
 void PipeServe::advertise_input(const std::string& pipe_name,
@@ -150,10 +146,6 @@ std::uint64_t PipeServe::fence_of(const std::string& pipe_name,
 }
 
 void PipeServe::on_frame(const net::Endpoint& from, serial::Frame frame) {
-  if (frame.type != serial::FrameType::kData) {
-    if (fallback_) fallback_(from, std::move(frame));
-    return;
-  }
   serial::Reader r(frame.payload);
   const std::string pipe_name = r.string();
   const std::uint64_t epoch = r.u64();

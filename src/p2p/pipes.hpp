@@ -55,10 +55,8 @@ class PipeServe {
       const std::string& pipe, const net::Endpoint& from,
       serial::Bytes payload)>;
 
-  /// The node and scheduler must outlive the PipeServe. PipeServe installs
-  /// itself as the node's fallback handler and consumes kData frames; any
-  /// fallback previously installed on the node is captured and chained
-  /// behind this one (until set_fallback_handler replaces it).
+  /// The node and scheduler must outlive the PipeServe. PipeServe routes
+  /// the node's kData frames to itself (PeerNode::route).
   PipeServe(PeerNode& node, Scheduler scheduler);
 
   PipeServe(const PipeServe&) = delete;
@@ -110,10 +108,6 @@ class PipeServe {
                          const std::string& from = {}) const;
 
   // -- plumbing ----------------------------------------------------------------
-  /// Frames that are neither discovery (PeerNode) nor pipe data end up
-  /// here -- the Triana service protocol chains on this.
-  void set_fallback_handler(net::FrameHandler h) { fallback_ = std::move(h); }
-
   /// Install the unknown-pipe hook (the service's bounce path).
   void set_unknown_pipe_handler(UnknownPipeHandler h) {
     unknown_ = std::move(h);
@@ -132,7 +126,6 @@ class PipeServe {
   std::unordered_map<std::string,
                      std::unordered_map<std::string, std::uint64_t>>
       fences_;
-  net::FrameHandler fallback_;
   UnknownPipeHandler unknown_;
   PipeServeStats stats_;
 };

@@ -42,10 +42,6 @@ std::uint64_t CodeExchange::fetch(const net::Endpoint& owner,
 }
 
 void CodeExchange::on_frame(const net::Endpoint& from, serial::Frame frame) {
-  if (frame.type != serial::FrameType::kCode) {
-    if (fallback_) fallback_(from, std::move(frame));
-    return;
-  }
   serial::Reader r(frame.payload);
   const std::uint8_t kind = r.u8();
 

@@ -2,8 +2,8 @@
 //
 // The wire half of on-demand code download: an executing peer fetches a
 // module artifact from its owner; the owner answers from its
-// ModuleRepository. Rides in kCode frames so it composes with the same
-// frame-handler chain as discovery and pipes.
+// ModuleRepository. Rides in kCode frames, which the owning peer routes to
+// on_frame next to discovery and pipes.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +27,15 @@ struct CodeExchangeStats {
   std::uint64_t bytes_received = 0;  ///< encoded-artifact bytes fetched
 };
 
-/// One per peer. Chain it behind PipeServe:
-///   pipes.set_fallback_handler([&](auto& f, auto fr){ code.on_frame(f, fr); });
+/// One per peer. Route the peer's kCode frames to it:
+///   node.route(serial::FrameType::kCode,
+///              [&](auto& f, auto fr) { code.on_frame(f, std::move(fr)); });
 class CodeExchange {
  public:
   using FetchHandler = std::function<void(std::optional<ModuleArtifact>)>;
 
-  /// `transport` is used for sending; inbound frames must be fed to
-  /// on_frame by whoever owns the handler chain.
+  /// `transport` is used for sending; inbound kCode frames must be fed to
+  /// on_frame by whoever owns the transport's handler.
   explicit CodeExchange(net::Transport& transport) : transport_(transport) {}
 
   /// Serve requests from this repository (nullptr = serve nothing).
@@ -54,11 +55,8 @@ class CodeExchange {
   /// stamped with the requester's causal context.
   void set_obs(obs::Tracer* tracer, std::string_view node = {});
 
-  /// Feed a frame from the handler chain. Consumes kCode frames; passes
-  /// everything else to the fallback.
+  /// Feed one kCode frame.
   void on_frame(const net::Endpoint& from, serial::Frame frame);
-
-  void set_fallback_handler(net::FrameHandler h) { fallback_ = std::move(h); }
 
   const CodeExchangeStats& stats() const { return stats_; }
 
@@ -67,7 +65,6 @@ class CodeExchange {
   const ModuleRepository* repo_ = nullptr;
   std::unordered_map<std::uint64_t, FetchHandler> pending_;
   std::uint64_t next_req_ = 1;
-  net::FrameHandler fallback_;
   CodeExchangeStats stats_;
   obs::TracerRef tracer_;
   std::string trace_node_;

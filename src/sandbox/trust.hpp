@@ -13,8 +13,10 @@
 //
 // Scores live in [0, 1] with asymmetric updates -- trust builds slowly and
 // collapses quickly -- and exponential forgetting so peers can redeem
-// themselves. TrianaController consults an optional TrustManager to rank
-// discovered workers and to quarantine peers below threshold.
+// themselves. The update weights, the 0.5 prior and the 0.25 quarantine
+// threshold are fixed constants (trust.cpp). TrianaController consults an
+// optional TrustManager to rank discovered workers and to quarantine peers
+// below threshold.
 #pragma once
 
 #include <cstdint>
@@ -26,18 +28,6 @@
 
 namespace cg::sandbox {
 
-struct TrustParams {
-  double initial = 0.5;            ///< score for a peer never seen before
-  double success_gain = 0.05;      ///< move towards 1 on good behaviour
-  double failure_loss = 0.10;      ///< move towards 0 on benign failure
-  double violation_loss = 0.50;    ///< move towards 0 on a sandbox breach
-  double disagreement_loss = 0.35; ///< move towards 0 on a bad result
-  double quarantine_threshold = 0.25;
-  /// Per observation, older evidence decays towards `initial` by this
-  /// factor before the update applies (redemption path).
-  double forgetting = 0.02;
-};
-
 enum class TrustEvent {
   kSuccess,       ///< job completed / results returned and agreed
   kFailure,       ///< benign failure (crash, timeout, churn)
@@ -47,18 +37,14 @@ enum class TrustEvent {
 
 class TrustManager {
  public:
-  explicit TrustManager(TrustParams params = {}) : params_(params) {}
-
   /// Record one observation about `peer`.
   void record(const std::string& peer, TrustEvent event);
 
-  /// Current score; `initial` for unknown peers.
+  /// Current score; 0.5 for unknown peers.
   double score(const std::string& peer) const;
 
   /// Below the quarantine threshold?
-  bool quarantined(const std::string& peer) const {
-    return score(peer) < params_.quarantine_threshold;
-  }
+  bool quarantined(const std::string& peer) const;
 
   /// Total observations recorded about a peer.
   std::uint64_t observations(const std::string& peer) const;
@@ -71,15 +57,12 @@ class TrustManager {
   /// host bootstraps submitter trust from its own records.
   void ingest_ledger(const BillingLedger& ledger);
 
-  const TrustParams& params() const { return params_; }
-
  private:
   struct Entry {
     double score;
     std::uint64_t observations = 0;
   };
 
-  TrustParams params_;
   std::map<std::string, Entry> entries_;
 };
 

@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include "churn/availability.hpp"
-#include "churn/driver.hpp"
+#include "net/sim_network.hpp"
 
 namespace cg::churn {
 namespace {
+
+/// Replay `t` onto `net`'s node `node`: its gaps become crash windows.
+void replay(net::SimNetwork& net, std::uint32_t node, const Trace& t) {
+  net::FaultPlan plan;
+  plan.crashes = crash_windows(node, t);
+  net.arm_faults(plan, 1);
+}
 
 TEST(Trace, NormaliseMergesAndSorts) {
   Trace t = {{5, 7}, {1, 3}, {2, 4}, {9, 9}, {7, 8}};
@@ -159,13 +166,36 @@ TEST(CompletedTasks, DurationClipsTrailingInterval) {
   EXPECT_EQ(completed_tasks(t, 100, 10), 10u);
 }
 
+TEST(CrashWindows, GapsShiftByT0AndClipAtTheWindowEnd) {
+  const Trace t = {{5, 10}, {20, 30}, {50, 60}};
+  // Unclipped: the trailing gap is a permanent crash (duration 0).
+  EXPECT_EQ(crash_windows(3, t).size(), 4u);
+  EXPECT_EQ(crash_windows(3, t).back().duration_s, 0.0);
+
+  const auto w = crash_windows(3, t, 100.0, 40.0);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w[0].node, 3u);
+  EXPECT_EQ(w[0].at_s, 100.0);  // down until the first interval
+  EXPECT_EQ(w[0].duration_s, 5.0);
+  EXPECT_EQ(w[1].at_s, 110.0);
+  EXPECT_EQ(w[1].duration_s, 10.0);
+  EXPECT_EQ(w[2].at_s, 130.0);  // clipped: back up at t0 + window
+  EXPECT_EQ(w[2].duration_s, 10.0);
+
+  // Nothing opens at or past the window end; an empty trace is one gap.
+  EXPECT_EQ(crash_windows(0, t, 0.0, 10.0).size(), 1u);
+  const auto empty = crash_windows(0, {}, 2.0, 8.0);
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_EQ(empty[0].at_s, 2.0);
+  EXPECT_EQ(empty[0].duration_s, 8.0);
+}
+
 TEST(Driver, ReplaysTraceOntoSimNetwork) {
   net::SimNetwork net({}, 1);
-  auto& node = net.add_node();
-  (void)node;
-  Trace t = {{10, 20}, {30, 40}};
-  apply_trace(net, 0, t);
+  net.add_node();
+  replay(net, 0, {{10, 20}, {30, 40}});
 
+  net.run_until(0.0);
   EXPECT_FALSE(net.is_up(0));  // trace starts later
   net.run_until(15.0);
   EXPECT_TRUE(net.is_up(0));
@@ -175,12 +205,15 @@ TEST(Driver, ReplaysTraceOntoSimNetwork) {
   EXPECT_TRUE(net.is_up(0));
   net.run_until(45.0);
   EXPECT_FALSE(net.is_up(0));
+  EXPECT_EQ(net.fault_stats().crashes_opened, 3u);
+  EXPECT_EQ(net.fault_stats().crashes_closed, 2u);
 }
 
 TEST(Driver, UpAtZeroWhenTraceStartsAtZero) {
   net::SimNetwork net({}, 1);
   net.add_node();
-  apply_trace(net, 0, {{0, 5}});
+  replay(net, 0, {{0, 5}});
+  net.run_until(0.0);
   EXPECT_TRUE(net.is_up(0));
   net.run_until(6.0);
   EXPECT_FALSE(net.is_up(0));
@@ -189,12 +222,14 @@ TEST(Driver, UpAtZeroWhenTraceStartsAtZero) {
 TEST(Driver, ZeroLengthIntervalGrantsNoUsableTime) {
   net::SimNetwork net({}, 1);
   net.add_node();
-  apply_trace(net, 0, {{5, 5}});
+  replay(net, 0, {{5, 5}});
+  net.run_until(0.0);
   EXPECT_FALSE(net.is_up(0));
   // Both transitions share t=5; FIFO order applies up then immediately
   // down, so after the timestamp the node is down again.
   net.run_until(5.0);
   EXPECT_FALSE(net.is_up(0));
+  EXPECT_EQ(net.fault_stats().crashes_closed, 1u);
   net.run_until(10.0);
   EXPECT_FALSE(net.is_up(0));
 }
@@ -202,7 +237,7 @@ TEST(Driver, ZeroLengthIntervalGrantsNoUsableTime) {
 TEST(Driver, ZeroLengthIntervalAtZero) {
   net::SimNetwork net({}, 1);
   net.add_node();
-  apply_trace(net, 0, {{0, 0}});
+  replay(net, 0, {{0, 0}});
   EXPECT_TRUE(net.is_up(0));  // up at t=0 per the up-at-zero contract...
   net.run_until(0.0);
   EXPECT_FALSE(net.is_up(0));  // ...but the t=0 end takes it down at once
@@ -219,7 +254,7 @@ TEST(Driver, MessagesAtIntervalBoundariesRespectHalfOpenSemantics) {
   b.set_handler([&](const net::Endpoint&, serial::Frame) { ++got; });
   // Node b (id 1) usable during [5, 9); transitions are scheduled now, so
   // they run before same-timestamp traffic (FIFO tie-break).
-  apply_trace(net, 1, {{5, 9}});
+  replay(net, 1, {{5, 9}});
 
   serial::Frame f;
   f.type = serial::FrameType::kControl;
@@ -243,7 +278,8 @@ TEST(Driver, ApplyModelReturnsTheTraceItApplied) {
   net.add_node();
   dsp::Rng rng(9);
   PoissonChurnModel m(100, 50);
-  Trace t = apply_model(net, 0, m, 1000.0, rng);
+  const Trace t = m.sample(1000.0, rng);
+  replay(net, 0, t);
   EXPECT_FALSE(t.empty());
   // Spot-check one boundary.
   net.run_until(t.front().start + 1e-6);

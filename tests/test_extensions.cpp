@@ -153,8 +153,7 @@ TEST(PeerGroups, GroupScopedDiscovery) {
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   for (int i = 0; i < 3; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), net.clock(),
-        p2p::PeerConfig{.peer_id = "n" + std::to_string(i)}));
+        net.add_node(), net.clock(), "n" + std::to_string(i)));
   }
   nodes[0]->add_neighbor(nodes[1]->endpoint());
   nodes[1]->add_neighbor(nodes[0]->endpoint());

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "churn/driver.hpp"
+#include "churn/availability.hpp"
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
 #include "net/fault.hpp"
@@ -476,24 +476,27 @@ TEST(ObsChurn, TraceTransitionsAreCounted) {
   net.add_node();  // node 0
   obs::Registry reg;
   obs::Tracer tracer(256);
+  net.set_obs(reg, &tracer);
   // Two availability intervals: up at 1..3 and 5..7 (down otherwise).
   churn::Trace trace{{1.0, 3.0}, {5.0, 7.0}};
-  churn::apply_trace(net, 0, trace, &reg, &tracer);
+  net::FaultPlan plan;
+  plan.crashes = churn::crash_windows(0, trace);
+  net.arm_faults(plan, 1);
   net.run_all();
   const obs::MetricsSnapshot snap = reg.snapshot();
 #if CONGRID_OBS_ENABLED
-  // One initial down + each interval contributes one up and one down.
-  EXPECT_EQ(snap.counter("churn.node_up"), 2u);
-  EXPECT_GE(snap.counter("churn.node_down"), 2u);
+  // Down at 0, 3 and 7; up at 1 and 5.
+  EXPECT_EQ(snap.counter("net.node_up"), 2u);
+  EXPECT_EQ(snap.counter("net.node_down"), 3u);
   int ups = 0, downs = 0;
   for (const auto& ev : tracer.events()) {
-    if (ev.name == "churn.up") ++ups;
-    if (ev.name == "churn.down") ++downs;
+    if (ev.name == "net.node_up") ++ups;
+    if (ev.name == "net.node_down") ++downs;
   }
   EXPECT_EQ(ups, 2);
-  EXPECT_GE(downs, 2);
+  EXPECT_EQ(downs, 3);
 #else
-  EXPECT_EQ(snap.counter("churn.node_up"), 0u);
+  EXPECT_EQ(snap.counter("net.node_up"), 0u);
 #endif
 }
 

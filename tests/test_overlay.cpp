@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <set>
 
-#include "churn/driver.hpp"
+#include "churn/availability.hpp"
 #include "net/sim_network.hpp"
 #include "p2p/attribute_index.hpp"
 #include "p2p/discovery.hpp"
@@ -308,8 +308,7 @@ class OverlaySwarm {
     for (std::size_t i = 0; i < n; ++i) {
       auto& t = net_.add_node();
       nodes_.push_back(std::make_unique<PeerNode>(
-          t, net_.clock(),
-          PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
+          t, net_.clock(), "peer-" + std::to_string(i)));
       sorted.emplace_back(node_id_of(nodes_.back()->id()).bits,
                           nodes_.back()->endpoint());
     }
@@ -358,7 +357,7 @@ TEST(OverlayLookup, ConvergesToTargetAcrossSparseTables) {
 TEST(OverlayLookup, LonerResolvesToItselfSynchronously) {
   net::SimNetwork net;
   auto& t = net.add_node();
-  PeerNode peer(t, net.clock(), PeerConfig{.peer_id = "loner"});
+  PeerNode peer(t, net.clock(), "loner");
   OverlayNode overlay(peer, net.scheduler());
   bool done = false;
   // A node with no contacts is still part of its own ring: every id
@@ -501,7 +500,9 @@ TEST(OverlayRendezvous, FailsOverToLiveReplica) {
 TEST(OverlayChurn, DeadContactIsEvictedViaRpcTimeouts) {
   OverlaySwarm s(32);
   // Take node 9 down from t=5 on (one availability interval [0, 5)).
-  churn::apply_trace(s.net(), 9, churn::Trace{{0.0, 5.0}});
+  net::FaultPlan plan;
+  plan.crashes = churn::crash_windows(9, {{0.0, 5.0}});
+  s.net().arm_faults(plan, 1);
   const NodeId dead = s[9].id();
 
   // Warm node 0's table with direct evidence of node 9 before it dies.
@@ -555,8 +556,7 @@ TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
   for (int i = 0; i < 6; ++i) {
     auto& t = net.add_node();
     nodes.push_back(std::make_unique<PeerNode>(
-        t, net.clock(),
-        PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
+        t, net.clock(), "peer-" + std::to_string(i)));
   }
   for (int i = 0; i + 1 < 6; ++i) {
     nodes[i]->add_neighbor(nodes[i + 1]->endpoint());

@@ -225,8 +225,7 @@ class Swarm {
     for (std::size_t i = 0; i < n; ++i) {
       auto& t = net_.add_node();
       nodes_.push_back(std::make_unique<PeerNode>(
-          t, net_.clock(),
-          PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
+          t, net_.clock(), "peer-" + std::to_string(i)));
     }
   }
 
@@ -340,15 +339,12 @@ TEST(Flooding, ResponseWarmsOriginCache) {
   EXPECT_EQ(s[0].find_local(q).size(), 1u);
 }
 
-TEST(Flooding, SeenSetCapacityEvictsOldestFirst) {
-  // A tiny seen-set still suppresses the *current* query's duplicates;
-  // only long-gone queries are forgotten.
+TEST(Flooding, SequentialQueriesStayWithinTwiceTheEdges) {
+  // 50 back-to-back floods over a 4-cycle: duplicate suppression keeps
+  // each one to at most 2*edges messages.
   Swarm s(4);
   s.make_line();
   s.connect(3, 0);
-  PeerConfig tiny;
-  tiny.peer_id = "tiny";
-  // (capacity applies per node; exercise via many sequential queries)
   Query q;
   q.kind = AdvertKind::kPeer;
   q.name = "nothing";
@@ -356,8 +352,36 @@ TEST(Flooding, SeenSetCapacityEvictsOldestFirst) {
     s[0].discover_flood(q, 4, [](const std::vector<Advertisement>&) {});
     s.net().run_all();
   }
-  // Each query is individually bounded: <= 2*edges messages.
   EXPECT_LE(s.net().stats().messages_sent, 50u * 2u * 4u);
+}
+
+TEST(Flooding, SeenSetForgetsTheOldestQueryPastCapacity) {
+  // The neighbour remembers PeerNode::kSeenQueryCapacity query ids; one
+  // more distinct query pushes out the oldest, so re-issuing that id is
+  // news to it again, while the newest id is still a duplicate.
+  Swarm s(2);
+  s.make_line();
+  Query q;
+  q.kind = AdvertKind::kPeer;
+  q.name = "nothing";
+  const auto ignore = [](const std::vector<Advertisement>&) {};
+  const std::size_t distinct = PeerNode::kSeenQueryCapacity + 1;
+  std::uint64_t first = 0, last = 0;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    last = s[0].discover_flood(q, 1, ignore);
+    if (i == 0) first = last;
+    s.net().run_all();
+  }
+  ASSERT_EQ(s[1].stats().queries_received, distinct);
+
+  s[0].discover_flood(q, 1, ignore, last);
+  s.net().run_all();
+  EXPECT_EQ(s[1].stats().duplicate_queries, 1u);
+
+  s[0].discover_flood(q, 1, ignore, first);
+  s.net().run_all();
+  EXPECT_EQ(s[1].stats().duplicate_queries, 1u);
+  EXPECT_EQ(s[1].stats().queries_received, distinct + 1);
 }
 
 TEST(Rendezvous, PublishThenQuery) {
@@ -675,68 +699,79 @@ TEST(Pipes, UnknownPipeHandlerCanClaimPayloads) {
   EXPECT_EQ(ps1.stats().payloads_for_unknown_pipe, 1u);
 }
 
-TEST(FrameChain, PipeServePreservesFallbackInstalledBeforeIt) {
+TEST(PeerRoutes, EachFrameTypeReachesItsHandlerInAnyRegistrationOrder) {
   Swarm s(2);
   s.make_line();
+  const auto route_code = [](PeerNode& node, repo::CodeExchange& code) {
+    node.route(serial::FrameType::kCode,
+               [&code](const net::Endpoint& from, serial::Frame f) {
+                 code.on_frame(from, std::move(f));
+               });
+  };
 
-  // Order A on node 1: CodeExchange chained directly behind the node
-  // FIRST, PipeServe constructed afterwards. PipeServe must capture the
-  // existing fallback, not clobber it.
+  // Node 1 routes kCode before PipeServe registers kData; node 0 the
+  // other way round.
   repo::CodeExchange code1(s[1].transport());
-  s[1].set_fallback_handler(
-      [&](const net::Endpoint& from, serial::Frame f) {
-        code1.on_frame(from, std::move(f));
-      });
-  std::vector<serial::FrameType> tail_seen;
-  code1.set_fallback_handler(
-      [&](const net::Endpoint&, serial::Frame f) {
-        tail_seen.push_back(f.type);
-      });
+  route_code(s[1], code1);
   PipeServe ps1(s[1], s.scheduler());
-
-  // Order B on node 0: PipeServe first, CodeExchange chained behind it.
   PipeServe ps0(s[0], s.scheduler());
   repo::CodeExchange code0(s[0].transport());
-  ps0.set_fallback_handler(
-      [&](const net::Endpoint& from, serial::Frame f) {
-        code0.on_frame(from, std::move(f));
-      });
+  route_code(s[0], code0);
+  std::vector<serial::FrameType> control_seen;
+  s[1].route(serial::FrameType::kControl,
+             [&](const net::Endpoint&, serial::Frame f) {
+               control_seen.push_back(f.type);
+             });
+
+  // One handler per type, and discovery belongs to the node itself.
+  const net::FrameHandler noop = [](const net::Endpoint&, serial::Frame) {};
+  EXPECT_THROW(s[1].route(serial::FrameType::kData, noop), std::logic_error);
+  EXPECT_THROW(s[0].route(serial::FrameType::kCode, noop), std::logic_error);
+  EXPECT_THROW(s[1].route(serial::FrameType::kControl, noop),
+               std::logic_error);
+  EXPECT_THROW(s[0].route(serial::FrameType::kDiscovery, noop),
+               std::logic_error);
 
   repo::ModuleRepository repo1;
   repo1.put(repo::make_synthetic_artifact("FFT", "1.0", 512));
   code1.serve_from(&repo1);
 
-  // kData still reaches node 1's pipes (PipeServe's own frames work).
+  // kData reaches node 1's pipes.
   std::string got;
-  ps1.advertise_input("chain-pipe",
+  ps1.advertise_input("routed-pipe",
                       [&](const net::Endpoint&, serial::Bytes payload) {
                         got = serial::to_string(payload);
                       });
   OutputPipe pipe;
-  ps0.bind_output("chain-pipe", [&](OutputPipe p) { pipe = std::move(p); });
+  ps0.bind_output("routed-pipe", [&](OutputPipe p) { pipe = std::move(p); });
   s.net().run_all();
   ASSERT_TRUE(pipe.bound());
   ps0.send(pipe, serial::to_bytes("data"));
 
-  // kCode round-trips in both directions: request through node 1's chain,
-  // response through node 0's chain.
+  // kCode round-trips: the request is routed on node 1, the response on
+  // node 0.
   std::optional<repo::ModuleArtifact> fetched;
   code0.fetch(s[1].endpoint(), "FFT", "",
               [&](std::optional<repo::ModuleArtifact> a) {
                 fetched = std::move(a);
               });
 
-  // kControl frames still fall through to the tail handler on node 1.
+  // kControl reaches node 1's handler; node 0 routes no kControl and no
+  // node routes kHeartbeat, so those frames are dropped.
   serial::Frame ctl;
   ctl.type = serial::FrameType::kControl;
   ctl.payload = {42};
   s[0].transport().send(s[1].endpoint(), ctl);
+  s[1].transport().send(s[0].endpoint(), ctl);
+  serial::Frame beat;
+  beat.type = serial::FrameType::kHeartbeat;
+  s[0].transport().send(s[1].endpoint(), beat);
 
-  s.net().run_all();
+  EXPECT_NO_THROW(s.net().run_all());
   EXPECT_EQ(got, "data");
   ASSERT_TRUE(fetched.has_value());
   EXPECT_EQ(fetched->name, "FFT");
-  EXPECT_EQ(tail_seen,
+  EXPECT_EQ(control_seen,
             (std::vector<serial::FrameType>{serial::FrameType::kControl}));
 }
 

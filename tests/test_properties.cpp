@@ -375,9 +375,7 @@ TEST_P(Seeded, FloodingMessagesBoundedByTwiceEdges) {
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), net.clock(),
-        p2p::PeerConfig{
-            .peer_id = std::string("n").append(std::to_string(i))}));
+        net.add_node(), net.clock(), std::string("n").append(std::to_string(i))));
   }
   std::size_t edges = 0;
   for (std::size_t i = 0; i < n; ++i) {

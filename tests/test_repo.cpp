@@ -5,6 +5,7 @@
 
 #include "cas/store.hpp"
 #include "net/sim_network.hpp"
+#include "p2p/peer_node.hpp"
 #include "repo/code_exchange.hpp"
 #include "repo/module_cache.hpp"
 #include "repo/repository.hpp"
@@ -259,21 +260,25 @@ TEST(CodeExchange, MissingModuleYieldsNullopt) {
 }
 
 TEST(CodeExchange, NonCodeFramesFallThrough) {
+  // The exchange only ever sees kCode: the peer's route table hands every
+  // other frame type to its own handler.
   net::SimNetwork net({}, 1);
   auto& ta = net.add_node();
-  auto& tb = net.add_node();
-  CodeExchange ex(tb);
+  p2p::PeerNode node(net.add_node(), net.clock());
+  CodeExchange ex(node.transport());
+  node.route(serial::FrameType::kCode,
+             [&](const net::Endpoint& f, serial::Frame fr) {
+               ex.on_frame(f, std::move(fr));
+             });
   int fell_through = 0;
-  ex.set_fallback_handler(
-      [&](const net::Endpoint&, serial::Frame) { ++fell_through; });
-  tb.set_handler([&](const net::Endpoint& f, serial::Frame fr) {
-    ex.on_frame(f, std::move(fr));
-  });
+  node.route(serial::FrameType::kControl,
+             [&](const net::Endpoint&, serial::Frame) { ++fell_through; });
   serial::Frame control;
   control.type = serial::FrameType::kControl;
-  ta.send(tb.local(), std::move(control));
+  ta.send(node.endpoint(), std::move(control));
   net.run_all();
   EXPECT_EQ(fell_through, 1);
+  EXPECT_EQ(ex.stats().requests_served + ex.stats().requests_not_found, 0u);
 }
 
 TEST(CodeExchange, ExactVersionRequest) {

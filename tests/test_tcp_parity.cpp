@@ -159,7 +159,6 @@ ParityOutcome run_parity_farm(net::NetworkBackend& be, bool chaotic,
   opt.checkpoint_period_s = 0.4;
   opt.probe_period_s = 0.2;
   opt.max_missed = 4;
-  opt.detector_window = 32;
   opt.detector_min_std_s = 0.1;
   opt.phi_dead = 8.0;
   opt.lease_s = 0.6;
