@@ -5,6 +5,17 @@
 
 namespace cg::core {
 
+/// The plan's channel wiring, fixed when distribute() runs.
+struct TrianaController::DeployOrder {
+  std::vector<ChannelLabels> labels;             ///< per fragment
+  std::map<std::string, std::size_t> served_by;  ///< input label -> fragment
+  std::set<std::string> home_inputs;             ///< served by the home job
+  /// Per fragment: its inputs the home job sends on.
+  std::vector<std::vector<std::string>> fed_by_home;
+  /// Fragment i is sent once every fragment in waits[i] has answered.
+  std::vector<std::set<std::size_t>> waits;
+};
+
 void TrianaController::discover_workers(
     const p2p::Query& query, int ttl, std::size_t want, double timeout_s,
     std::function<void(std::vector<net::Endpoint>)> done) {
@@ -101,36 +112,134 @@ std::shared_ptr<DistributedRun> TrianaController::distribute(
   DistributionPlan plan =
       policy->plan(g, group_name, workers.size(), run->prefix);
 
-  // Deploy fragments first so their input pipes are advertised by the time
-  // home-side sends start binding.
-  run->fragments.reserve(plan.fragments.size());
-  for (std::size_t i = 0; i < plan.fragments.size(); ++i) {
-    const net::Endpoint target = workers[i % workers.size()];
-    run->workers.push_back(target);
-    run->fragments.push_back(plan.fragments[i].clone());
-
-    auto run_weak = std::weak_ptr<DistributedRun>(run);
-    run->remote_jobs.push_back(home_.deploy_remote(
-        target, plan.fragments[i], /*iterations=*/0,
-        [this, run_weak, target](const DeployAckMsg& ack) {
-          auto r = run_weak.lock();
-          if (!r) return;
-          if (ack.ok) {
-            ++r->acks_ok;
-          } else {
-            ++r->acks_failed;
-            r->errors.push_back(ack.error);
-          }
-          if (trust_) {
-            trust_->record(target.value, ack.ok
-                                             ? sandbox::TrustEvent::kSuccess
-                                             : sandbox::TrustEvent::kFailure);
-          }
-        }));
+  const std::size_t n = plan.fragments.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    run->workers.push_back(workers[i % workers.size()]);
+    run->fragments.push_back(std::move(plan.fragments[i]));
   }
+  run->remote_jobs.assign(n, {});
+  run->deploy_state.assign(n, FragmentDeploy::kHeld);
 
+  // Deploy the fragments no other fragment's ack holds back -- every
+  // fragment of a farm, the last stage of a pipeline -- then start the
+  // home job. Its input pipes are served before this call returns, hence
+  // before any deploy naming them can arrive anywhere. The rest go out as
+  // their consumers ack.
+  deploy_ready(run, order_deploys(run->fragments, plan.home_graph));
   run->home_job = home_.deploy_local(plan.home_graph, /*iterations=*/0);
   return run;
+}
+
+std::shared_ptr<const TrianaController::DeployOrder>
+TrianaController::order_deploys(const std::vector<TaskGraph>& fragments,
+                                const TaskGraph& home_graph) {
+  auto order = std::make_shared<DeployOrder>();
+  const std::size_t n = fragments.size();
+  const ChannelLabels home = channel_labels(home_graph);
+  order->home_inputs.insert(home.inputs.begin(), home.inputs.end());
+  const std::set<std::string> home_outputs(home.outputs.begin(),
+                                           home.outputs.end());
+  order->fed_by_home.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order->labels.push_back(channel_labels(fragments[i]));
+    for (const auto& label : order->labels[i].inputs) {
+      order->served_by.emplace(label, i);
+      if (home_outputs.contains(label)) order->fed_by_home[i].push_back(label);
+    }
+  }
+  order->waits.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& label : order->labels[i].outputs) {
+      auto it = order->served_by.find(label);
+      if (it != order->served_by.end() && it->second != i) {
+        order->waits[i].insert(it->second);
+      }
+    }
+  }
+  // A pipeline wrapped round fewer workers than stages can have fragments
+  // feeding each other, and a cycle has no downstream end. Mark, round by
+  // round, the fragments whose waits are all on marked ones; whatever is
+  // left sits on or behind a cycle and drops its waits on the unmarked, so
+  // a cycle's members go out together and bind those channels lazily.
+  std::vector<bool> ordered(n, false);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!ordered[i] && std::ranges::all_of(order->waits[i],
+                                             [&](std::size_t j) {
+                                               return ordered[j];
+                                             })) {
+        ordered[i] = grew = true;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!ordered[i]) {
+      std::erase_if(order->waits[i],
+                    [&](std::size_t j) { return !ordered[j]; });
+    }
+  }
+  return order;
+}
+
+void TrianaController::deploy_ready(
+    const std::shared_ptr<DistributedRun>& run,
+    const std::shared_ptr<const DeployOrder>& order) {
+  for (std::size_t i = 0; i < run->fragments.size(); ++i) {
+    if (run->deploy_state[i] == FragmentDeploy::kHeld &&
+        std::ranges::all_of(order->waits[i], [&](std::size_t j) {
+          return run->answered(j);
+        })) {
+      deploy_fragment(run, order, i);
+    }
+  }
+}
+
+void TrianaController::deploy_fragment(
+    const std::shared_ptr<DistributedRun>& run,
+    const std::shared_ptr<const DeployOrder>& order, std::size_t idx) {
+  const net::Endpoint target = run->workers[idx];
+  auto run_weak = std::weak_ptr<DistributedRun>(run);
+  run->deploy_state[idx] = FragmentDeploy::kSent;
+  run->remote_jobs[idx] = home_.deploy_remote(
+      target, run->fragments[idx], /*iterations=*/0,
+      [this, run_weak, order, idx, target](const DeployAckMsg& ack) {
+        auto r = run_weak.lock();
+        if (!r) return;
+        if (ack.ok) {
+          r->deploy_state[idx] = FragmentDeploy::kLive;
+          // Home's own sends into this fragment bind from the plan too.
+          home_.cache_channel_hints(
+              channel_hints(*r, *order, order->fed_by_home[idx]));
+        } else {
+          r->deploy_state[idx] = FragmentDeploy::kFailed;
+          r->errors.push_back(ack.error);
+        }
+        if (trust_) {
+          trust_->record(target.value, ack.ok
+                                           ? sandbox::TrustEvent::kSuccess
+                                           : sandbox::TrustEvent::kFailure);
+        }
+        deploy_ready(r, order);
+      },
+      /*checkpoint=*/{}, /*options=*/{},
+      channel_hints(*run, *order, order->labels[idx].outputs));
+}
+
+ChannelMap TrianaController::channel_hints(
+    const DistributedRun& run, const DeployOrder& order,
+    const std::vector<std::string>& labels) const {
+  ChannelMap out;
+  for (const auto& label : labels) {
+    if (order.home_inputs.contains(label)) {
+      out[label] = ChannelHint{home_.endpoint(), 0};
+    } else if (auto it = order.served_by.find(label);
+               it != order.served_by.end() &&
+               run.deploy_state[it->second] == FragmentDeploy::kLive) {
+      out[label] = ChannelHint{run.workers[it->second], 0};
+    }
+  }
+  return out;
 }
 
 void TrianaController::report_disagreement(const net::Endpoint& worker) {
@@ -149,7 +258,9 @@ GraphRuntime* TrianaController::home_runtime(DistributedRun& run) {
 
 void TrianaController::shutdown(DistributedRun& run) {
   for (std::size_t i = 0; i < run.remote_jobs.size(); ++i) {
-    if (!run.remote_jobs[i].empty()) {
+    if (run.deploy_state[i] == FragmentDeploy::kHeld) {
+      run.deploy_state[i] = FragmentDeploy::kCancelled;
+    } else if (!run.remote_jobs[i].empty()) {
       home_.cancel_remote(run.workers[i], run.remote_jobs[i]);
     }
   }

@@ -7,14 +7,16 @@
 //   1. discover workers -- peer adverts matching capability constraints;
 //   2. plan -- hand the graph's group to its distribution policy, which
 //      rewrites it into a home graph plus per-resource fragments;
-//   3. deploy -- ship each fragment (XML) to a worker; the home graph runs
-//      as a local job;
+//   3. deploy -- ship each fragment (XML) to a worker, annotated with
+//      where its output channels are served, consumers before producers;
+//      the home graph runs as a local job;
 //   4. drive -- tick the home job's sources; data flows out over pipes and
 //      results return to the home graph's Receive proxies;
 //   5. migrate -- checkpoint a fragment off one worker and resume it on
 //      another (paper 3.6.2's checkpointing remark).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -24,6 +26,17 @@
 
 namespace cg::core {
 
+/// Where one fragment's initial deploy stands. distribute() sends a
+/// fragment only once every fragment consuming its outputs has answered
+/// (downstream-first), so a held fragment has no job id yet.
+enum class FragmentDeploy {
+  kHeld,       ///< waiting for its consumers' acks
+  kSent,       ///< deploy sent, no ack yet
+  kLive,       ///< acked ok: its input pipes are served
+  kFailed,     ///< nacked
+  kCancelled,  ///< still held when the run shut down; never sent
+};
+
 /// The controller's book-keeping for one distributed deployment.
 struct DistributedRun {
   std::string group;
@@ -31,9 +44,8 @@ struct DistributedRun {
   std::string home_job;             ///< local job id of the home graph
   std::vector<net::Endpoint> workers;   ///< fragment i runs on workers[i]
   std::vector<std::string> remote_jobs; ///< job id of fragment i
+  std::vector<FragmentDeploy> deploy_state;  ///< of fragment i
   std::vector<TaskGraph> fragments;     ///< retained for migration
-  std::size_t acks_ok = 0;
-  std::size_t acks_failed = 0;
   std::vector<std::string> errors;
   /// Causal identity of this run: every deploy, fetch, pipe bind and tick
   /// it causes -- on any peer -- carries trace_id; root_span is the open
@@ -42,10 +54,22 @@ struct DistributedRun {
   std::uint64_t trace_id = 0;
   std::uint64_t root_span = 0;
 
-  bool all_acked() const {
-    return acks_ok + acks_failed == remote_jobs.size();
+  /// Fragment i's deploy was acked ok or nacked.
+  bool answered(std::size_t i) const {
+    return deploy_state[i] == FragmentDeploy::kLive ||
+           deploy_state[i] == FragmentDeploy::kFailed;
   }
-  bool deployed_ok() const { return all_acked() && acks_failed == 0; }
+  bool all_acked() const {
+    for (std::size_t i = 0; i < deploy_state.size(); ++i) {
+      if (!answered(i)) return false;
+    }
+    return true;
+  }
+  bool deployed_ok() const {
+    return std::ranges::all_of(deploy_state, [](FragmentDeploy s) {
+      return s == FragmentDeploy::kLive;
+    });
+  }
 };
 
 class TrianaController {
@@ -78,6 +102,13 @@ class TrianaController {
   /// distribution policy ("parallel" when unset) over the given workers,
   /// deploy each fragment, and start the home graph as a reactive local
   /// job. Acks arrive asynchronously; observe run->all_acked().
+  ///
+  /// Each deploy carries the plan's channel map (DeployMsg::channels), and
+  /// fragments deploy downstream-first: one is sent only after every
+  /// fragment consuming its outputs has answered, so each map entry names
+  /// a pipe that is already served. Farm and replicated fragments only
+  /// talk to home, so they all go out at once. As each fragment acks, the
+  /// home service caches where the inputs it sends on are served too.
   /// Throws std::invalid_argument on planning errors (bad group, no
   /// workers).
   std::shared_ptr<DistributedRun> distribute(
@@ -111,6 +142,24 @@ class TrianaController {
                             const net::Endpoint& also = {});
 
  private:
+  struct DeployOrder;
+
+  /// Which fragment serves each channel, and whose answers each fragment's
+  /// deploy waits for (its consumers, with cycles cut).
+  static std::shared_ptr<const DeployOrder> order_deploys(
+      const std::vector<TaskGraph>& fragments, const TaskGraph& home_graph);
+  /// Send every held fragment whose consumers have all answered.
+  void deploy_ready(const std::shared_ptr<DistributedRun>& run,
+                    const std::shared_ptr<const DeployOrder>& order);
+  void deploy_fragment(const std::shared_ptr<DistributedRun>& run,
+                       const std::shared_ptr<const DeployOrder>& order,
+                       std::size_t idx);
+  /// Where each of `labels` is served, for the labels whose serving job is
+  /// live: the home job, or a fragment that has acked.
+  ChannelMap channel_hints(const DistributedRun& run,
+                           const DeployOrder& order,
+                           const std::vector<std::string>& labels) const;
+
   TrianaService& home_;
   sandbox::TrustManager* trust_ = nullptr;
   std::uint64_t next_run_ = 1;

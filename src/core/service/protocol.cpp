@@ -53,6 +53,7 @@ std::string hex16(std::uint64_t v) {
 }
 
 std::uint64_t parse_hex16(const std::string& s) {
+  if (s.size() > 16) throw serial::DecodeError("hex attribute too wide");
   std::uint64_t v = 0;
   for (char c : s) {
     v <<= 4;
@@ -108,6 +109,15 @@ serial::Frame encode(const DeployMsg& m) {
       xml::Node& mod = mods.add_child("module");
       mod.set_attr("type", type);
       mod.set_attr("sha256", hex);
+    }
+  }
+  if (!m.channels.empty()) {
+    xml::Node& chans = n.add_child("channels");
+    for (const auto& [label, hint] : m.channels) {
+      xml::Node& c = chans.add_child("channel");
+      c.set_attr("label", label);
+      c.set_attr("endpoint", hint.provider.value);
+      c.set_attr("epoch", hex16(hint.epoch));
     }
   }
   return pack(n, m.checkpoint);
@@ -216,6 +226,18 @@ DeployMsg decode_deploy(const serial::Frame& f) {
         const std::string type = mod->attr_or("type", "");
         const std::string hex = mod->attr_or("sha256", "");
         if (!type.empty() && !hex.empty()) m.module_hashes[type] = hex;
+      }
+    }
+    // Hints are advisory: an entry without a label or an endpoint is
+    // skipped (the label then binds through discovery); a bad epoch makes
+    // the whole frame malformed.
+    if (const xml::Node* chans = u.header.child("channels")) {
+      for (const xml::Node* c : chans->children("channel")) {
+        const std::string label = c->attr_or("label", "");
+        const std::string endpoint = c->attr_or("endpoint", "");
+        if (label.empty() || endpoint.empty()) continue;
+        m.channels[label] = ChannelHint{net::Endpoint{endpoint},
+                                        parse_hex16(c->attr_or("epoch", "0"))};
       }
     }
     m.checkpoint = std::move(u.body);

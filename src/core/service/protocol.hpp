@@ -33,6 +33,18 @@ enum class ControlType {
   kResume,          ///< supervisor -> service: un-suspend a leased job
 };
 
+/// Where a data channel's input pipe is served: the provider's endpoint
+/// and the recovery epoch its pipe advert carries.
+struct ChannelHint {
+  net::Endpoint provider;
+  std::uint64_t epoch = 0;
+
+  bool operator==(const ChannelHint&) const = default;
+};
+
+/// Output label -> the provider serving it.
+using ChannelMap = std::map<std::string, ChannelHint>;
+
 struct DeployMsg {
   std::string job_id;
   std::string owner;            ///< billing identity of the submitter
@@ -47,6 +59,14 @@ struct DeployMsg {
   /// name is detected the same way. Absent entries (older controllers)
   /// degrade to the plain fetch-from-owner path.
   std::map<std::string, std::string> module_hashes;
+  /// The plan's channel annotations for this fragment (static binding):
+  /// output label -> the provider already serving its input pipe. The
+  /// receiver caches each entry as the pipe advert a discovery would have
+  /// found, so the first send binds without a query. Only labels whose
+  /// consumer is live when the deploy is sent are listed; the rest (and
+  /// deploys from older controllers, which carry no map) bind lazily
+  /// through discovery, as do rebinds after a fence or migration.
+  ChannelMap channels;
   /// Causal context of the deploy (the controller's run trace and the
   /// deploy.client span that issued it). Encoded as fixed-width 16-hex
   /// attributes that are ALWAYS present -- zeros when untraced -- so the

@@ -179,7 +179,8 @@ std::string TrianaService::deploy_remote(const net::Endpoint& target,
                                          std::uint64_t iterations,
                                          AckHandler on_ack,
                                          serial::Bytes checkpoint,
-                                         DeployOptions options) {
+                                         DeployOptions options,
+                                         ChannelMap channels) {
   DeployMsg m;
   m.job_id = fresh_job_id();
   m.owner = config_.peer_id;
@@ -190,6 +191,7 @@ std::string TrianaService::deploy_remote(const net::Endpoint& target,
   m.epoch = options.epoch;
   m.lease_s = options.lease_s;
   m.standby = options.standby;
+  m.channels = std::move(channels);
   // Advertise the content digest of every module we own that the fragment
   // needs: the target can satisfy them from its own store (dedup across
   // names, warm restarts) and can tell a stale cached copy from ours
@@ -473,6 +475,10 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
     return;
   }
 
+  // Static binding: the plan says where each output channel is served, so
+  // the job's first send on it resolves from the local cache.
+  cache_channel_hints(m.channels);
+
   // Parse early so we can enumerate the modules the fragment needs.
   TaskGraph graph;
   try {
@@ -502,16 +508,17 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
   for (const auto& type : module_types(graph)) {
     const auto adv = pending.msg.module_hashes.find(type);
     const bool has_digest = adv != pending.msg.module_hashes.end();
-    const auto matches = [&](const repo::ModuleArtifact& a) {
-      return !has_digest || repo::artifact_digest(a).hex() == adv->second;
+    // Both tiers keep each artifact's digest, so no deploy re-hashes a
+    // module it has seen before.
+    const auto matches = [&](const std::optional<cas::Digest>& d) {
+      return !has_digest || (d && d->hex() == adv->second);
     };
 
-    if (const auto cached = module_cache_.lookup(type);
-        cached && matches(*cached)) {
+    if (module_cache_.lookup(type) && matches(module_cache_.digest(type))) {
       continue;
     }
     if (const auto owned = local_repo_.latest(type);
-        owned && matches(*owned)) {
+        owned && matches(local_repo_.digest(owned->name, owned->version))) {
       // We own a current copy; stage it into the cache directly.
       module_cache_.insert(*owned);
       continue;
@@ -828,6 +835,12 @@ void TrianaService::start_output_bind(const std::string& job_id,
       j.out_backlog.erase(bit);
     }
   });
+}
+
+void TrianaService::cache_channel_hints(const ChannelMap& channels) {
+  for (const auto& [label, hint] : channels) {
+    pipes_.hint_output(label, hint.provider, hint.epoch);
+  }
 }
 
 void TrianaService::rebind_channel(const std::string& label) {

@@ -201,12 +201,15 @@ class TrianaService {
 
   /// Deploy a fragment to a remote service. Returns the job id assigned to
   /// the deployment; the handler fires when the ack arrives (never
-  /// synchronously).
+  /// synchronously). `channels` names where the fragment's output channels
+  /// are already served (DeployMsg::channels); unnamed outputs bind through
+  /// discovery.
   std::string deploy_remote(const net::Endpoint& target,
                             const TaskGraph& fragment,
                             std::uint64_t iterations, AckHandler on_ack,
                             serial::Bytes checkpoint = {},
-                            DeployOptions options = {});
+                            DeployOptions options = {},
+                            ChannelMap channels = {});
 
   /// Promote a standby job on `target` to live; the handler fires with the
   /// confirming DeployAckMsg (ok=false when the job is unknown there).
@@ -255,6 +258,12 @@ class TrianaService {
 
   /// Cancel a job hosted here (settles billing, releases modules/pipes).
   bool cancel_local(const std::string& job_id);
+
+  /// Cache each entry as the pipe advert a discovery would have found
+  /// (PipeServe::hint_output), so sends on those labels bind without a
+  /// query. Deploys received apply their own map; the controller seeds its
+  /// home service the same way as each fragment acks.
+  void cache_channel_hints(const ChannelMap& channels);
 
   /// Drop every job's binding for `label` plus stale pipe adverts, so the
   /// next item sent on it re-resolves (migration support). Also invoked by

@@ -226,7 +226,9 @@ void ReliableTransport::on_retry_timer() {
     if (over_deadline || p.retries >= config_.max_retries) {
       ++stats_.expired;
       obs_.expired.inc();
-      obs_.tracer.end_span(p.span, obs_.node, "reliable.msg", "expired");
+      if (obs_.tracer) {
+        obs_.tracer.end_span(p.span, obs_.node, "reliable.msg", "expired");
+      }
       // Move out before erasing: the drop handler may send (and re-enter).
       Endpoint to = std::move(p.to);
       serial::Frame wire = std::move(p.wire);
@@ -287,9 +289,11 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
       ++stats_.acked;
       obs_.acked.inc();
       obs_.ack_latency_s.observe(clock_() - it->second.first_sent_at);
-      obs_.tracer.end_span(it->second.span, obs_.node, "reliable.msg",
-                           "acked retx=" +
-                               std::to_string(it->second.retries));
+      if (obs_.tracer) {
+        obs_.tracer.end_span(it->second.span, obs_.node, "reliable.msg",
+                             "acked retx=" +
+                                 std::to_string(it->second.retries));
+      }
       due_.erase({it->second.due_at, id});
       pending_.erase(it);
     }

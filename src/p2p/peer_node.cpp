@@ -108,7 +108,7 @@ std::uint64_t PeerNode::discover_flood(const Query& q, int ttl,
 
   // Mark our own copy as seen (at this reach) so a neighbour echoing it
   // back is dropped; a reused id widens the existing mark.
-  seen_gate(endpoint().value + "#" + std::to_string(id),
+  seen_gate(endpoint(), id,
             static_cast<std::uint8_t>(std::clamp(ttl, 0, 255)));
 
   // Local cache may already answer.
@@ -143,7 +143,7 @@ std::uint64_t PeerNode::discover_rendezvous(const Query& q,
                                             ResponseHandler on) {
   const std::uint64_t id = fresh_query_id();
   ++stats_.queries_initiated;
-  seen_gate(endpoint().value + "#" + std::to_string(id), 2);
+  seen_gate(endpoint(), id, 2);
 
   auto local = find_local(q, kMaxResponseAdverts);
   pending_[id] = std::move(on);
@@ -174,8 +174,10 @@ std::vector<Advertisement> PeerNode::find_local(const Query& q,
   return cache_.find(q, clock_(), limit);
 }
 
-PeerNode::SeenGate PeerNode::seen_gate(const std::string& key,
+PeerNode::SeenGate PeerNode::seen_gate(const net::Endpoint& origin,
+                                       std::uint64_t query_id,
                                        std::uint8_t ttl) {
+  const SeenKey key{std::hash<std::string>{}(origin.value), query_id};
   auto it = seen_.find(key);
   if (it != seen_.end()) {
     if (ttl <= it->second) return SeenGate::kDuplicate;
@@ -225,8 +227,7 @@ void PeerNode::on_frame(const net::Endpoint& from, serial::Frame frame) {
 }
 
 void PeerNode::handle_query(const net::Endpoint& from, QueryMsg m) {
-  const std::string key = m.origin.value + "#" + std::to_string(m.query_id);
-  const SeenGate gate = seen_gate(key, m.ttl);
+  const SeenGate gate = seen_gate(m.origin, m.query_id, m.ttl);
   if (gate == SeenGate::kDuplicate) {
     ++stats_.duplicate_queries;
     return;

@@ -61,7 +61,7 @@ class PeerNode {
  public:
   static constexpr double kAdvertLifetimeS = 300.0;  ///< on own adverts
   static constexpr std::size_t kCacheCapacity = 4096;
-  /// Seen "origin#id" query keys remembered, oldest forgotten first.
+  /// Seen (origin, id) query keys remembered, oldest forgotten first.
   static constexpr std::size_t kSeenQueryCapacity = 8192;
   static constexpr std::size_t kMaxResponseAdverts = 16;  ///< per response
 
@@ -191,7 +191,8 @@ class PeerNode {
   void handle_query(const net::Endpoint& from, QueryMsg m);
   void handle_response(ResponseMsg m);
   void handle_publish(PublishMsg m);
-  SeenGate seen_gate(const std::string& key, std::uint8_t ttl);
+  SeenGate seen_gate(const net::Endpoint& origin, std::uint64_t query_id,
+                     std::uint8_t ttl);
   std::uint64_t fresh_query_id();
 
   net::Transport& transport_;
@@ -203,11 +204,27 @@ class PeerNode {
   std::vector<net::Endpoint> rendezvous_;
   bool is_rendezvous_ = false;
 
-  /// Seen queries, keyed "origin#id", valued with the largest remaining
-  /// TTL witnessed -- an expanding ring's wider retry re-arrives with
-  /// MORE ttl and must extend the frontier without being re-answered.
-  std::unordered_map<std::string, std::uint8_t> seen_;
-  std::deque<std::string> seen_fifo_;
+  /// A seen query: a 64-bit hash of its origin endpoint and its id. No
+  /// per-query string, so a full seen-set stays small, and no table of
+  /// origins that wire input could grow. A hash collision can only merge
+  /// two origins that also reuse the same query id.
+  struct SeenKey {
+    std::uint64_t origin = 0;
+    std::uint64_t id = 0;
+    bool operator==(const SeenKey&) const = default;
+  };
+  struct SeenKeyHash {
+    std::size_t operator()(const SeenKey& k) const {
+      return std::hash<std::uint64_t>{}(k.id ^
+                                        (k.origin * 0x9E3779B97F4A7C15ull));
+    }
+  };
+
+  /// Seen queries, valued with the largest remaining TTL witnessed -- an
+  /// expanding ring's wider retry re-arrives with MORE ttl and must extend
+  /// the frontier without being re-answered.
+  std::unordered_map<SeenKey, std::uint8_t, SeenKeyHash> seen_;
+  std::deque<SeenKey> seen_fifo_;
 
   std::unordered_map<std::uint64_t, ResponseHandler> pending_;
   std::uint64_t next_query_ = 1;

@@ -26,6 +26,10 @@ const Advertisement& best_advert(const std::vector<Advertisement>& adverts) {
   return *best;
 }
 
+void set_epoch(Advertisement& a, std::uint64_t epoch) {
+  a.attrs["epoch"] = std::to_string(epoch);
+}
+
 }  // namespace
 
 PipeServe::PipeServe(PeerNode& node, Scheduler scheduler)
@@ -40,12 +44,24 @@ void PipeServe::advertise_input(const std::string& pipe_name,
                                 PipeHandler handler, std::uint64_t epoch) {
   inputs_[pipe_name] = std::move(handler);
   Advertisement advert = node_.make_pipe_advert(pipe_name);
-  advert.attrs["epoch"] = std::to_string(epoch);
+  set_epoch(advert, epoch);
   node_.publish_local(advert);
   for (const auto& r : node_.rendezvous()) {
     node_.publish_to(r, {advert});
     break;  // one rendezvous is responsible for this peer's adverts
   }
+}
+
+void PipeServe::hint_output(const std::string& pipe_name,
+                            const net::Endpoint& provider,
+                            std::uint64_t epoch) {
+  Advertisement advert = node_.make_pipe_advert(pipe_name);
+  // The provider's own advert id is keyed by its peer id, which a hint
+  // does not carry; its endpoint keys the hint instead.
+  advert.id = "pipe:" + provider.value + ":" + pipe_name;
+  advert.provider = provider;
+  set_epoch(advert, epoch);
+  node_.publish_local(advert);
 }
 
 void PipeServe::remove_input(const std::string& pipe_name) {

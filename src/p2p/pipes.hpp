@@ -10,8 +10,16 @@
 // motivation for JXTAServe).
 //
 // Input side:  advertise_input(name, handler)  -> pipe advert + dispatch
-// Output side: bind_output(name, ...)          -> discovery -> OutputPipe
+// Output side: hint_output(name, provider)     -> cached pipe advert
+//              bind_output(name, ...)          -> local cache, else
+//                                                 discovery -> OutputPipe
 //              send(pipe, bytes)               -> kData frame to the binding
+//
+// Binding is static first, dynamic on failure: a deploy that names where
+// its output channels are served (the plan's channel annotations) seeds
+// the local cache through hint_output, so bind_output's first step answers
+// at once. A label without a hint -- or whose hint was dropped by a rebind
+// or a bounce -- falls through to the rendezvous and the expanding ring.
 #pragma once
 
 #include <functional>
@@ -79,6 +87,14 @@ class PipeServe {
   }
 
   // -- output pipes -----------------------------------------------------------
+  /// Record that `pipe_name` is served by `provider` at recovery `epoch`:
+  /// the pipe advert a successful discovery would have cached (same kind,
+  /// name, provider and "epoch" attribute, the normal advert lifetime).
+  /// The next bind_output resolves it from the local cache; dropping the
+  /// name from the cache (AdvertisementCache::drop_name) drops the hint.
+  void hint_output(const std::string& pipe_name,
+                   const net::Endpoint& provider, std::uint64_t epoch = 0);
+
   /// Resolve `pipe_name` to a provider. Checks the local cache, then the
   /// rendezvous when configured, then expanding-ring floods. Calls
   /// `on_bound` exactly once -- with an unbound OutputPipe on failure.

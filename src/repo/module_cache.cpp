@@ -58,13 +58,23 @@ bool ModuleCache::insert(const ModuleArtifact& a) {
   return insert_internal(a, /*write_through=*/true);
 }
 
+std::optional<cas::Digest> ModuleCache::digest(const std::string& name) const {
+  auto it = entries_.find(name);
+  if (it == entries_.end()) return std::nullopt;
+  const Entry& e = it->second;
+  if (!e.digest) e.digest = artifact_digest(e.artifact);
+  return e.digest;
+}
+
 bool ModuleCache::insert_internal(const ModuleArtifact& a,
                                   bool write_through) {
   // Write through to the backing store regardless of whether the in-memory
   // insert below succeeds: a module too large for the LRU budget is still
-  // worth keeping on disk for the next deploy.
+  // worth keeping on disk for the next deploy. The store hands back the
+  // digest, so the entry keeps it.
+  std::optional<cas::Digest> digest;
   if (backing_ && write_through) {
-    backing_->put_keyed("module/" + a.name, encode_artifact(a));
+    digest = backing_->put_keyed("module/" + a.name, encode_artifact(a));
   }
   // Replace any resident version of the same name first.
   if (auto it = entries_.find(a.name); it != entries_.end()) {
@@ -87,7 +97,7 @@ bool ModuleCache::insert_internal(const ModuleArtifact& a,
       return false;
     }
     lru_.push_front(a.name);
-    Entry e{a, 0, lru_.begin()};
+    Entry e{a, digest, 0, lru_.begin()};
     resident_bytes_ += a.size_bytes();
     entries_.emplace(a.name, std::move(e));
     ++stats_.insertions;
@@ -103,7 +113,7 @@ bool ModuleCache::insert_internal(const ModuleArtifact& a,
     return false;
   }
   lru_.push_front(a.name);
-  Entry e{a, 0, lru_.begin()};
+  Entry e{a, digest, 0, lru_.begin()};
   resident_bytes_ += a.size_bytes();
   entries_.emplace(a.name, std::move(e));
   ++stats_.insertions;

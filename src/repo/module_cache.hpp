@@ -63,6 +63,11 @@ class ModuleCache {
   /// backing_hit, since the caller avoided a network fetch but not a load.
   std::optional<ModuleArtifact> lookup(const std::string& name);
 
+  /// artifact_digest() of the resident copy of `name`, computed at most
+  /// once per resident copy (on write-through, else on the first call);
+  /// nullopt when absent. No stats, no recency.
+  std::optional<cas::Digest> digest(const std::string& name) const;
+
   /// True without touching stats or recency (introspection).
   bool contains(const std::string& name) const {
     return entries_.contains(name);
@@ -99,6 +104,8 @@ class ModuleCache {
   };
   struct Entry {
     ModuleArtifact artifact;
+    /// artifact_digest(artifact), filled on first need (see digest()).
+    mutable std::optional<cas::Digest> digest;
     int pin_count = 0;
     std::list<std::string>::iterator lru_it;  ///< position in lru_
   };

@@ -6,29 +6,39 @@
 namespace cg::repo {
 
 void ModuleRepository::put(ModuleArtifact a) {
-  store_[a.key()] = std::move(a);
+  cas::Digest digest = artifact_digest(a);
+  std::string key = a.key();
+  store_[std::move(key)] = Stored{std::move(a), digest};
 }
 
 std::optional<ModuleArtifact> ModuleRepository::get(
     const std::string& name, const std::string& version) const {
   auto it = store_.find(name + "@" + version);
   if (it == store_.end()) return std::nullopt;
-  return it->second;
+  return it->second.artifact;
+}
+
+std::optional<cas::Digest> ModuleRepository::digest(
+    const std::string& name, const std::string& version) const {
+  auto it = store_.find(name + "@" + version);
+  if (it == store_.end()) return std::nullopt;
+  return it->second.digest;
 }
 
 std::optional<ModuleArtifact> ModuleRepository::latest(
     const std::string& name) const {
-  std::optional<ModuleArtifact> best;
-  for (const auto& [key, a] : store_) {
-    if (a.name != name) continue;
-    if (!best || a.version > best->version) best = a;
+  const ModuleArtifact* best = nullptr;
+  for (const auto& [key, s] : store_) {
+    if (s.artifact.name != name) continue;
+    if (!best || s.artifact.version > best->version) best = &s.artifact;
   }
-  return best;
+  if (!best) return std::nullopt;
+  return *best;
 }
 
 std::vector<std::string> ModuleRepository::module_names() const {
   std::set<std::string> names;
-  for (const auto& [key, a] : store_) names.insert(a.name);
+  for (const auto& [key, s] : store_) names.insert(s.artifact.name);
   return {names.begin(), names.end()};
 }
 
@@ -58,7 +68,7 @@ std::vector<ModuleArtifact> ModuleRepository::closure(
 
 std::size_t ModuleRepository::total_bytes() const {
   std::size_t n = 0;
-  for (const auto& [key, a] : store_) n += a.size_bytes();
+  for (const auto& [key, s] : store_) n += s.artifact.size_bytes();
   return n;
 }
 

@@ -28,6 +28,11 @@ class ModuleRepository {
   /// here are dotted decimals of equal arity; good enough for the model).
   std::optional<ModuleArtifact> latest(const std::string& name) const;
 
+  /// artifact_digest() of name@version, computed once by put(); nullopt
+  /// when absent.
+  std::optional<cas::Digest> digest(const std::string& name,
+                                    const std::string& version) const;
+
   /// Names of all stored modules (deduplicated).
   std::vector<std::string> module_names() const;
 
@@ -41,7 +46,11 @@ class ModuleRepository {
   std::size_t total_bytes() const;
 
  private:
-  std::map<std::string, ModuleArtifact> store_;  // by key()
+  struct Stored {
+    ModuleArtifact artifact;
+    cas::Digest digest;  ///< artifact_digest(artifact)
+  };
+  std::map<std::string, Stored> store_;  // by key()
 };
 
 }  // namespace cg::repo

@@ -15,6 +15,9 @@
 #include "core/unit/builtin.hpp"
 #include "net/sim_network.hpp"
 #include "repo/artifact.hpp"
+#include "serial/reader.hpp"
+#include "serial/writer.hpp"
+#include "xml/write.hpp"
 
 namespace cg::core {
 namespace {
@@ -24,11 +27,16 @@ UnitRegistry& reg() {
   return r;
 }
 
+/// Overlay shapes: every peer a neighbour of every other, or a star
+/// through home (the loopback-TCP benches' shape), where workers are two
+/// hops apart.
+enum class Overlay { kMesh, kStar };
+
 /// A simulated consumer grid: one controller peer + N worker services,
-/// fully meshed as overlay neighbours.
+/// linked as overlay neighbours in the given shape.
 struct Grid {
   explicit Grid(std::size_t n_workers, ServiceConfig worker_cfg = {},
-                net::LinkParams lp = {})
+                net::LinkParams lp = {}, Overlay shape = Overlay::kMesh)
       : net(lp, 1) {
     auto clock = net.clock();
     auto sched = net.scheduler();
@@ -51,7 +59,9 @@ struct Grid {
     }();
     for (auto* a : all) {
       for (auto* b : all) {
-        if (a != b) a->node().add_neighbor(b->endpoint());
+        const bool linked = shape == Overlay::kMesh || a == home.get() ||
+                            b == home.get();
+        if (a != b && linked) a->node().add_neighbor(b->endpoint());
       }
       a->announce();
     }
@@ -90,6 +100,27 @@ TaskGraph grouped_figure1(const std::string& policy) {
   g.connect("Wave", 0, "G", 0);
   g.connect("G", 0, "AccumStat", 0);
   g.connect("AccumStat", 0, "Grapher", 0);
+  return g;
+}
+
+/// Wave -> [Scale -> Smooth -> Shift] -> Grapher: three trivial stages,
+/// one per worker under the p2p policy.
+TaskGraph three_stage_pipeline() {
+  TaskGraph inner("stages");
+  inner.add_task("Scale", "Scaler");
+  inner.add_task("Smooth", "MovingAverage");
+  inner.add_task("Shift", "Offset");
+  inner.connect("Scale", 0, "Smooth", 0);
+  inner.connect("Smooth", 0, "Shift", 0);
+
+  TaskGraph g("pipeline");
+  g.add_task("Wave", "Wave");
+  TaskDef& grp = g.add_group("Pipe", std::move(inner), "p2p");
+  grp.group_inputs = {GroupPort{"Scale", 0}};
+  grp.group_outputs = {GroupPort{"Shift", 0}};
+  g.add_task("Grapher", "Grapher");
+  g.connect("Wave", 0, "Pipe", 0);
+  g.connect("Pipe", 0, "Grapher", 0);
   return g;
 }
 
@@ -414,6 +445,17 @@ TEST(Controller, CheckpointAndMigrateFragment) {
   ctl.tick(*run, 4);
   grid.net.run_all();
 
+  // Home bound fragment 0's input from the plan's hint: worker 0.
+  const std::string in0 = channel_labels(run->fragments[0]).inputs.at(0);
+  p2p::Query pipe_q;
+  pipe_q.kind = p2p::AdvertKind::kPipe;
+  pipe_q.name = in0;
+  const auto hinted = grid.home->node().find_local(pipe_q);
+  ASSERT_EQ(hinted.size(), 1u);
+  EXPECT_EQ(hinted[0].provider, grid.workers[0]->endpoint());
+  const std::uint64_t w0_received =
+      grid.workers[0]->pipes().stats().payloads_received;
+
   // Migrate fragment 0 from worker 0 to worker 2.
   bool migrated = false;
   ctl.migrate(run, 0, grid.workers[2]->endpoint(),
@@ -433,6 +475,14 @@ TEST(Controller, CheckpointAndMigrateFragment) {
   auto* rt2 = grid.workers[2]->job_runtime(run->remote_jobs[0]);
   ASSERT_NE(rt2, nullptr);
   EXPECT_EQ(rt2->firings_of("Gaussian"), 2u);
+  // The rebind dropped the stale hint: home re-resolved the label to the
+  // new host and sent nothing more to the old one.
+  for (const auto& a : grid.home->node().find_local(pipe_q)) {
+    EXPECT_EQ(a.provider, grid.workers[2]->endpoint());
+  }
+  EXPECT_EQ(grid.workers[0]->pipes().stats().payloads_received, w0_received);
+  EXPECT_EQ(grid.workers[0]->pipes().stats().payloads_for_unknown_pipe, 0u);
+  EXPECT_EQ(grid.workers[2]->pipes().stats().payloads_received, 2u);
 }
 
 TEST(Controller, DistributeValidatesInput) {
@@ -442,6 +492,258 @@ TEST(Controller, DistributeValidatesInput) {
   EXPECT_THROW(ctl.distribute(g, "G", {}), std::invalid_argument);
   EXPECT_THROW(ctl.distribute(g, "Wave", grid.worker_endpoints()),
                std::invalid_argument);
+}
+
+TEST(Controller, HintedPipelineBindsWithoutDiscoveryOnAStar) {
+  // Workers two hops apart: a lazy worker->worker bind misses at TTL 1 and
+  // waits out a whole ring timeout before TTL 2 finds the sibling.
+  Grid grid(3, {}, {}, Overlay::kStar);
+  TaskGraph g = three_stage_pipeline();
+  grid.home->publish_graph_modules(g);
+
+  TrianaController ctl(*grid.home);
+  auto run = ctl.distribute(g, "Pipe", grid.worker_endpoints());
+  grid.net.run_all();
+  ASSERT_TRUE(run->deployed_ok())
+      << (run->errors.empty() ? "" : run->errors[0]);
+
+  const double t0 = grid.net.now();
+  ctl.tick(*run, 1);
+  auto* grapher = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Grapher");
+  while (grapher->items().empty() && grid.net.step()) {
+  }
+  ASSERT_EQ(grapher->items().size(), 1u);
+  EXPECT_LT(grid.net.now() - t0, p2p::ExpandingRingOptions{}.ring_timeout_s);
+
+  ctl.tick(*run, 4);
+  grid.net.run_all();
+  EXPECT_EQ(grapher->items().size(), 5u);
+  // Every output -- home's, each stage's -- bound from the plan's map.
+  EXPECT_EQ(grid.home->node().stats().queries_initiated, 0u);
+  for (const auto& w : grid.workers) {
+    EXPECT_EQ(w->node().stats().queries_initiated, 0u) << w->id();
+    EXPECT_EQ(w->stats().binds_retried, 0u) << w->id();
+  }
+}
+
+TEST(Controller, PipelineDeploysDownstreamFirst) {
+  Grid grid(3);
+  TaskGraph g = three_stage_pipeline();
+  grid.home->publish_graph_modules(g);
+
+  TrianaController ctl(*grid.home);
+  auto run = ctl.distribute(g, "Pipe", grid.worker_endpoints());
+  using D = FragmentDeploy;
+  // Stage i feeds stage i+1; only the last stage goes out at once.
+  EXPECT_EQ(run->deploy_state, (std::vector<D>{D::kHeld, D::kHeld, D::kSent}));
+  EXPECT_TRUE(run->remote_jobs[0].empty());
+
+  // Whenever a stage's deploy is out, its consumer has already acked; the
+  // workers receive their deploys last stage first.
+  std::vector<std::size_t> arrival;
+  do {
+    for (std::size_t i = 0; i + 1 < 3; ++i) {
+      if (run->deploy_state[i] != D::kHeld) {
+        EXPECT_EQ(run->deploy_state[i + 1], D::kLive) << i;
+      }
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (grid.workers[i]->stats().deploys_received == 1 &&
+          std::find(arrival.begin(), arrival.end(), i) == arrival.end()) {
+        arrival.push_back(i);
+      }
+    }
+  } while (grid.net.step());
+  EXPECT_EQ(arrival, (std::vector<std::size_t>{2, 1, 0}));
+  EXPECT_EQ(run->deploy_state, (std::vector<D>(3, D::kLive)));
+  EXPECT_TRUE(run->deployed_ok());
+}
+
+TEST(Controller, WrappedPipelineCycleDeploysTogetherAndBindsLazily) {
+  // Three stages on two workers: stage slots 0,1,0, so the two fragments
+  // feed each other and neither can wait for the other.
+  Grid grid(2);
+  TaskGraph g = three_stage_pipeline();
+  grid.home->publish_graph_modules(g);
+
+  TrianaController ctl(*grid.home);
+  auto run = ctl.distribute(g, "Pipe", grid.worker_endpoints());
+  EXPECT_EQ(run->deploy_state,
+            (std::vector<FragmentDeploy>(2, FragmentDeploy::kSent)));
+  grid.net.run_all();
+  ASSERT_TRUE(run->deployed_ok());
+
+  ctl.tick(*run, 5);
+  grid.net.run_all();
+  auto* grapher = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Grapher");
+  EXPECT_EQ(grapher->items().size(), 5u);
+  EXPECT_GT(grid.workers[0]->node().stats().queries_initiated +
+                grid.workers[1]->node().stats().queries_initiated,
+            0u);
+}
+
+TEST(Controller, FarmDeploysEveryFragmentInOnePass) {
+  Grid grid(3);
+  TaskGraph g = grouped_figure1("parallel");
+  grid.home->publish_graph_modules(g);
+
+  TrianaController ctl(*grid.home);
+  auto run = ctl.distribute(g, "G", grid.worker_endpoints());
+  EXPECT_EQ(run->deploy_state,
+            (std::vector<FragmentDeploy>(3, FragmentDeploy::kSent)));
+  for (const auto& job : run->remote_jobs) EXPECT_FALSE(job.empty());
+  grid.net.run_all();
+  EXPECT_TRUE(run->deployed_ok());
+}
+
+TEST(Controller, HeldFragmentsAreNeverSentAfterShutdown) {
+  Grid grid(3);
+  TaskGraph g = three_stage_pipeline();
+  grid.home->publish_graph_modules(g);
+
+  TrianaController ctl(*grid.home);
+  auto run = ctl.distribute(g, "Pipe", grid.worker_endpoints());
+  ctl.shutdown(*run);
+  grid.net.run_all();
+  EXPECT_EQ(run->deploy_state[0], FragmentDeploy::kCancelled);
+  EXPECT_EQ(run->deploy_state[1], FragmentDeploy::kCancelled);
+  EXPECT_EQ(grid.workers[0]->stats().deploys_received, 0u);
+  EXPECT_EQ(grid.workers[1]->stats().deploys_received, 0u);
+  EXPECT_EQ(run->deploy_state[2], FragmentDeploy::kLive);
+}
+
+TEST(Service, DeployWithoutChannelMapBindsThroughDiscovery) {
+  // The oracle path: a deploy from an older controller names no channels,
+  // so the sender resolves its output by flooding -- on the star, a TTL-1
+  // miss, a ring timeout, then the sibling at TTL 2.
+  Grid grid(2, {}, {}, Overlay::kStar);
+  TaskGraph consumer("consumer");
+  ParamSet lp;
+  lp.set("label", "lazy-ch");
+  consumer.add_task("In", "Receive", lp);
+  consumer.add_task("Grapher", "Grapher");
+  consumer.connect("In", 0, "Grapher", 0);
+  TaskGraph producer("producer");
+  producer.add_task("Wave", "Wave");
+  producer.add_task("Out", "Send", lp);
+  producer.connect("Wave", 0, "Out", 0);
+  grid.home->publish_graph_modules(producer);
+  grid.home->publish_graph_modules(consumer);
+
+  const std::string cjob = grid.home->deploy_remote(
+      grid.workers[1]->endpoint(), consumer, 0, nullptr);
+  grid.net.run_all();
+  ASSERT_NE(grid.workers[1]->job_runtime(cjob), nullptr);
+
+  DeployMsg m;
+  m.job_id = "hand-built#1";
+  m.owner = grid.home->id();
+  m.owner_endpoint = grid.home->endpoint();
+  m.iterations = 3;
+  m.graph_xml = write_taskgraph(producer, false);
+  const double t0 = grid.net.now();
+  grid.home->reliable().send(grid.workers[0]->endpoint(), encode(m));
+  grid.net.run_all();
+
+  auto* grapher =
+      grid.workers[1]->job_runtime(cjob)->unit_as<GrapherUnit>("Grapher");
+  EXPECT_EQ(grapher->items().size(), 3u);
+  EXPECT_GT(grid.workers[0]->node().stats().queries_initiated, 0u);
+  EXPECT_GE(grid.net.now() - t0, p2p::ExpandingRingOptions{}.ring_timeout_s);
+}
+
+// -- control protocol: the deploy's channel map ------------------------------
+
+/// A deploy frame whose header is `header` verbatim (hostile-input tests).
+serial::Frame deploy_frame(const xml::Node& header) {
+  serial::Writer w;
+  w.string(xml::write(header, /*pretty=*/false));
+  w.blob({});
+  serial::Frame f;
+  f.type = serial::FrameType::kControl;
+  f.payload = w.take();
+  return f;
+}
+
+xml::Node deploy_header() {
+  xml::Node n("deploy");
+  n.set_attr("job", "j#1");
+  n.add_child("graph").set_text("<taskgraph/>");
+  return n;
+}
+
+TEST(ControlProtocol, DeployChannelMapRoundTrips) {
+  DeployMsg m;
+  m.job_id = "home#1";
+  m.graph_xml = "<taskgraph/>";
+  m.channels["home/g1/t/Smooth/p0"] = ChannelHint{net::Endpoint{"n2"}, 0};
+  m.channels["home/g1/out0"] =
+      ChannelHint{net::Endpoint{"tcp:127.0.0.1:4000"}, 0xfedcba9876543210ull};
+  const DeployMsg d = decode_deploy(encode(m));
+  EXPECT_EQ(d.channels, m.channels);
+  EXPECT_EQ(d.job_id, m.job_id);
+}
+
+TEST(ControlProtocol, DeployWithoutChannelsDecodesToAnEmptyMap) {
+  DeployMsg m;
+  m.job_id = "home#1";
+  m.graph_xml = "<taskgraph/>";
+  EXPECT_TRUE(decode_deploy(encode(m)).channels.empty());
+  xml::Node n = deploy_header();
+  n.add_child("channels");
+  EXPECT_TRUE(decode_deploy(deploy_frame(n)).channels.empty());
+}
+
+TEST(ControlProtocol, HostileChannelEntriesAreSkippedOrRejected) {
+  {
+    // No label, empty label, no endpoint, a foreign child: skipped. A
+    // missing epoch reads as 0.
+    xml::Node n = deploy_header();
+    xml::Node& chans = n.add_child("channels");
+    chans.add_child("channel").set_attr("endpoint", "n1");
+    xml::Node& empty = chans.add_child("channel");
+    empty.set_attr("label", "");
+    empty.set_attr("endpoint", "n1");
+    chans.add_child("channel").set_attr("label", "no-endpoint");
+    chans.add_child("module").set_attr("label", "wrong-element");
+    xml::Node& ok = chans.add_child("channel");
+    ok.set_attr("label", "ok");
+    ok.set_attr("endpoint", "n3");
+    const DeployMsg d = decode_deploy(deploy_frame(n));
+    EXPECT_EQ(d.channels,
+              (ChannelMap{{"ok", ChannelHint{net::Endpoint{"n3"}, 0}}}));
+  }
+  for (const char* epoch : {"zz", "-1", "12345678901234567"}) {
+    xml::Node n = deploy_header();
+    xml::Node& c = n.add_child("channels").add_child("channel");
+    c.set_attr("label", "l");
+    c.set_attr("endpoint", "n1");
+    c.set_attr("epoch", epoch);
+    EXPECT_THROW(decode_deploy(deploy_frame(n)), serial::DecodeError)
+        << epoch;
+  }
+  // Every truncation and every single-byte corruption of a deploy with a
+  // map either decodes or throws DecodeError -- nothing else escapes.
+  DeployMsg m;
+  m.job_id = "home#1";
+  m.graph_xml = "<taskgraph/>";
+  m.channels["a"] = ChannelHint{net::Endpoint{"n1"}, 7};
+  m.channels["b"] = ChannelHint{net::Endpoint{"n2"}, 0};
+  const serial::Frame whole = encode(m);
+  for (std::size_t cut = 0; cut < whole.payload.size(); ++cut) {
+    serial::Frame f = whole;
+    f.payload.resize(cut);
+    try {
+      decode_deploy(f);
+    } catch (const serial::DecodeError&) {
+    }
+    f = whole;
+    f.payload[cut] ^= 0x5a;
+    try {
+      decode_deploy(f);
+    } catch (const serial::DecodeError&) {
+    }
+  }
 }
 
 TEST(Service, SandboxCpuViolationFailsJobAndBillsIt) {
