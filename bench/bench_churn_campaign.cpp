@@ -30,6 +30,8 @@
 // scripts/bench_compare.py (--key scenario --metric completion_rate).
 // --trace PATH reruns a small calm scenario with the causal tracer bound to
 // the whole stack and exports merged JSONL for congrid-trace --validate.
+// --seed N reseeds the simulator and the churn trace (default 12, the seed
+// the committed rows and CI's replay use).
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -272,16 +274,19 @@ std::string rows_json(const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   bench::Bench b("bench_churn_campaign");
+  CampaignSpec base;
+  std::size_t seed = base.seed;
+  b.flags.add("--seed", seed, 0);
   b.json_flag();
   b.trace_flag();
   b.obs_flags();
   if (!b.flags.parse(argc, argv)) return 2;
+  base.seed = seed;
 
-  CampaignSpec base;
   std::printf("E12: churn-at-scale campaign, %zu peers (1 home + %zu "
-              "fragments + %zu spares), %.0f s churned window\n\n",
+              "fragments + %zu spares), %.0f s churned window, seed %zu\n\n",
               1 + base.workers + base.spares, base.workers, base.spares,
-              base.churn_s);
+              base.churn_s, seed);
   std::printf("%-13s %-6s %-7s %-6s %-5s %-7s %-7s %-7s %-7s %-7s %-5s "
               "%-8s %-8s\n",
               "scenario", "phi", "done", "rate", "det", "recov", "abort",
@@ -358,6 +363,7 @@ int main(int argc, char** argv) {
     obs::Registry trace_registry;
     obs::Tracer tracer(1 << 16);
     CampaignSpec tiny;
+    tiny.seed = base.seed;
     tiny.scenario = "trace";
     tiny.mean_up_s = 60.0;
     tiny.mean_down_s = 15.0;

@@ -4,9 +4,9 @@
 // the SHA-256 of its bytes: identical module code, configs or memoized
 // outputs collapse to one stored object no matter which peer produced
 // them, and a disk entry whose bytes no longer hash to its name is
-// detectably corrupt. FNV-1a (repo/artifact.hpp) remains the cheap
-// admission-control hash; this digest is the storage key, where collision
-// resistance actually matters.
+// detectably corrupt. The same digest is a module's identity everywhere it
+// is checked: deploy adverts, the owner's-version rule and the certified
+// library (repo::artifact_digest).
 #pragma once
 
 #include <array>

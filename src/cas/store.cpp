@@ -17,14 +17,10 @@ namespace {
 ///   E <hex> <stored> <raw>   object added to the disk tier
 ///   T <hex>                  object touched (LRU refresh / promotion)
 ///   D <hex>                  object evicted or dropped
-///   R <keyhex> <hex>         ref set (keyhex = sha256 of the key string)
+///   R <keyhex> <hex>         ref set (keyhex = the ref key: a memo digest,
+///                            or ref_key() of a name like "module/FFT")
 /// Replay order reconstructs both the index and the LRU order; compaction
 /// rewrites the journal as E lines in LRU order plus live R lines.
-
-Digest key_digest(std::string_view key) {
-  return sha256(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(key.data()), key.size()));
-}
 
 std::size_t env_bytes(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
@@ -35,6 +31,11 @@ std::size_t env_bytes(const char* name, std::size_t fallback) {
 }
 
 }  // namespace
+
+Digest ref_key(std::string_view name) {
+  return sha256(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(name.data()), name.size()));
+}
 
 CasConfig CasConfig::from_env() {
   CasConfig cfg;
@@ -360,32 +361,30 @@ bool ContentStore::contains(const Digest& d) const {
   return mem_.contains(d) || disk_.contains(d);
 }
 
-void ContentStore::put_ref(std::string_view key, const Digest& d) {
-  const Digest k = key_digest(key);
+void ContentStore::put_ref(const Digest& key, const Digest& d) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = refs_.try_emplace(k, d);
+  auto [it, inserted] = refs_.try_emplace(key, d);
   if (!inserted) {
     if (it->second == d) return;  // unchanged: skip the journal line
     it->second = d;
   }
-  journal_locked("R " + k.hex() + ' ' + d.hex());
+  journal_locked("R " + key.hex() + ' ' + d.hex());
 }
 
-std::optional<Digest> ContentStore::get_ref(std::string_view key) const {
-  const Digest k = key_digest(key);
+std::optional<Digest> ContentStore::get_ref(const Digest& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = refs_.find(k);
+  auto it = refs_.find(key);
   return it == refs_.end() ? std::nullopt : std::optional<Digest>(it->second);
 }
 
-Digest ContentStore::put_keyed(std::string_view key,
+Digest ContentStore::put_keyed(const Digest& key,
                                std::span<const std::uint8_t> bytes) {
   const Digest d = put(bytes);
   put_ref(key, d);
   return d;
 }
 
-std::optional<serial::Bytes> ContentStore::get_by_key(std::string_view key) {
+std::optional<serial::Bytes> ContentStore::get_by_key(const Digest& key) {
   const auto d = get_ref(key);
   return d ? get(*d) : std::nullopt;
 }

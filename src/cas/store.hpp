@@ -21,9 +21,11 @@
 // longer matches its name (torn write, bit rot): the caller sees a plain
 // miss and re-fetches, never a crash or silently wrong bytes.
 //
-// A ref layer ("module/FFT", "memo/<hex>") maps stable names to digests --
-// the mutable pointers (git-refs style) over the immutable object space.
-// Refs may dangle after disk eviction; get_by_key treats that as a miss.
+// A ref layer maps stable keys to digests -- the mutable pointers
+// (git-refs style) over the immutable object space. A key is itself a
+// digest: a memo entry's key is its memo digest, a named ref's key is
+// ref_key("module/FFT"). Refs may dangle after disk eviction; get_by_key
+// treats that as a miss.
 //
 // All public methods are thread-safe behind one mutex; disk I/O happens
 // under the lock (objects are small and callers are cache-miss paths).
@@ -72,6 +74,10 @@ struct CasStats {
   std::uint64_t bytes_read_disk = 0;    ///< compressed bytes read
 };
 
+/// The ref key of a named ref ("module/FFT"): the SHA-256 of the name, so
+/// journal lines never depend on a key's charset or length.
+Digest ref_key(std::string_view name);
+
 class ContentStore {
  public:
   /// Opens (creating if needed) the disk tier when cfg.dir is set and
@@ -98,13 +104,13 @@ class ContentStore {
   bool contains(const Digest& d) const;
 
   /// Point `key` at `d` (overwriting any previous target). Journaled.
-  void put_ref(std::string_view key, const Digest& d);
-  std::optional<Digest> get_ref(std::string_view key) const;
+  void put_ref(const Digest& key, const Digest& d);
+  std::optional<Digest> get_ref(const Digest& key) const;
 
   /// put() + put_ref() in one step.
-  Digest put_keyed(std::string_view key, std::span<const std::uint8_t> bytes);
+  Digest put_keyed(const Digest& key, std::span<const std::uint8_t> bytes);
   /// get_ref() + get(); nullopt when the ref is absent or dangles.
-  std::optional<serial::Bytes> get_by_key(std::string_view key);
+  std::optional<serial::Bytes> get_by_key(const Digest& key);
 
   std::size_t memory_resident_bytes() const;
   std::size_t disk_resident_bytes() const;
@@ -162,8 +168,7 @@ class ContentStore {
   std::FILE* journal_ = nullptr;
   std::uint64_t journal_lines_ = 0;
 
-  /// key-hash digest -> object digest (keys are hashed so journal lines
-  /// never depend on key charset or length).
+  /// ref key -> object digest.
   std::unordered_map<Digest, Digest, DigestHasher> refs_;
 
   CasStats stats_;

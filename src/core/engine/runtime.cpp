@@ -179,17 +179,17 @@ std::vector<std::pair<std::size_t, DataItem>> GraphRuntime::invoke(
     }
   }
 
-  // Memo key: unit type + params (pre-encoded prefix) + the exact encoded
-  // input bytes. Runs on pool threads in wave mode -- the store is
-  // thread-safe, the counters atomic, and nothing here touches shared
-  // runtime state.
-  std::string memo_key;
+  // Memo key: the SHA-256 of unit type + params (pre-encoded prefix) + the
+  // exact encoded input bytes, used as the store's ref key as it is. Runs
+  // on pool threads in wave mode -- the store is thread-safe, the counters
+  // atomic, and nothing here touches shared runtime state.
+  cas::Digest memo_key;
   if (n.memoizable) {
     serial::Writer kw;
     kw.raw(n.memo_prefix);
     kw.varint(inputs.size());
     for (const auto& item : inputs) kw.blob(encode_data_item(item));
-    memo_key = "memo/" + cas::sha256(kw.bytes()).hex();
+    memo_key = cas::sha256(kw.bytes());
     if (auto stored = options_.memo_store->get_by_key(memo_key)) {
       try {
         auto emissions = decode_emissions(*stored);

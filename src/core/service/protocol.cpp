@@ -105,10 +105,10 @@ serial::Frame encode(const DeployMsg& m) {
   n.add_child("graph").set_text(m.graph_xml);
   if (!m.module_hashes.empty()) {
     xml::Node& mods = n.add_child("modules");
-    for (const auto& [type, hex] : m.module_hashes) {
+    for (const auto& [type, digest] : m.module_hashes) {
       xml::Node& mod = mods.add_child("module");
       mod.set_attr("type", type);
-      mod.set_attr("sha256", hex);
+      mod.set_attr("sha256", digest.hex());
     }
   }
   if (!m.channels.empty()) {
@@ -221,11 +221,15 @@ DeployMsg decode_deploy(const serial::Frame& f) {
     m.iterations =
         static_cast<std::uint64_t>(u.header.attr_int("iterations", 0));
     m.graph_xml = u.header.require_child("graph").text();
+    // An entry without a type names no module and is skipped; a digest
+    // that is not 64 hex digits makes the whole frame malformed.
     if (const xml::Node* mods = u.header.child("modules")) {
       for (const xml::Node* mod : mods->children("module")) {
         const std::string type = mod->attr_or("type", "");
-        const std::string hex = mod->attr_or("sha256", "");
-        if (!type.empty() && !hex.empty()) m.module_hashes[type] = hex;
+        if (type.empty()) continue;
+        const auto digest = cas::Digest::from_hex(mod->attr_or("sha256", ""));
+        if (!digest) throw serial::DecodeError("bad module sha256 attribute");
+        m.module_hashes[type] = *digest;
       }
     }
     // Hints are advisory: an entry without a label or an endpoint is

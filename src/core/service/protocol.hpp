@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "cas/hash.hpp"
 #include "core/graph/taskgraph.hpp"
 #include "net/endpoint.hpp"
 #include "obs/context.hpp"
@@ -53,12 +54,14 @@ struct DeployMsg {
   std::string graph_xml;        ///< the fragment to execute
   serial::Bytes checkpoint;     ///< optional state to restore (migration)
   /// Content digests of the modules the fragment needs: unit type ->
-  /// 64-hex SHA-256 of the encoded artifact the owner currently publishes.
-  /// A peer holding bytes with a matching digest (module cache or CAS) can
-  /// skip the network fetch entirely; a stale cached copy under the same
-  /// name is detected the same way. Absent entries (older controllers)
-  /// degrade to the plain fetch-from-owner path.
-  std::map<std::string, std::string> module_hashes;
+  /// repo::artifact_digest of the artifact the owner currently publishes,
+  /// on the wire as a 64-hex `sha256` attribute (anything else there makes
+  /// the frame malformed). A peer holding bytes with a matching digest
+  /// (module cache or CAS) can skip the network fetch entirely; a stale
+  /// cached copy under the same name is detected the same way. Absent
+  /// entries (older controllers) degrade to the plain fetch-from-owner
+  /// path.
+  std::map<std::string, cas::Digest> module_hashes;
   /// The plan's channel annotations for this fragment (static binding):
   /// output label -> the provider already serving its input pipe. The
   /// receiver caches each entry as the pipe advert a discovery would have

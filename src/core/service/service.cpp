@@ -16,6 +16,9 @@ constexpr std::size_t kModuleCacheBytes = 64u << 20;
 /// bind, before giving up (spaced by ServiceConfig's *_retry_s).
 constexpr int kBounceRetries = 8;
 constexpr int kBindRetries = 10;
+/// Cap on remembered cancels for jobs not hosted here, so a peer sending
+/// cancels for made-up ids cannot grow the table.
+constexpr std::size_t kMaxTombstones = 1024;
 
 /// Distinct fetchable unit types in a graph (recursing into groups).
 std::set<std::string> module_types(const TaskGraph& g) {
@@ -130,6 +133,8 @@ void TrianaService::set_obs(obs::Registry& registry, obs::Tracer* tracer,
       registry.counter(obs::scoped(s, "service.modules_fetched"));
   obs_.modules_from_cas =
       registry.counter(obs::scoped(s, "service.modules_from_cas"));
+  obs_.pipe_items_malformed =
+      registry.counter(obs::scoped(s, "service.pipe_items_malformed"));
   obs_.jobs_suspended =
       registry.counter(obs::scoped(s, "service.jobs_suspended"));
   obs_.jobs_fenced = registry.counter(obs::scoped(s, "service.jobs_fenced"));
@@ -200,9 +205,9 @@ std::string TrianaService::deploy_remote(const net::Endpoint& target,
   // bytes.
   for (const auto& type : module_types(fragment)) {
     if (const auto a = local_repo_.latest(type)) {
-      const auto enc = repo::encode_artifact(*a);
       m.module_hashes[type] =
-          config_.cas ? config_.cas->put(enc).hex() : cas::sha256(enc).hex();
+          config_.cas ? config_.cas->put(repo::encode_artifact(*a))
+                      : *local_repo_.digest(a->name, a->version);
     }
   }
   const double sent_at = clock_();
@@ -263,12 +268,12 @@ std::string TrianaService::deploy_local(const TaskGraph& graph,
   m.owner = config_.peer_id;
   m.owner_endpoint = endpoint();
   m.iterations = iterations;
-  m.graph_xml = write_taskgraph(graph, /*pretty=*/false);
   m.checkpoint = std::move(checkpoint);
   m.trace = trace_ctx_;
 
   PendingDeploy pending;
   pending.msg = std::move(m);
+  pending.graph = graph.clone();
   pending.received_at = clock_();
   pending.span = obs_.tracer.begin_span(config_.peer_id, "deploy", trace_ctx_,
                                         "job=" + pending.msg.job_id);
@@ -302,7 +307,19 @@ bool TrianaService::job_failed(const std::string& job_id,
 
 bool TrianaService::cancel_local(const std::string& job_id) {
   auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) return false;
+  if (it == jobs_.end()) {
+    // Not running here (yet): refuse the deploy whenever it shows up, and
+    // drop it now if it is still fetching modules -- its fetch callbacks
+    // find no entry and stop.
+    add_tombstone(job_id);
+    auto pit = pending_.find(job_id);
+    if (pit == pending_.end()) return false;
+    obs_.tracer.end_span(pit->second.span, config_.peer_id, "deploy",
+                         "cancelled");
+    send_ack(pit->second.reply_to, job_id, false, "cancelled");
+    pending_.erase(pit);
+    return true;
+  }
   ++stats_.jobs_cancelled;
   obs_.jobs_cancelled.inc();
   finish_job(it->second, /*violated=*/false);
@@ -448,6 +465,22 @@ void TrianaService::send_ack(const net::Endpoint& to,
   transport_.send(to, encode(m));
 }
 
+void TrianaService::add_tombstone(const std::string& job_id) {
+  // All share one lifetime, so the front is also the first to expire.
+  if (tombstones_.size() >= kMaxTombstones) tombstones_.pop_front();
+  tombstones_.emplace_back(clock_() + config_.reliable.deadline_s, job_id);
+}
+
+bool TrianaService::tombstoned(const std::string& job_id) {
+  const double now = clock_();
+  while (!tombstones_.empty() && tombstones_.front().first <= now) {
+    tombstones_.pop_front();
+  }
+  return std::ranges::any_of(tombstones_, [&](const auto& t) {
+    return t.second == job_id;
+  });
+}
+
 void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
   ++stats_.deploys_received;
   obs_.deploys_received.inc();
@@ -474,6 +507,11 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
     obs_.duplicate_deploys.inc();
     return;
   }
+  // The cancel overtook this deploy.
+  if (tombstoned(m.job_id)) {
+    send_ack(from, m.job_id, false, "cancelled");
+    return;
+  }
 
   // Static binding: the plan says where each output channel is served, so
   // the job's first send on it resolves from the local cache.
@@ -492,6 +530,7 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
 
   PendingDeploy pending;
   pending.msg = std::move(m);
+  pending.graph = std::move(graph);
   pending.reply_to = from;
   pending.received_at = clock_();
   pending.span = obs_.tracer.begin_span(config_.peer_id, "deploy",
@@ -505,13 +544,13 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
   // checked by content instead of by version string). Without an advertised
   // digest (older controller) any cached copy is trusted as before.
   std::vector<std::string> missing;
-  for (const auto& type : module_types(graph)) {
+  for (const auto& type : module_types(pending.graph)) {
     const auto adv = pending.msg.module_hashes.find(type);
     const bool has_digest = adv != pending.msg.module_hashes.end();
     // Both tiers keep each artifact's digest, so no deploy re-hashes a
     // module it has seen before.
     const auto matches = [&](const std::optional<cas::Digest>& d) {
-      return !has_digest || (d && d->hex() == adv->second);
+      return !has_digest || d == adv->second;
     };
 
     if (module_cache_.lookup(type) && matches(module_cache_.digest(type))) {
@@ -527,18 +566,16 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
     // different name, from an earlier run (disk tier), or from a peer that
     // shares the store. Any hit here is network bytes not fetched.
     if (has_digest && config_.cas) {
-      if (const auto d = cas::Digest::from_hex(adv->second)) {
-        if (auto bytes = config_.cas->get(*d)) {
-          try {
-            module_cache_.insert(repo::decode_artifact(*bytes));
-            ++stats_.modules_from_cas;
-            obs_.modules_from_cas.inc();
-            obs_.tracer.event(config_.peer_id, "cas.hit", pending.msg.trace,
-                              "module=" + type);
-            continue;
-          } catch (const serial::DecodeError&) {
-            // Digest resolved to bytes that are not an artifact; fetch.
-          }
+      if (auto bytes = config_.cas->get(adv->second)) {
+        try {
+          module_cache_.insert(repo::decode_artifact(*bytes));
+          ++stats_.modules_from_cas;
+          obs_.modules_from_cas.inc();
+          obs_.tracer.event(config_.peer_id, "cas.hit", pending.msg.trace,
+                            "module=" + type);
+          continue;
+        } catch (const serial::DecodeError&) {
+          // Digest resolved to bytes that are not an artifact; fetch.
         }
       }
     }
@@ -633,19 +670,23 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
   job.epoch = pending.msg.epoch;
   job.lease_s = pending.msg.lease_s;
 
-  TaskGraph graph;
+  const TaskGraph& graph = pending.graph;
   try {
-    graph = parse_taskgraph(pending.msg.graph_xml);
-
-    // Admission control: certified-library policy checks every module
-    // hash we are about to execute (paper 3.5's certified software
-    // library proposal).
+    // Admission control: certified-library policy checks the artifact
+    // digest of every module we are about to execute (paper 3.5's
+    // certified software library proposal). Both tiers already keep it.
     job.sb = std::make_unique<sandbox::Sandbox>(account_.open_sandbox());
     for (const auto& type : module_types(graph)) {
-      auto cached = module_cache_.lookup(type);
-      if (!cached && local_repo_.latest(type)) cached = local_repo_.latest(type);
-      if (cached) {
-        job.sb->admit_module(type, cached->content_hash());
+      std::optional<cas::Digest> digest;
+      if (const auto cached = module_cache_.lookup(type)) {
+        digest = module_cache_.digest(type);
+        // Absent only when too large to stay resident after a promotion.
+        if (!digest) digest = repo::artifact_digest(*cached);
+      } else if (const auto owned = local_repo_.latest(type)) {
+        digest = local_repo_.digest(owned->name, owned->version);
+      }
+      if (digest) {
+        job.sb->admit_module(type, *digest);
       } else if (config_.certified_library ||
                  config_.sandbox_policy.certified_modules_only) {
         throw sandbox::SandboxViolation("module '" + type +
@@ -721,8 +762,18 @@ void TrianaService::advertise_job_inputs(Job& job) {
           auto it = jobs_.find(job_id);
           if (it == jobs_.end() || it->second.failed()) return;
           ++stats_.pipe_items_in;
+          // A payload that does not decode is the sender's fault: drop
+          // it. A unit that throws on a good item fails the job.
+          DataItem item;
           try {
-            it->second.runtime->deliver(label, decode_data_item(payload));
+            item = decode_data_item(payload);
+          } catch (const serial::DecodeError&) {
+            ++stats_.pipe_items_malformed;
+            obs_.pipe_items_malformed.inc();
+            return;
+          }
+          try {
+            it->second.runtime->deliver(label, std::move(item));
           } catch (const std::exception& e) {
             transition(it->second, JobEvent::kFail, e.what());
           }

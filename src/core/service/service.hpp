@@ -18,6 +18,7 @@
 // transport.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -112,6 +113,9 @@ struct ServiceStats {
   std::uint64_t modules_from_cas = 0;
   std::uint64_t pipe_items_in = 0;
   std::uint64_t pipe_items_out = 0;
+  /// Inbound pipe payloads that did not decode as a DataItem: dropped and
+  /// counted; the job keeps running.
+  std::uint64_t pipe_items_malformed = 0;
   /// Deploys for a job this service already hosts (a retransmitted deploy
   /// that slipped past the reliable layer's dedup window): re-acked, never
   /// re-executed.
@@ -257,6 +261,11 @@ class TrianaService {
   std::size_t job_count() const { return jobs_.size(); }
 
   /// Cancel a job hosted here (settles billing, releases modules/pipes).
+  /// A deploy still fetching its modules is dropped instead, and a cancel
+  /// for a job not hosted here leaves a tombstone: a deploy for that id
+  /// arriving later (it lost the race to its own cancel) is acked
+  /// ok=false, "cancelled", and never runs. True when a job or a pending
+  /// deploy was cancelled.
   bool cancel_local(const std::string& job_id);
 
   /// Cache each entry as the pipe advert a discovery would have found
@@ -304,6 +313,7 @@ class TrianaService {
   /// A deploy waiting for module fetches.
   struct PendingDeploy {
     DeployMsg msg;
+    TaskGraph graph;  ///< msg.graph_xml, parsed once on receipt
     net::Endpoint reply_to;  ///< empty for local deploys
     std::size_t fetches_outstanding = 0;
     std::optional<std::string> error;  ///< set once a fetch has failed
@@ -314,7 +324,8 @@ class TrianaService {
 
   struct Obs {
     obs::CounterRef deploys_received, duplicate_deploys, jobs_started,
-        jobs_failed, jobs_cancelled, modules_fetched, modules_from_cas;
+        jobs_failed, jobs_cancelled, modules_fetched, modules_from_cas,
+        pipe_items_malformed;
     obs::CounterRef jobs_suspended, jobs_fenced, promotions, payloads_bounced,
         binds_retried;
     obs::HistogramRef deploy_start_s;  ///< server: received -> started
@@ -352,6 +363,9 @@ class TrianaService {
   void start_output_bind(const std::string& job_id, const std::string& label,
                          int attempts_left, std::uint64_t bspan);
   void run_iterations(Job& job, std::uint64_t iterations);
+  /// Tombstones (see tombstones_); tombstoned() drops the expired first.
+  void add_tombstone(const std::string& job_id);
+  bool tombstoned(const std::string& job_id);
   std::string fresh_job_id();
 
   // Lease / fencing / bounce (fenced recovery).
@@ -386,6 +400,11 @@ class TrianaService {
 
   std::map<std::string, Job> jobs_;
   std::map<std::string, PendingDeploy> pending_;
+  /// Job ids cancelled before their deploy ran, oldest first, as (expiry
+  /// on the ambient clock, job id). Each is kept for the reliable layer's
+  /// deadline_s -- no copy of a deploy sent before its cancel can arrive
+  /// later than that -- and at most kMaxTombstones are kept.
+  std::deque<std::pair<double, std::string>> tombstones_;
   /// Labels whose payloads are bounced back to the sender while no live
   /// job serves them (suspended or fenced incarnations); prevents silent
   /// item loss during recovery.

@@ -6,6 +6,7 @@
 namespace cg::repo {
 namespace {
 
+/// Seeds make_synthetic_artifact's byte stream; no identity check uses it.
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   for (std::size_t i = 0; i < len; ++i) {
@@ -16,14 +17,6 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
 }
 
 }  // namespace
-
-std::uint64_t ModuleArtifact::content_hash() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  h = fnv1a(h, name.data(), name.size());
-  h = fnv1a(h, version.data(), version.size());
-  h = fnv1a(h, code.data(), code.size());
-  return h;
-}
 
 serial::Bytes encode_artifact(const ModuleArtifact& a) {
   serial::Writer w(a.code.size() + 64);

@@ -5,7 +5,7 @@
 // graph ... the executable must be requested from the owner whenever an
 // execution is to be undertaken", which also solves version skew
 // (section 3.3). ConGrid's substitution is a ModuleArtifact: a named,
-// versioned, content-hashed byte blob with declared dependencies -- the
+// versioned, content-addressed byte blob with declared dependencies -- the
 // bytes are synthetic "bytecode", but the transfer, caching, versioning and
 // dependency-release paths are the real thing.
 #pragma once
@@ -25,10 +25,6 @@ struct ModuleArtifact {
   serial::Bytes code;                  ///< the "bytecode"
   std::vector<std::string> deps;       ///< module names this one needs
 
-  /// Content hash over name/version/code (FNV-1a 64); admission control
-  /// and the certified library key on this.
-  std::uint64_t content_hash() const;
-
   /// "name@version" -- the repository key.
   std::string key() const { return name + "@" + version; }
 
@@ -41,9 +37,9 @@ struct ModuleArtifact {
 serial::Bytes encode_artifact(const ModuleArtifact& a);
 ModuleArtifact decode_artifact(const serial::Bytes& b);
 
-/// SHA-256 of the encoded artifact -- the content-addressed store key.
-/// Unlike content_hash() (a fast 64-bit admission check) this digest is
-/// what deploys advertise on the wire and what peers dedup against.
+/// SHA-256 of the encoded artifact: the module's one identity. It is the
+/// content-addressed store key, what deploys advertise on the wire, what
+/// peers dedup against and what the certified library lists.
 cas::Digest artifact_digest(const ModuleArtifact& a);
 
 /// Deterministically fabricate an artifact of roughly `size` bytes -- the

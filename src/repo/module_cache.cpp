@@ -25,19 +25,20 @@ std::optional<ModuleArtifact> ModuleCache::lookup(const std::string& name) {
   if (it == entries_.end()) {
     ++stats_.misses;
     obs_.misses.inc();
-    if (backing_) {
-      if (auto bytes = backing_->get_by_key("module/" + name)) {
-        try {
-          ModuleArtifact a = decode_artifact(*bytes);
-          ++stats_.backing_hits;
-          obs_.backing_hits.inc();
-          // Promote without writing through: the bytes came from the store.
-          insert_internal(a, /*write_through=*/false);
-          return a;
-        } catch (const serial::DecodeError&) {
-          // Store handed back bytes that don't parse as an artifact (ref
-          // pointed at something else): treat as a plain miss.
-        }
+    if (!backing_) return std::nullopt;
+    const auto digest = backing_->get_ref(cas::ref_key("module/" + name));
+    if (!digest) return std::nullopt;
+    if (auto bytes = backing_->get(*digest)) {
+      try {
+        ModuleArtifact a = decode_artifact(*bytes);
+        ++stats_.backing_hits;
+        obs_.backing_hits.inc();
+        // Promote without writing through: the bytes came from the store.
+        insert_internal(a, digest);
+        return a;
+      } catch (const serial::DecodeError&) {
+        // Store handed back bytes that don't parse as an artifact (ref
+        // pointed at something else): treat as a plain miss.
       }
     }
     return std::nullopt;
@@ -55,7 +56,7 @@ void ModuleCache::touch(Entry& e, const std::string& name) {
 }
 
 bool ModuleCache::insert(const ModuleArtifact& a) {
-  return insert_internal(a, /*write_through=*/true);
+  return insert_internal(a, std::nullopt);
 }
 
 std::optional<cas::Digest> ModuleCache::digest(const std::string& name) const {
@@ -67,14 +68,14 @@ std::optional<cas::Digest> ModuleCache::digest(const std::string& name) const {
 }
 
 bool ModuleCache::insert_internal(const ModuleArtifact& a,
-                                  bool write_through) {
+                                  std::optional<cas::Digest> digest) {
   // Write through to the backing store regardless of whether the in-memory
   // insert below succeeds: a module too large for the LRU budget is still
   // worth keeping on disk for the next deploy. The store hands back the
   // digest, so the entry keeps it.
-  std::optional<cas::Digest> digest;
-  if (backing_ && write_through) {
-    digest = backing_->put_keyed("module/" + a.name, encode_artifact(a));
+  if (backing_ && !digest) {
+    digest = backing_->put_keyed(cas::ref_key("module/" + a.name),
+                                 encode_artifact(a));
   }
   // Replace any resident version of the same name first.
   if (auto it = entries_.find(a.name); it != entries_.end()) {
@@ -89,23 +90,7 @@ bool ModuleCache::insert_internal(const ModuleArtifact& a,
       ++stats_.rejected_too_large;
       return false;
     }
-    resident_bytes_ -= it->second.artifact.size_bytes();
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
-    if (!make_room(a.size_bytes())) {
-      ++stats_.rejected_too_large;
-      return false;
-    }
-    lru_.push_front(a.name);
-    Entry e{a, digest, 0, lru_.begin()};
-    resident_bytes_ += a.size_bytes();
-    entries_.emplace(a.name, std::move(e));
-    ++stats_.insertions;
-    stats_.bytes_fetched += a.size_bytes();
-    obs_.insertions.inc();
-    obs_.bytes_fetched.inc(a.size_bytes());
-    obs_.resident_bytes.set(static_cast<double>(resident_bytes_));
-    return true;
+    erase_entry(a.name);
   }
 
   if (!make_room(a.size_bytes())) {

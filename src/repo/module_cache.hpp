@@ -50,8 +50,8 @@ class ModuleCache {
       : budget_bytes_(budget_bytes) {}
 
   /// Attach a content-addressed store behind the cache. Inserts write
-  /// through to it (keyed "module/<name>" -> digest of the encoded
-  /// artifact) and lookup misses fall back to it, so re-deploys after a
+  /// through to it (ref cas::ref_key("module/<name>") -> digest of the
+  /// encoded artifact) and lookup misses fall back to it, so re-deploys after a
   /// restart hit the disk tier instead of the network. Pass nullptr to
   /// detach. The store is borrowed, not owned, and must outlive the cache.
   void set_backing_store(cas::ContentStore* store) { backing_ = store; }
@@ -113,7 +113,10 @@ class ModuleCache {
   void touch(Entry& e, const std::string& name);
   bool make_room(std::size_t need);
   void erase_entry(const std::string& name);
-  bool insert_internal(const ModuleArtifact& a, bool write_through);
+  /// `digest` is known only for bytes promoted from the backing store;
+  /// without one the insert writes through and keeps the store's digest.
+  bool insert_internal(const ModuleArtifact& a,
+                       std::optional<cas::Digest> digest);
 
   cas::ContentStore* backing_ = nullptr;
   std::size_t budget_bytes_;

@@ -5,9 +5,9 @@
 namespace cg::sandbox {
 
 void Sandbox::admit_module(const std::string& module_name,
-                           std::uint64_t hash) const {
+                           const cas::Digest& digest) const {
   if (!policy_.certified_modules_only) return;
-  if (library_ && library_->is_certified(hash)) return;
+  if (library_ && library_->is_certified(digest)) return;
   throw SandboxViolation("module '" + module_name +
                          "' is not in the certified library");
 }

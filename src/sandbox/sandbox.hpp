@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "cas/hash.hpp"
+
 namespace cg::sandbox {
 
 /// Thrown when a module exceeds its grant. The engine catches this and
@@ -51,19 +53,19 @@ struct Usage {
   std::uint64_t file_accesses_denied = 0;
 };
 
-/// The certified software library: content hashes of modules the resource
-/// owner pre-approved.
+/// The certified software library: the SHA-256 artifact digests
+/// (repo::artifact_digest) of modules the resource owner pre-approved.
 class CertifiedLibrary {
  public:
-  void certify(std::uint64_t module_hash) { hashes_.insert(module_hash); }
-  void revoke(std::uint64_t module_hash) { hashes_.erase(module_hash); }
-  bool is_certified(std::uint64_t module_hash) const {
-    return hashes_.contains(module_hash);
+  void certify(const cas::Digest& module) { digests_.insert(module); }
+  void revoke(const cas::Digest& module) { digests_.erase(module); }
+  bool is_certified(const cas::Digest& module) const {
+    return digests_.contains(module);
   }
-  std::size_t size() const { return hashes_.size(); }
+  std::size_t size() const { return digests_.size(); }
 
  private:
-  std::set<std::uint64_t> hashes_;
+  std::set<cas::Digest> digests_;
 };
 
 /// One sandboxed execution context. The engine calls the charge/check
@@ -89,8 +91,9 @@ class Sandbox {
   Sandbox& operator=(Sandbox&&) = delete;
 
   /// Gate module admission: throws when the policy demands certification
-  /// and the hash is not in the library.
-  void admit_module(const std::string& module_name, std::uint64_t hash) const;
+  /// and the module's artifact digest is not in the library.
+  void admit_module(const std::string& module_name,
+                    const cas::Digest& digest) const;
 
   /// Account CPU time; throws once the budget is exhausted.
   void charge_cpu(double seconds);

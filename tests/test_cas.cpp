@@ -198,13 +198,17 @@ TEST(MemoryStoreTest, Refs) {
   ContentStore store;
   const Digest d1 = store.put(bytes_of("v1"));
   const Digest d2 = store.put(bytes_of("v2"));
-  store.put_ref("module/FFT", d1);
-  EXPECT_EQ(store.get_ref("module/FFT"), d1);
-  EXPECT_EQ(store.get_by_key("module/FFT"), bytes_of("v1"));
-  store.put_ref("module/FFT", d2);  // repoint
-  EXPECT_EQ(store.get_by_key("module/FFT"), bytes_of("v2"));
-  EXPECT_FALSE(store.get_ref("module/missing").has_value());
-  EXPECT_FALSE(store.get_by_key("module/missing").has_value());
+  const Digest fft = ref_key("module/FFT");
+  store.put_ref(fft, d1);
+  EXPECT_EQ(store.get_ref(fft), d1);
+  EXPECT_EQ(store.get_by_key(fft), bytes_of("v1"));
+  store.put_ref(fft, d2);  // repoint
+  EXPECT_EQ(store.get_by_key(fft), bytes_of("v2"));
+  EXPECT_FALSE(store.get_ref(ref_key("module/missing")).has_value());
+  EXPECT_FALSE(store.get_by_key(ref_key("module/missing")).has_value());
+  // A named ref's key is the SHA-256 of its name, so journal R lines
+  // written under string-keyed refs still replay to the same key.
+  EXPECT_EQ(fft, sha256(bytes_of("module/FFT")));
 }
 
 // ----------------------------------------------------------------- disk tier
@@ -215,7 +219,7 @@ TEST_F(CasDirTest, DiskPersistsAcrossRestart) {
   {
     ContentStore store(CasConfig{.dir = dir_});
     d = store.put(payload);
-    store.put_ref("module/fft", d);
+    store.put_ref(ref_key("module/fft"), d);
     EXPECT_EQ(store.disk_object_count(), 1u);
     EXPECT_LT(store.disk_resident_bytes(), payload.size());  // compressed
   }
@@ -227,7 +231,7 @@ TEST_F(CasDirTest, DiskPersistsAcrossRestart) {
   EXPECT_EQ(warm.stats().disk_hits, 1u);   // first get came from disk
   EXPECT_EQ(warm.get(d), payload);
   EXPECT_EQ(warm.stats().mem_hits, 1u);    // promoted to memory
-  EXPECT_EQ(warm.get_by_key("module/fft"), payload);
+  EXPECT_EQ(warm.get_by_key(ref_key("module/fft")), payload);
 }
 
 TEST_F(CasDirTest, DiskLruEvictionHonoursBudget) {
@@ -293,6 +297,7 @@ TEST_F(CasDirTest, JournalCompactionPreservesState) {
   CasConfig cfg;
   cfg.dir = dir_;
   std::vector<Digest> ds;
+  const Digest memo_key = sha256(bytes_of("a memo digest"));
   {
     ContentStore store(cfg);
     for (std::uint8_t i = 0; i < 8; ++i) {
@@ -302,14 +307,14 @@ TEST_F(CasDirTest, JournalCompactionPreservesState) {
     for (int round = 0; round < 50; ++round) {
       for (const auto& d : ds) store.get(d);
     }
-    store.put_ref("memo/abc", ds[3]);
+    store.put_ref(memo_key, ds[3]);
   }
   ContentStore warm(cfg);
   EXPECT_EQ(warm.disk_object_count(), 8u);
   for (std::uint8_t i = 0; i < 8; ++i) {
     EXPECT_EQ(warm.get(ds[i]), incompressible(512, i));
   }
-  EXPECT_EQ(warm.get_ref("memo/abc"), ds[3]);
+  EXPECT_EQ(warm.get_ref(memo_key), ds[3]);
 }
 
 TEST_F(CasDirTest, OrphanObjectFileIsAdopted) {

@@ -542,7 +542,7 @@ TEST(RuntimeMemo, EntryWithHugeCountIsRecomputedNotThrown) {
   }
   kw.varint(1);
   kw.blob(encode_data_item(DataItem(2.0)));
-  const std::string key = "memo/" + cas::sha256(kw.bytes()).hex();
+  const cas::Digest key = cas::sha256(kw.bytes());
 
   GraphRuntime cold(g, reg(), memo_opt);
   cold.run(1);

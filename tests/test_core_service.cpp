@@ -265,16 +265,30 @@ TEST(Service, CertifiedLibraryGatesExecution) {
   EXPECT_FALSE(got.ok);
   EXPECT_NE(got.error.find("certified"), std::string::npos);
 
-  // Certify exactly those modules -> accepted.
-  library.certify(
-      repo::make_synthetic_artifact("Wave", "1.0", 8192).content_hash());
-  library.certify(
-      repo::make_synthetic_artifact("NullSink", "1.0", 8192).content_hash());
+  // Certify exactly those modules' artifact digests -> accepted.
+  for (const char* type : {"Wave", "NullSink"}) {
+    library.certify(repo::artifact_digest(
+        repo::make_synthetic_artifact(type, "1.0", 8192)));
+  }
   DeployAckMsg got2;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 1,
                            [&](const DeployAckMsg& a) { got2 = a; });
   grid.net.run_all();
   EXPECT_TRUE(got2.ok) << got2.error;
+
+  // The owner republishes Wave@1.0 with different code: the worker fetches
+  // it (its cached digest no longer matches the advert), and the new bytes
+  // are not the certified artifact.
+  grid.home->local_repo().put(
+      repo::make_synthetic_artifact("Wave", "1.0", 4096));
+  DeployAckMsg got3;
+  grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 1,
+                           [&](const DeployAckMsg& a) { got3 = a; });
+  grid.net.run_all();
+  EXPECT_FALSE(got3.ok);
+  EXPECT_NE(got3.error.find("'Wave' is not in the certified library"),
+            std::string::npos)
+      << got3.error;
 }
 
 TEST(Service, BillingSettlesOnCancel) {
@@ -609,7 +623,12 @@ TEST(Controller, HeldFragmentsAreNeverSentAfterShutdown) {
   EXPECT_EQ(run->deploy_state[1], FragmentDeploy::kCancelled);
   EXPECT_EQ(grid.workers[0]->stats().deploys_received, 0u);
   EXPECT_EQ(grid.workers[1]->stats().deploys_received, 0u);
-  EXPECT_EQ(run->deploy_state[2], FragmentDeploy::kLive);
+  // The last stage went out before the shutdown; its cancel caught the
+  // deploy while the worker was still fetching modules, so it never ran.
+  EXPECT_EQ(run->deploy_state[2], FragmentDeploy::kFailed);
+  EXPECT_EQ(run->errors, std::vector<std::string>{"cancelled"});
+  EXPECT_EQ(grid.workers[2]->job_count(), 0u);
+  EXPECT_EQ(grid.workers[2]->stats().jobs_started, 0u);
 }
 
 TEST(Service, DeployWithoutChannelMapBindsThroughDiscovery) {
@@ -744,6 +763,158 @@ TEST(ControlProtocol, HostileChannelEntriesAreSkippedOrRejected) {
     } catch (const serial::DecodeError&) {
     }
   }
+}
+
+// -- control protocol: module digests -----------------------------------------
+
+TEST(ControlProtocol, DeployModuleDigestsRoundTrip) {
+  DeployMsg m;
+  m.job_id = "home#1";
+  m.graph_xml = "<taskgraph/>";
+  const auto wave = repo::make_synthetic_artifact("Wave", "1.0", 64);
+  const auto fft = repo::make_synthetic_artifact("FFT", "1.0", 64);
+  m.module_hashes["Wave"] = repo::artifact_digest(wave);
+  m.module_hashes["FFT"] = repo::artifact_digest(fft);
+  const serial::Frame f = encode(m);
+  EXPECT_EQ(decode_deploy(f).module_hashes, m.module_hashes);
+  // On the wire each digest is its 64-hex rendering, as before.
+  const std::string wire(f.payload.begin(), f.payload.end());
+  EXPECT_NE(wire.find("<module type=\"Wave\" sha256=\"" +
+                      repo::artifact_digest(wave).hex() + "\"/>"),
+            std::string::npos);
+}
+
+TEST(ControlProtocol, BadModuleDigestIsRejected) {
+  const std::string good(64, 'a');
+  {
+    // A well-formed digest decodes; an entry without a type is skipped.
+    xml::Node n = deploy_header();
+    xml::Node& mods = n.add_child("modules");
+    xml::Node& ok = mods.add_child("module");
+    ok.set_attr("type", "Wave");
+    ok.set_attr("sha256", good);
+    mods.add_child("module").set_attr("sha256", good);
+    const DeployMsg d = decode_deploy(deploy_frame(n));
+    ASSERT_EQ(d.module_hashes.size(), 1u);
+    EXPECT_EQ(d.module_hashes.at("Wave").hex(), good);
+  }
+  for (const std::string& bad :
+       {good.substr(1), good + "a", good.substr(1) + "g", std::string()}) {
+    xml::Node n = deploy_header();
+    xml::Node& mod = n.add_child("modules").add_child("module");
+    mod.set_attr("type", "Wave");
+    mod.set_attr("sha256", bad);
+    EXPECT_THROW(decode_deploy(deploy_frame(n)), serial::DecodeError)
+        << "'" << bad << "'";
+  }
+  xml::Node n = deploy_header();
+  n.add_child("modules").add_child("module").set_attr("type", "Wave");
+  EXPECT_THROW(decode_deploy(deploy_frame(n)), serial::DecodeError);
+}
+
+// -- cancel racing its deploy -------------------------------------------------
+
+TaskGraph wave_to_sink() {
+  TaskGraph g("remote");
+  g.add_task("Wave", "Wave");
+  g.add_task("Sink", "NullSink");
+  g.connect("Wave", 0, "Sink", 0);
+  return g;
+}
+
+TEST(Service, DeployDelayedPastItsCancelNeverRuns) {
+  Grid grid(1);
+  const TaskGraph g = wave_to_sink();
+  grid.home->publish_graph_modules(g);
+  grid.net.run_all();
+
+  // Every frame home sends the worker is held back 2 s until the cancel
+  // goes out, so the deploy (and its first retransmission) lands after it.
+  bool hold = true;
+  grid.net.set_fault_fn(
+      [&](std::uint32_t from, std::uint32_t, const serial::Frame&) {
+        net::FaultAction act;
+        if (hold && from == 0) act.extra_delay_s = 2.0;
+        return act;
+      });
+  std::optional<DeployAckMsg> ack;
+  const std::string job = grid.home->deploy_remote(
+      grid.workers[0]->endpoint(), g, 1,
+      [&](const DeployAckMsg& a) { ack = a; });
+  grid.net.run_until(grid.net.now() + 0.01);
+  hold = false;
+  grid.home->cancel_remote(grid.workers[0]->endpoint(), job);
+  grid.net.run_all();
+
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(ack->ok);
+  EXPECT_EQ(ack->error, "cancelled");
+  EXPECT_EQ(grid.workers[0]->stats().deploys_received, 1u);
+  EXPECT_EQ(grid.workers[0]->stats().jobs_started, 0u);
+  EXPECT_EQ(grid.workers[0]->job_count(), 0u);
+}
+
+TEST(Service, CancelDuringModuleFetchDropsTheDeploy) {
+  Grid grid(1);
+  const TaskGraph g = wave_to_sink();
+  grid.home->publish_graph_modules(g);
+  grid.net.run_all();
+
+  std::optional<DeployAckMsg> ack;
+  const std::string job = grid.home->deploy_remote(
+      grid.workers[0]->endpoint(), g, 1,
+      [&](const DeployAckMsg& a) { ack = a; });
+  TrianaService& worker = *grid.workers[0];
+  while (worker.stats().deploys_received == 0 && grid.net.step()) {
+  }
+  // The deploy is in, its two modules are being fetched from home.
+  ASSERT_EQ(worker.stats().deploys_received, 1u);
+  ASSERT_EQ(worker.stats().modules_fetched, 0u);
+  ASSERT_EQ(worker.job_count(), 0u);
+  EXPECT_TRUE(worker.cancel_local(job));
+  grid.net.run_all();
+
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(ack->ok);
+  EXPECT_EQ(ack->error, "cancelled");
+  EXPECT_EQ(worker.stats().jobs_started, 0u);
+  EXPECT_EQ(worker.job_count(), 0u);
+}
+
+TEST(Service, MalformedPipePayloadIsDroppedNotFatal) {
+  Grid grid(1);
+  TaskGraph consumer("consumer");
+  ParamSet lp;
+  lp.set("label", "in-ch");
+  consumer.add_task("In", "Receive", lp);
+  consumer.add_task("Grapher", "Grapher");
+  consumer.connect("In", 0, "Grapher", 0);
+  grid.home->publish_graph_modules(consumer);
+  const std::string job = grid.home->deploy_remote(
+      grid.workers[0]->endpoint(), consumer, 0, nullptr);
+  grid.net.run_all();
+  TrianaService& worker = *grid.workers[0];
+  ASSERT_EQ(worker.job_state(job), JobState::kRunning);
+  obs::Registry registry;
+  worker.set_obs(registry, nullptr, "w");
+
+  p2p::OutputPipe pipe;
+  pipe.name = "in-ch";
+  pipe.target = worker.endpoint();
+  grid.home->pipes().send(pipe, serial::Bytes{0xff, 0x01, 0x02});
+  grid.net.run_all();
+  EXPECT_EQ(worker.stats().pipe_items_malformed, 1u);
+  EXPECT_EQ(worker.job_state(job), JobState::kRunning);
+
+  grid.home->pipes().send(pipe, encode_data_item(DataItem(4.0)));
+  grid.net.run_all();
+  EXPECT_EQ(worker.job_state(job), JobState::kRunning);
+  EXPECT_EQ(worker.stats().pipe_items_malformed, 1u);
+  auto* grapher = worker.job_runtime(job)->unit_as<GrapherUnit>("Grapher");
+  ASSERT_EQ(grapher->items().size(), 1u);
+#if CONGRID_OBS_ENABLED
+  EXPECT_EQ(registry.counter("w.service.pipe_items_malformed").value(), 1u);
+#endif
 }
 
 TEST(Service, SandboxCpuViolationFailsJobAndBillsIt) {
@@ -1030,7 +1201,7 @@ TaskGraph listener_fragment() {
   ParamSet rp;
   rp.set("label", "lc-in");
   frag.add_task("In", "Receive", rp);
-  frag.add_task("Sink", "NullSink");
+  frag.add_task("Sink", "StatSink");
   frag.connect("In", 0, "Sink", 0);
   return frag;
 }
@@ -1043,12 +1214,12 @@ void send_to_listener(Grid& grid, serial::Bytes payload) {
   grid.net.run_all();
 }
 
-/// Four bytes that do not decode as a DataItem.
-serial::Bytes garbage_payload() {
-  return serial::Bytes{0xff, 0xfe, 0xfd, 0xfc};
+/// A well-formed item the listener's StatSink throws on (it takes numbers).
+serial::Bytes unusable_payload() {
+  return encode_data_item(DataItem(std::string("not a number")));
 }
 
-TEST(Service, MalformedInputPayloadFailsJobOnceAndCountsIt) {
+TEST(Service, UnitErrorOnInputFailsJobOnceAndCountsIt) {
   Grid grid(1);
   const TaskGraph frag = listener_fragment();
   grid.home->publish_graph_modules(frag);
@@ -1058,15 +1229,16 @@ TEST(Service, MalformedInputPayloadFailsJobOnceAndCountsIt) {
   grid.net.run_all();
   ASSERT_TRUE(ack.ok) << ack.error;
 
-  send_to_listener(grid, garbage_payload());
+  send_to_listener(grid, unusable_payload());
   std::string error;
   EXPECT_TRUE(grid.workers[0]->job_failed(ack.job_id, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find("StatSink"), std::string::npos) << error;
   EXPECT_EQ(grid.workers[0]->stats().jobs_failed, 1u);
 
-  // More garbage for the already-failed job is dropped, not re-counted.
-  send_to_listener(grid, garbage_payload());
+  // More input for the already-failed job is dropped, not re-counted.
+  send_to_listener(grid, unusable_payload());
   EXPECT_EQ(grid.workers[0]->stats().jobs_failed, 1u);
+  EXPECT_EQ(grid.workers[0]->stats().pipe_items_malformed, 0u);
 }
 
 TEST(Service, LeasedStandbyStaysDarkUntilPromoted) {
@@ -1124,7 +1296,7 @@ enum class LifecycleEvent {
   kResumeStale,    ///< at another epoch
   kFence,          ///< consumer-side fence at a higher epoch
   kCancel,
-  kFailure,        ///< a malformed payload on its input pipe
+  kFailure,        ///< an item its unit throws on, on its input pipe
 };
 
 /// One row of the job transition table: what an event does to a job that
@@ -1166,7 +1338,7 @@ std::string job_in_state(Grid& grid, JobState state) {
     grid.home->request_status(w, ack.job_id, [](const StatusMsg&) {}, 0, 2.0);
     grid.net.run_all();
   } else if (state == JobState::kFailed) {
-    send_to_listener(grid, garbage_payload());
+    send_to_listener(grid, unusable_payload());
   }
   EXPECT_EQ(grid.workers[0]->job_state(ack.job_id), state);
   return ack.job_id;
@@ -1204,7 +1376,7 @@ void apply(Grid& grid, const std::string& job, LifecycleEvent event) {
       home.cancel_remote(w, job);
       break;
     case LifecycleEvent::kFailure:
-      send_to_listener(grid, garbage_payload());
+      send_to_listener(grid, unusable_payload());
       break;
   }
   grid.net.run_all();

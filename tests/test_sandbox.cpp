@@ -80,23 +80,31 @@ TEST(Sandbox, NetworkBudgetAndSwitch) {
   EXPECT_THROW(sb2.charge_network(1), SandboxViolation);
 }
 
+/// A stand-in artifact digest.
+cas::Digest digest_of(const std::string& text) {
+  return cas::sha256(
+      std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                text.size()));
+}
+
 TEST(Sandbox, CertificationGate) {
   CertifiedLibrary lib;
-  lib.certify(0xABCD);
+  lib.certify(digest_of("fft"));
   Policy p;
   p.certified_modules_only = true;
   Sandbox sb(p, &lib);
-  sb.admit_module("fft", 0xABCD);  // certified: ok
-  EXPECT_THROW(sb.admit_module("trojan", 0x1111), SandboxViolation);
+  sb.admit_module("fft", digest_of("fft"));  // certified: ok
+  EXPECT_THROW(sb.admit_module("trojan", digest_of("trojan")),
+               SandboxViolation);
 
-  lib.revoke(0xABCD);
-  EXPECT_THROW(sb.admit_module("fft", 0xABCD), SandboxViolation);
+  lib.revoke(digest_of("fft"));
+  EXPECT_THROW(sb.admit_module("fft", digest_of("fft")), SandboxViolation);
 }
 
 TEST(Sandbox, CertificationIgnoredWhenPolicyOff) {
   Policy p;  // certified_modules_only = false
   Sandbox sb(p, nullptr);
-  sb.admit_module("anything", 0xDEAD);  // no throw
+  sb.admit_module("anything", digest_of("anything"));  // no throw
 }
 
 TEST(Ledger, RecordsAndAggregates) {
