@@ -102,17 +102,19 @@ void Sha256::update(const void* data, std::size_t len) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  // buf_len_ < 64 always: update() compresses a full buffer at once. Pad
+  // with 0x80 then zeros; when the 8-byte length no longer fits behind the
+  // pad, zero-fill and compress this block and pad a fresh one.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, buf_.size() - buf_len_);
+    compress_block(buf_.data());
+    buf_len_ = 0;
   }
-  // Bypass total_ bookkeeping for the length block: write it straight into
-  // the buffer and compress.
-  std::memcpy(buf_.data() + 56, len_be, 8);
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  }
   compress_block(buf_.data());
 
   Digest d;

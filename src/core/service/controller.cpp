@@ -206,6 +206,11 @@ void TrianaController::deploy_fragment(
       [this, run_weak, order, idx, target](const DeployAckMsg& ack) {
         auto r = run_weak.lock();
         if (!r) return;
+        if (!ack.ok && r->shut_down && ack.error == "cancelled") {
+          // Our own shutdown's cancel caught the deploy: nobody failed.
+          r->deploy_state[idx] = FragmentDeploy::kCancelled;
+          return;
+        }
         if (ack.ok) {
           r->deploy_state[idx] = FragmentDeploy::kLive;
           // Home's own sends into this fragment bind from the plan too.
@@ -257,6 +262,7 @@ GraphRuntime* TrianaController::home_runtime(DistributedRun& run) {
 }
 
 void TrianaController::shutdown(DistributedRun& run) {
+  run.shut_down = true;
   for (std::size_t i = 0; i < run.remote_jobs.size(); ++i) {
     if (run.deploy_state[i] == FragmentDeploy::kHeld) {
       run.deploy_state[i] = FragmentDeploy::kCancelled;

@@ -34,7 +34,8 @@ enum class FragmentDeploy {
   kSent,       ///< deploy sent, no ack yet
   kLive,       ///< acked ok: its input pipes are served
   kFailed,     ///< nacked
-  kCancelled,  ///< still held when the run shut down; never sent
+  kCancelled,  ///< held at shutdown and never sent, or nacked "cancelled"
+               ///< by the shutdown's own cancel
 };
 
 /// The controller's book-keeping for one distributed deployment.
@@ -47,6 +48,7 @@ struct DistributedRun {
   std::vector<FragmentDeploy> deploy_state;  ///< of fragment i
   std::vector<TaskGraph> fragments;     ///< retained for migration
   std::vector<std::string> errors;
+  bool shut_down = false;  ///< TrianaController::shutdown ran
   /// Causal identity of this run: every deploy, fetch, pipe bind and tick
   /// it causes -- on any peer -- carries trace_id; root_span is the open
   /// "run" span (closed by shutdown()). Zero when the home service has no

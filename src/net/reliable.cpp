@@ -59,6 +59,7 @@ ReliableTransport::ReliableTransport(Transport& inner, Clock clock,
   // jittered() scales by at least (1 - jitter_frac), also after rounding.
   min_first_rto_ =
       config_.rto_initial_s * (1.0 - std::max(config_.jitter_frac, 0.0));
+  window_words_ = (config_.dedup_window + 63) / 64;
   inner_.set_handler([this](const Endpoint& from, serial::Frame f) {
     on_frame(from, std::move(f));
   });
@@ -104,103 +105,134 @@ double ReliableTransport::jittered(double delay_s) {
   return delay_s * (1.0 + config_.jitter_frac * (2.0 * rng_.uniform() - 1.0));
 }
 
-void ReliableTransport::wire_send(const Endpoint& to, serial::Frame frame) {
+std::uint32_t ReliableTransport::intern(const Endpoint& ep) {
+  const auto [it, fresh] = peer_index_.try_emplace(
+      ep.value, static_cast<std::uint32_t>(peers_.size()));
+  if (fresh) peers_.emplace_back().ep = ep;
+  return it->second;
+}
+
+bool ReliableTransport::first_sighting(Peer& peer, std::uint64_t id) {
+  if (window_words_ == 0) return true;
+  const std::uint64_t window = window_words_ * 64;
+  if (peer.seen.empty()) peer.seen.assign(window_words_, 0);
+  // window is a whole number of words, so id % window lands on word
+  // (id / 64) % window_words_, bit id % 64.
+  const auto word = [&](std::uint64_t i) -> std::uint64_t& {
+    return peer.seen[(i / 64) % window_words_];
+  };
+  const auto bit = [](std::uint64_t i) { return std::uint64_t{1} << (i % 64); };
+  if (id > peer.top) {
+    // Slide forward. The slots of the ids skipped over still hold ids that
+    // just left the window: clear them.
+    if (id - peer.top >= window) {
+      std::fill(peer.seen.begin(), peer.seen.end(), 0);
+    } else {
+      for (std::uint64_t i = peer.top + 1; i < id; ++i) word(i) &= ~bit(i);
+    }
+    peer.top = id;
+  } else if (peer.top - id >= window) {
+    return true;  // below the window: no record, so deliver
+  } else if (word(id) & bit(id)) {
+    return false;
+  }
+  word(id) |= bit(id);
+  return true;
+}
+
+void ReliableTransport::wire_send(std::uint32_t peer, serial::Frame frame) {
+  Peer& p = peers_[peer];
   if (!config_.batch) {
-    inner_.send(to, std::move(frame));
+    inner_.send(p.ep, std::move(frame));
     return;
   }
   if (frame.payload.size() >= config_.batch_bypass_bytes) {
     // Big frames gain nothing from coalescing; flush what's buffered first
     // so per-destination send order is preserved, then send it standalone.
-    flush_dest(to);
+    flush_dest(peer);
     ++stats_.batch_bypassed;
-    inner_.send(to, std::move(frame));
+    inner_.send(p.ep, std::move(frame));
     return;
   }
-  BatchBuf& b = batch_[to.value];
-  b.to = to;
+  BatchBuf& b = p.batch;
   b.bytes += serial::kBatchEntryOverhead + frame.payload.size();
   b.frames.push_back(std::move(frame));
   if (b.frames.size() >= config_.batch_max_frames ||
       b.bytes >= config_.batch_max_bytes) {
-    flush_dest(to);
+    flush_dest(peer);
     return;
   }
   if (!b.flush_scheduled) {
     b.flush_scheduled = true;
-    scheduler_(config_.batch_flush_s,
-               [this, key = to.value] { on_batch_timer(key); });
+    scheduler_(config_.batch_flush_s, [this, peer] { on_batch_timer(peer); });
   }
 }
 
-void ReliableTransport::on_batch_timer(const std::string& key) {
-  auto it = batch_.find(key);
-  if (it == batch_.end()) return;
-  it->second.flush_scheduled = false;
-  if (!it->second.frames.empty()) flush_dest(it->second.to);
+void ReliableTransport::on_batch_timer(std::uint32_t peer) {
+  peers_[peer].batch.flush_scheduled = false;
+  flush_dest(peer);
 }
 
-void ReliableTransport::flush_dest(const Endpoint& to) {
-  auto it = batch_.find(to.value);
-  if (it == batch_.end() || it->second.frames.empty()) return;
-  std::vector<serial::Frame> frames = std::move(it->second.frames);
-  it->second.frames.clear();
-  it->second.bytes = 0;
+void ReliableTransport::flush_dest(std::uint32_t peer) {
+  Peer& p = peers_[peer];
+  if (p.batch.frames.empty()) return;
+  std::vector<serial::Frame> frames = std::move(p.batch.frames);
+  p.batch.frames.clear();
+  p.batch.bytes = 0;
   if (frames.size() == 1) {
     // No point paying batch framing for one frame.
-    inner_.send(to, std::move(frames.front()));
+    inner_.send(p.ep, std::move(frames.front()));
     return;
   }
   ++stats_.batches_sent;
   stats_.frames_coalesced += frames.size();
   obs_.batches_sent.inc();
   obs_.frames_coalesced.inc(frames.size());
-  inner_.send(to, serial::encode_batch(frames));
+  inner_.send(p.ep, serial::encode_batch(frames));
 }
 
 void ReliableTransport::flush() {
   if (config_.batch) {
-    for (auto& [key, b] : batch_) {
-      if (!b.frames.empty()) flush_dest(b.to);
-    }
+    // By index: a flush may re-enter send() and intern a new peer.
+    for (std::uint32_t i = 0; i < peers_.size(); ++i) flush_dest(i);
   }
   inner_.flush();
 }
 
 void ReliableTransport::send(const Endpoint& to, serial::Frame frame) {
+  const std::uint32_t peer = intern(to);
   if (!is_reliable_type(frame.type)) {
     ++stats_.passthrough_sent;
     obs_.passthrough_sent.inc();
-    wire_send(to, std::move(frame));
+    wire_send(peer, std::move(frame));
     return;
   }
 
-  const std::uint64_t id = next_id_++;
+  const MsgKey key{peer, peers_[peer].next_seq++};
   Pending p;
-  p.to = to;
   p.first_sent_at = clock_();
   p.rto_s = config_.rto_initial_s;
   if (obs_.tracer) {
     p.span = obs_.tracer.begin_span(
         obs_.node, "reliable.msg",
         obs::TraceContext{trace_id_, 0, lamport_.now()},
-        "seq=" + std::to_string(id) +
+        "seq=" + std::to_string(key.second) +
             " conn=" + conn_name(inner_.local(), to) + " type=" +
             type_tag(frame.type));
   }
   // The envelope's parent is the sending span: the receiver's recv event
   // (and anything caused by the delivery) hangs off it in the causal DAG.
   const obs::TraceContext wire_trace{trace_id_, p.span, lamport_.tick()};
-  p.wire = serial::encode_envelope(id, frame, wire_trace);
+  p.wire = serial::encode_envelope(key.second, frame, wire_trace);
 
-  wire_send(to, p.wire);
+  wire_send(peer, p.wire);
   ++stats_.sent;
   obs_.sent.inc();
   const double first_retry = jittered(p.rto_s);
   obs_.backoff_wait_s.observe(first_retry);
   p.due_at = p.first_sent_at + first_retry;
-  due_.emplace(p.due_at, id);
-  pending_.emplace(id, std::move(p));
+  due_.emplace(p.due_at, key);
+  pending_.emplace(key, std::move(p));
   if (!retry_timer_armed_) arm_retry_timer();
 }
 
@@ -217,10 +249,11 @@ void ReliableTransport::on_retry_timer() {
   // the drop handler sees the timer armed and leaves re-arming to the end.
   const double now = clock_();
   while (!due_.empty() && due_.begin()->first <= now) {
-    const std::uint64_t id = due_.begin()->second;
+    const MsgKey key = due_.begin()->second;
     due_.erase(due_.begin());
-    auto it = pending_.find(id);
+    auto it = pending_.find(key);
     Pending& p = it->second;
+    const Endpoint& to = peers_[key.first].ep;
 
     const bool over_deadline = now - p.first_sent_at >= config_.deadline_s;
     if (over_deadline || p.retries >= config_.max_retries) {
@@ -230,7 +263,6 @@ void ReliableTransport::on_retry_timer() {
         obs_.tracer.end_span(p.span, obs_.node, "reliable.msg", "expired");
       }
       // Move out before erasing: the drop handler may send (and re-enter).
-      Endpoint to = std::move(p.to);
       serial::Frame wire = std::move(p.wire);
       pending_.erase(it);
       if (on_drop_) on_drop_(to, serial::decode_envelope(wire).inner);
@@ -243,18 +275,16 @@ void ReliableTransport::on_retry_timer() {
     if (obs_.tracer) {
       obs_.tracer.event(obs_.node, "reliable.retx",
                         obs::TraceContext{trace_id_, p.span, lamport_.now()},
-                        "seq=" + std::to_string(id) +
-                            " conn=" + conn_name(inner_.local(), p.to) +
+                        "seq=" + std::to_string(key.second) +
+                            " conn=" + conn_name(inner_.local(), to) +
                             " try=" + std::to_string(p.retries));
     }
     p.rto_s = std::min(p.rto_s * kRtoBackoff, config_.rto_max_s);
     const double wait = jittered(p.rto_s);
     obs_.backoff_wait_s.observe(wait);
     p.due_at = now + wait;
-    due_.emplace(p.due_at, id);
-    // Copy the endpoint: a synchronous ack inside wire_send may erase `p`.
-    const Endpoint to = p.to;
-    wire_send(to, p.wire);
+    due_.emplace(p.due_at, key);
+    wire_send(key.first, p.wire);
   }
   retry_timer_armed_ = false;
   if (!due_.empty()) arm_retry_timer();
@@ -285,7 +315,11 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
       ++stats_.malformed_dropped;
       return;
     }
-    if (auto it = pending_.find(id); it != pending_.end()) {
+    // Only the peer a message went to can settle it.
+    const auto peer = peer_index_.find(from.value);
+    if (peer == peer_index_.end()) return;
+    const MsgKey key{peer->second, id};
+    if (auto it = pending_.find(key); it != pending_.end()) {
       ++stats_.acked;
       obs_.acked.inc();
       obs_.ack_latency_s.observe(clock_() - it->second.first_sent_at);
@@ -294,7 +328,7 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
                              "acked retx=" +
                                  std::to_string(it->second.retries));
       }
-      due_.erase({it->second.due_at, id});
+      due_.erase({it->second.due_at, key});
       pending_.erase(it);
     }
     return;  // duplicate ack for an already-settled message: ignore
@@ -330,21 +364,15 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
 
   // Always re-ack: the sender retransmits exactly because an earlier ack
   // (or the message itself) was lost.
-  wire_send(from, serial::encode_ack(env.msg_id));
+  const std::uint32_t peer = intern(from);
+  wire_send(peer, serial::encode_ack(env.msg_id));
   ++stats_.acks_sent;
   obs_.acks_sent.inc();
 
-  SeenWindow& win = seen_[from.value];
-  if (win.ids.contains(env.msg_id)) {
+  if (!first_sighting(peers_[peer], env.msg_id)) {
     ++stats_.duplicates_suppressed;
     obs_.dedup_hits.inc();
     return;
-  }
-  win.ids.insert(env.msg_id);
-  win.order.push_back(env.msg_id);
-  while (win.order.size() > config_.dedup_window) {
-    win.ids.erase(win.order.front());
-    win.order.pop_front();
   }
 
   ++stats_.delivered;

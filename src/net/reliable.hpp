@@ -6,11 +6,13 @@
 // any Transport with at-least-once delivery:
 //
 //   * each outbound frame (bar the types below) rides in a kReliable
-//     envelope carrying a sender-scoped message id
+//     envelope carrying a message id numbered per destination: the
+//     envelopes one transport sends to one peer carry 1, 2, 3, ...
 //     (serial::encode_envelope);
 //   * the receiver confirms each envelope with a kAck and suppresses
-//     duplicate ids per sender, so retried deploys/cancels stay idempotent
-//     -- at-least-once + dedup = effectively-once for control messages;
+//     duplicate ids per sender in a sliding bitmap window (RFC 4303
+//     3.4.3), so retried deploys/cancels stay idempotent -- at-least-once
+//     + dedup = effectively-once for control messages;
 //   * the sender retransmits unacknowledged messages with exponential
 //     backoff plus deterministic jitter until a configurable deadline or
 //     retry budget is exhausted, then gives up and (optionally) reports the
@@ -35,8 +37,10 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "dsp/rng.hpp"
 #include "net/time.hpp"
@@ -58,7 +62,8 @@ struct ReliableConfig {
   double jitter_frac = 0.1;
   double deadline_s = 20.0;    ///< total time before a message expires
   int max_retries = 6;         ///< retransmissions before giving up
-  std::size_t dedup_window = 1024;  ///< remembered ids per sender
+  /// Receive window per sender, in ids (rounded up to whole 64-bit words).
+  std::size_t dedup_window = 1024;
   std::uint64_t seed = 1;      ///< jitter RNG seed (determinism)
 
   /// Wire batching (GraphLab-style buffered exchange): when on, small
@@ -168,8 +173,29 @@ class ReliableTransport final : public Transport {
   Transport& inner() { return inner_; }
 
  private:
+  /// Per-destination coalescing buffer (active only with config_.batch).
+  struct BatchBuf {
+    std::vector<serial::Frame> frames;
+    std::size_t bytes = 0;        ///< batched-wire cost accumulated so far
+    bool flush_scheduled = false; ///< a flush timer is in flight
+  };
+
+  /// Everything kept per remote endpoint, interned on first contact.
+  struct Peer {
+    Endpoint ep;
+    std::uint64_t next_seq = 1;  ///< id of the next envelope sent to it
+    /// Receive window: the highest id seen from this peer, and one bit per
+    /// id in (top - window, top], at bit id % window; a set bit means the
+    /// id was delivered. Allocated on the first envelope received.
+    std::uint64_t top = 0;
+    std::vector<std::uint64_t> seen;
+    BatchBuf batch;
+  };
+
+  /// (peer index, sequence number) of one reliable message.
+  using MsgKey = std::pair<std::uint32_t, std::uint64_t>;
+
   struct Pending {
-    Endpoint to;
     /// The kReliable envelope, resent verbatim. The only copy of the
     /// payload: the drop handler gets the caller's frame back by unwrapping
     /// it.
@@ -190,20 +216,11 @@ class ReliableTransport final : public Transport {
     std::string node;  ///< tracer scope
   };
 
-  /// Per-sender window of recently seen message ids (set + FIFO eviction).
-  struct SeenWindow {
-    std::unordered_set<std::uint64_t> ids;
-    std::deque<std::uint64_t> order;
-  };
-
-  /// Per-destination coalescing buffer (active only with config_.batch).
-  struct BatchBuf {
-    Endpoint to;
-    std::vector<serial::Frame> frames;
-    std::size_t bytes = 0;        ///< batched-wire cost accumulated so far
-    bool flush_scheduled = false; ///< a flush timer is in flight
-  };
-
+  /// Index of `ep` in peers_, interning it on first sight.
+  std::uint32_t intern(const Endpoint& ep);
+  /// Marks `id` from `peer` seen; false when it is a duplicate inside the
+  /// window. Ids below the window count as new.
+  bool first_sighting(Peer& peer, std::uint64_t id);
   void on_frame(const Endpoint& from, serial::Frame frame);
   /// Hands `frame` to the handler; a DecodeError it throws is counted in
   /// malformed_dropped.
@@ -213,9 +230,9 @@ class ReliableTransport final : public Transport {
   double jittered(double delay_s);
   /// Every outbound frame (original, retransmit, ack, passthrough) goes
   /// through here; it either forwards directly or coalesces into kBatch.
-  void wire_send(const Endpoint& to, serial::Frame frame);
-  void flush_dest(const Endpoint& to);
-  void on_batch_timer(const std::string& key);
+  void wire_send(std::uint32_t peer, serial::Frame frame);
+  void flush_dest(std::uint32_t peer);
+  void on_batch_timer(std::uint32_t peer);
 
   Transport& inner_;
   Clock clock_;
@@ -226,18 +243,20 @@ class ReliableTransport final : public Transport {
   FrameHandler handler_;
   DropHandler on_drop_;
   ActivityListener on_activity_;
-  std::map<std::uint64_t, Pending> pending_;
-  /// (due_at, id) of every pending message, earliest first.
-  std::set<std::pair<double, std::uint64_t>> due_;
+  std::map<MsgKey, Pending> pending_;
+  /// (due_at, key) of every pending message, earliest first.
+  std::set<std::pair<double, MsgKey>> due_;
   /// True while the one retry timer is queued or running. It is armed only
   /// when none is, at min(earliest due, now + min_first_rto_): no later
   /// send() can fall due before that, so one timer always suffices and
   /// none ever goes stale.
   bool retry_timer_armed_ = false;
   double min_first_rto_ = 0.0;  ///< shortest possible jittered first RTO
-  std::unordered_map<std::string, BatchBuf> batch_;  // by endpoint value
-  std::unordered_map<std::string, SeenWindow> seen_;
-  std::uint64_t next_id_ = 1;
+  std::unordered_map<std::string, std::uint32_t> peer_index_;  // by value
+  /// Indexed by peer number. A deque, so a Peer& stays valid while a
+  /// handler re-enters send() and interns another peer.
+  std::deque<Peer> peers_;
+  std::size_t window_words_ = 0;  ///< 64-bit words per receive window
   std::uint64_t trace_id_ = 0;
   obs::LamportClock lamport_;
   ReliableStats stats_;

@@ -51,11 +51,12 @@ constexpr std::size_t kMaxFramePayload = 64u * 1024u * 1024u;
 // -- reliable-delivery framing ----------------------------------------------
 //
 // The reliable request/reply layer (net/reliable.hpp) wraps application
-// frames in a kReliable envelope carrying a sender-scoped message id, and
-// confirms receipt with a kAck frame echoing that id. The codec lives here
-// so the wire format stays in one place with the rest of the framing.
+// frames in a kReliable envelope carrying a message id numbered per
+// (sender, destination) pair, and confirms receipt with a kAck frame
+// echoing that id. The codec lives here so the wire format stays in one
+// place with the rest of the framing.
 
-/// A decoded reliable envelope: the sender-scoped message id, the causal
+/// A decoded reliable envelope: the per-destination message id, the causal
 /// trace context the sender stamped, plus the wrapped application frame.
 struct ReliableEnvelope {
   std::uint64_t msg_id = 0;

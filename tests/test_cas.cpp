@@ -86,6 +86,31 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.finish(), sha256(data));
 }
 
+TEST(Sha256Test, EveryPaddingBoundaryMatches) {
+  // finish() pads in one step: the 55/56 (length fits / spills into an
+  // extra block) and 63/64 (full buffer) edges, across three blocks.
+  const auto data = incompressible(200);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    Sha256 h;
+    for (std::size_t i = 0; i < n; ++i) h.update(&data[i], 1);
+    EXPECT_EQ(h.finish(),
+              sha256(std::span<const std::uint8_t>(data.data(), n)))
+        << "length " << n;
+  }
+  // Known answers for "a" * n at the same edges.
+  const std::pair<std::size_t, const char*> known[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, hex] : known) {
+    EXPECT_EQ(sha256(bytes_of(std::string(n, 'a'))).hex(), hex) << n;
+  }
+}
+
 TEST(Sha256Test, HexRoundTripAndOrdering) {
   const Digest d = sha256(bytes_of("round trip"));
   const auto back = Digest::from_hex(d.hex());

@@ -616,6 +616,10 @@ TEST(Controller, HeldFragmentsAreNeverSentAfterShutdown) {
   grid.home->publish_graph_modules(g);
 
   TrianaController ctl(*grid.home);
+  sandbox::TrustManager trust;
+  ctl.set_trust_manager(&trust);
+  const std::string w2 = grid.workers[2]->endpoint().value;
+  const double w2_score = trust.score(w2);
   auto run = ctl.distribute(g, "Pipe", grid.worker_endpoints());
   ctl.shutdown(*run);
   grid.net.run_all();
@@ -625,8 +629,12 @@ TEST(Controller, HeldFragmentsAreNeverSentAfterShutdown) {
   EXPECT_EQ(grid.workers[1]->stats().deploys_received, 0u);
   // The last stage went out before the shutdown; its cancel caught the
   // deploy while the worker was still fetching modules, so it never ran.
-  EXPECT_EQ(run->deploy_state[2], FragmentDeploy::kFailed);
-  EXPECT_EQ(run->errors, std::vector<std::string>{"cancelled"});
+  // That "cancelled" nack answers our own shutdown: no error, and the
+  // worker is not charged a failure.
+  EXPECT_EQ(run->deploy_state[2], FragmentDeploy::kCancelled);
+  EXPECT_TRUE(run->errors.empty());
+  EXPECT_EQ(trust.observations(w2), 0u);
+  EXPECT_EQ(trust.score(w2), w2_score);
   EXPECT_EQ(grid.workers[2]->job_count(), 0u);
   EXPECT_EQ(grid.workers[2]->stats().jobs_started, 0u);
 }

@@ -224,6 +224,86 @@ TEST(Reliable, DedupWindowEvictsOldestIds) {
   EXPECT_EQ(pair.b.stats().duplicates_suppressed, 0u);
 }
 
+TEST(Reliable, PerDestinationIdsAreContiguous) {
+  // One sender, two receivers, sends interleaved: each receiver's envelopes
+  // are numbered 1..n with no gaps, so its window can be a bitmap.
+  SimNetwork net({}, 1);
+  SimTransport& ta = net.add_node();
+  SimTransport& tb = net.add_node();
+  SimTransport& tc = net.add_node();
+  ReliableTransport a(ta, net.clock(), net.scheduler());
+  ReliableTransport b(tb, net.clock(), net.scheduler());
+  ReliableTransport c(tc, net.clock(), net.scheduler());
+  std::map<std::uint32_t, std::vector<std::uint64_t>> ids_to;
+  net.set_fault_fn([&](std::uint32_t, std::uint32_t to,
+                       const serial::Frame& f) {
+    if (f.type == serial::FrameType::kReliable) {
+      ids_to[to].push_back(serial::decode_envelope(f).msg_id);
+    }
+    return FaultAction{};
+  });
+
+  for (int i = 0; i < 10; ++i) {
+    a.send(tb.local(), text_frame(std::string("b").append(std::to_string(i))));
+    if (i % 3 == 0) {
+      a.send(tc.local(),
+             text_frame(std::string("c").append(std::to_string(i))));
+    }
+  }
+  net.run_until(60.0);
+
+  EXPECT_EQ(ids_to[1],
+            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(ids_to[2], (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(b.stats().delivered, 10u);
+  EXPECT_EQ(c.stats().delivered, 4u);
+  EXPECT_EQ(a.stats().acked, 14u);
+}
+
+TEST(Reliable, ReorderBeyondTheWindowIsDeliveredOnce) {
+  ReliableConfig cfg;
+  cfg.dedup_window = 64;
+  ReliablePair pair({}, 1, cfg);
+  constexpr std::uint64_t kLast = 72;
+  // Hold id 2 back (every copy dropped) until the other 71 ids have landed
+  // and pushed it below the window; then let exactly one copy through.
+  // Deliver the last id twice, inside the window.
+  bool id2_passed = false;
+  pair.net.set_fault_fn([&](std::uint32_t, std::uint32_t,
+                            const serial::Frame& f) {
+    FaultAction act;
+    if (f.type != serial::FrameType::kReliable) return act;
+    const std::uint64_t id = serial::decode_envelope(f).msg_id;
+    if (id == 2) {
+      act.drop = id2_passed || pair.net.now() < 3.0;
+      if (!act.drop) id2_passed = true;
+    }
+    if (id == kLast) act.duplicates = 1;
+    return act;
+  });
+
+  std::map<std::string, int> got;
+  std::uint64_t delivered_before_id2 = 0;
+  pair.b.set_handler([&](const Endpoint&, serial::Frame f) {
+    const std::string s = serial::to_string(f.payload);
+    if (s == "m1") delivered_before_id2 = pair.b.stats().delivered - 1;
+    ++got[s];
+  });
+  for (std::uint64_t i = 0; i < kLast; ++i) {
+    pair.a.send(pair.tb.local(),
+                text_frame(std::string("m").append(std::to_string(i))));
+  }
+  pair.net.run_until(60.0);
+
+  ASSERT_EQ(got.size(), kLast);
+  for (const auto& [payload, n] : got) EXPECT_EQ(n, 1) << payload;
+  EXPECT_GT(delivered_before_id2, cfg.dedup_window);  // landed below it
+  EXPECT_EQ(pair.b.stats().delivered, kLast);
+  EXPECT_EQ(pair.b.stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(pair.a.in_flight(), 0u);
+  EXPECT_EQ(pair.a.stats().expired, 0u);
+}
+
 TEST(Reliable, CorruptionBehavesLikeLoss) {
   ReliablePair pair;
   int reliable_seen = 0;
@@ -500,6 +580,58 @@ TEST(ReliableTimer, DropHandlerMaySendFromInsideTheTimer) {
   EXPECT_EQ(rig.rel.stats().acked, 1u);
   EXPECT_EQ(rig.rel.stats().expired, 4u);
   EXPECT_EQ(rig.rel.in_flight(), 0u);
+}
+
+TEST(Reliable, AckFromAnotherPeerDoesNotSettle) {
+  // Both destinations hold an id-1 message; an ack settles only the one
+  // sent to the acking peer.
+  TimerRig rig;
+  const Endpoint other{"fake:c"};
+  rig.rel.send(rig.peer, text_frame("to-b"));
+  rig.rel.send(other, text_frame("to-c"));
+  ASSERT_EQ(rig.inner.sent.size(), 2u);
+  for (const auto& s : rig.inner.sent) {
+    EXPECT_EQ(serial::decode_envelope(s.frame).msg_id, 1u);
+  }
+
+  rig.inner.deliver(other, serial::encode_ack(1));
+  EXPECT_EQ(rig.rel.in_flight(), 1u);
+  EXPECT_EQ(rig.rel.stats().acked, 1u);
+  rig.inner.deliver(Endpoint{"fake:stranger"}, serial::encode_ack(1));
+  rig.inner.deliver(other, serial::encode_ack(1));  // duplicate ack
+  EXPECT_EQ(rig.rel.in_flight(), 1u);
+  EXPECT_EQ(rig.rel.stats().acked, 1u);
+
+  rig.inner.deliver(rig.peer, serial::encode_ack(1));
+  EXPECT_EQ(rig.rel.in_flight(), 0u);
+  EXPECT_EQ(rig.rel.stats().acked, 2u);
+}
+
+TEST(Reliable, IdSkippedByAJumpIsDeliveredWhenItArrivesInsideTheWindow) {
+  // Envelopes injected by hand: ids 1..70 bar 66. When 67 slid the window
+  // past 66, 66's slot still held id 2's bit; it must have been cleared.
+  ReliableConfig cfg;
+  cfg.dedup_window = 64;
+  TimerRig rig(cfg);
+  std::vector<std::uint64_t> got;
+  rig.rel.set_handler([&](const Endpoint&, serial::Frame f) {
+    got.push_back(std::stoull(serial::to_string(f.payload)));
+  });
+  const auto inject = [&](std::uint64_t id) {
+    rig.inner.deliver(rig.peer, serial::encode_envelope(
+                                    id, text_frame(std::to_string(id))));
+  };
+  for (std::uint64_t id = 1; id <= 70; ++id) {
+    if (id != 66) inject(id);
+  }
+  inject(66);  // late, inside the window: new
+  inject(66);  // now a duplicate
+  inject(3);   // 67 ids below the top: below the window, delivered
+  EXPECT_EQ(got.size(), 71u);
+  EXPECT_EQ(got[69], 66u);
+  EXPECT_EQ(got[70], 3u);
+  EXPECT_EQ(rig.rel.stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(rig.rel.stats().acks_sent, 72u);
 }
 
 TEST(ReliableTimer, RejectsConfigWhoseFirstRetryCouldBeImmediate) {
