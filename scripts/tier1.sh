@@ -64,12 +64,15 @@ cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # test_core_service have the same shape: lease, bind-retry and redeploy
 # timers capture job ids and fire after the job was cancelled or fenced.
 # test_serial covers the bulk codec and CRC loads at unaligned offsets.
+# test_cas does the same for the SHA-NI block loads (caller buffers at
+# any offset), and test_p2p for the discovery seen-set, which evicts by
+# age as well as by count.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
   test_obs test_obs_http test_wire test_tcp_parity test_overlay \
-  test_supervisor test_core_service test_serial
+  test_supervisor test_core_service test_serial test_cas test_p2p
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
          test_wire test_tcp_parity test_overlay test_supervisor \
-         test_core_service test_serial; do
+         test_core_service test_serial test_cas test_p2p; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

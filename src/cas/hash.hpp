@@ -44,6 +44,9 @@ struct DigestHasher {
 
 /// Incremental SHA-256 (FIPS 180-4). Callers framing multi-field keys must
 /// length-prefix the fields themselves; update() concatenates raw bytes.
+/// Blocks go through the CPU's SHA extensions where it has them (chosen
+/// once per process by cpuid), else through the portable scalar rounds;
+/// both give the same digest.
 class Sha256 {
  public:
   Sha256() { reset(); }
@@ -57,8 +60,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void compress_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buf_{};
   std::uint64_t total_ = 0;  ///< bytes hashed so far

@@ -180,16 +180,32 @@ std::vector<std::pair<std::size_t, DataItem>> GraphRuntime::invoke(
   }
 
   // Memo key: the SHA-256 of unit type + params (pre-encoded prefix) + the
-  // exact encoded input bytes, used as the store's ref key as it is. Runs
-  // on pool threads in wave mode -- the store is thread-safe, the counters
-  // atomic, and nothing here touches shared runtime state.
+  // exact encoded input bytes, used as the store's ref key as it is. The
+  // hashed bytes are those a serial::Writer would produce for (prefix,
+  // varint count, blob per input), fed to the hasher piece by piece
+  // rather than gathered into one buffer first. Runs on pool threads in
+  // wave mode -- the store is thread-safe, the counters atomic, and
+  // nothing here touches shared runtime state.
   cas::Digest memo_key;
   if (n.memoizable) {
-    serial::Writer kw;
-    kw.raw(n.memo_prefix);
-    kw.varint(inputs.size());
-    for (const auto& item : inputs) kw.blob(encode_data_item(item));
-    memo_key = cas::sha256(kw.bytes());
+    cas::Sha256 h;
+    const auto varint = [&h](std::uint64_t v) {
+      std::uint8_t buf[10];
+      std::size_t len = 0;
+      for (; v >= 0x80; v >>= 7) {
+        buf[len++] = static_cast<std::uint8_t>(v) | 0x80u;
+      }
+      buf[len++] = static_cast<std::uint8_t>(v);
+      h.update(buf, len);
+    };
+    h.update(n.memo_prefix);
+    varint(inputs.size());
+    for (const auto& item : inputs) {
+      const serial::Bytes encoded = encode_data_item(item);
+      varint(encoded.size());
+      h.update(encoded);
+    }
+    memo_key = h.finish();
     if (auto stored = options_.memo_store->get_by_key(memo_key)) {
       try {
         auto emissions = decode_emissions(*stored);

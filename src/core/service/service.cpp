@@ -200,14 +200,17 @@ std::string TrianaService::deploy_remote(const net::Endpoint& target,
   // Advertise the content digest of every module we own that the fragment
   // needs: the target can satisfy them from its own store (dedup across
   // names, warm restarts) and can tell a stale cached copy from ours
-  // without a round trip. Owner-side, the encoded artifact lands in the
-  // store too, so identical modules published under different names share
-  // bytes.
+  // without a round trip. The digest is the one the repository computed
+  // at publish; the encoded artifact is stored owner-side only when the
+  // store lacks it (first deploy, or evicted since), so identical modules
+  // published under different names share bytes without a re-hash per
+  // deploy.
   for (const auto& type : module_types(fragment)) {
-    if (const auto a = local_repo_.latest(type)) {
-      m.module_hashes[type] =
-          config_.cas ? config_.cas->put(repo::encode_artifact(*a))
-                      : *local_repo_.digest(a->name, a->version);
+    if (const auto* e = local_repo_.latest_entry(type)) {
+      m.module_hashes[type] = e->digest;
+      if (config_.cas && !config_.cas->contains(e->digest)) {
+        config_.cas->put(repo::encode_artifact(e->artifact));
+      }
     }
   }
   const double sent_at = clock_();
@@ -556,10 +559,10 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
     if (module_cache_.lookup(type) && matches(module_cache_.digest(type))) {
       continue;
     }
-    if (const auto owned = local_repo_.latest(type);
-        owned && matches(local_repo_.digest(owned->name, owned->version))) {
+    if (const auto* owned = local_repo_.latest_entry(type);
+        owned && matches(owned->digest)) {
       // We own a current copy; stage it into the cache directly.
-      module_cache_.insert(*owned);
+      module_cache_.insert(owned->artifact);
       continue;
     }
     // Exact-content lookup: the advertised digest may be resident under a
@@ -682,8 +685,8 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
         digest = module_cache_.digest(type);
         // Absent only when too large to stay resident after a promotion.
         if (!digest) digest = repo::artifact_digest(*cached);
-      } else if (const auto owned = local_repo_.latest(type)) {
-        digest = local_repo_.digest(owned->name, owned->version);
+      } else if (const auto* owned = local_repo_.latest_entry(type)) {
+        digest = owned->digest;
       }
       if (digest) {
         job.sb->admit_module(type, *digest);

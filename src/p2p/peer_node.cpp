@@ -177,6 +177,12 @@ std::vector<Advertisement> PeerNode::find_local(const Query& q,
 PeerNode::SeenGate PeerNode::seen_gate(const net::Endpoint& origin,
                                        std::uint64_t query_id,
                                        std::uint8_t ttl) {
+  const double now = clock_();
+  while (!seen_fifo_.empty() &&
+         seen_fifo_.front().first + kSeenQueryHorizonS <= now) {
+    seen_.erase(seen_fifo_.front().second);
+    seen_fifo_.pop_front();
+  }
   const SeenKey key{std::hash<std::string>{}(origin.value), query_id};
   auto it = seen_.find(key);
   if (it != seen_.end()) {
@@ -185,9 +191,9 @@ PeerNode::SeenGate PeerNode::seen_gate(const net::Endpoint& origin,
     return SeenGate::kWiden;
   }
   seen_.emplace(key, ttl);
-  seen_fifo_.push_back(key);
-  while (seen_fifo_.size() > kSeenQueryCapacity) {
-    seen_.erase(seen_fifo_.front());
+  seen_fifo_.emplace_back(now, key);
+  if (seen_fifo_.size() > kSeenQueryCapacity) {
+    seen_.erase(seen_fifo_.front().second);
     seen_fifo_.pop_front();
   }
   return SeenGate::kNew;

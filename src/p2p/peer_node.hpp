@@ -61,7 +61,14 @@ class PeerNode {
  public:
   static constexpr double kAdvertLifetimeS = 300.0;  ///< on own adverts
   static constexpr std::size_t kCacheCapacity = 4096;
-  /// Seen (origin, id) query keys remembered, oldest forgotten first.
+  /// Seen (origin, id) query keys are forgotten this long after their
+  /// first arrival: the reliable layer gives up on a frame after its
+  /// deadline_s (20 s), so no retransmitted copy of a query outlives it,
+  /// and an expanding ring widens within a few ring timeouts. A copy that
+  /// does arrive later counts as a new query, still bounded by its TTL.
+  static constexpr double kSeenQueryHorizonS = 20.0;
+  /// Hard cap on remembered keys, oldest forgotten first, against a flood
+  /// of distinct ids inside the horizon.
   static constexpr std::size_t kSeenQueryCapacity = 8192;
   static constexpr std::size_t kMaxResponseAdverts = 16;  ///< per response
 
@@ -224,7 +231,8 @@ class PeerNode {
   /// expanding ring's wider retry re-arrives with MORE ttl and must extend
   /// the frontier without being re-answered.
   std::unordered_map<SeenKey, std::uint8_t, SeenKeyHash> seen_;
-  std::deque<SeenKey> seen_fifo_;
+  /// Keys of seen_ in arrival order, with their arrival time.
+  std::deque<std::pair<double, SeenKey>> seen_fifo_;
 
   std::unordered_map<std::uint64_t, ResponseHandler> pending_;
   std::uint64_t next_query_ = 1;

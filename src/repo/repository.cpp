@@ -8,7 +8,7 @@ namespace cg::repo {
 void ModuleRepository::put(ModuleArtifact a) {
   cas::Digest digest = artifact_digest(a);
   std::string key = a.key();
-  store_[std::move(key)] = Stored{std::move(a), digest};
+  store_[std::move(key)] = Entry{std::move(a), digest};
 }
 
 std::optional<ModuleArtifact> ModuleRepository::get(
@@ -18,22 +18,20 @@ std::optional<ModuleArtifact> ModuleRepository::get(
   return it->second.artifact;
 }
 
-std::optional<cas::Digest> ModuleRepository::digest(
-    const std::string& name, const std::string& version) const {
-  auto it = store_.find(name + "@" + version);
-  if (it == store_.end()) return std::nullopt;
-  return it->second.digest;
+const ModuleRepository::Entry* ModuleRepository::latest_entry(
+    const std::string& name) const {
+  const Entry* best = nullptr;
+  for (const auto& [key, e] : store_) {
+    if (e.artifact.name != name) continue;
+    if (!best || e.artifact.version > best->artifact.version) best = &e;
+  }
+  return best;
 }
 
 std::optional<ModuleArtifact> ModuleRepository::latest(
     const std::string& name) const {
-  const ModuleArtifact* best = nullptr;
-  for (const auto& [key, s] : store_) {
-    if (s.artifact.name != name) continue;
-    if (!best || s.artifact.version > best->version) best = &s.artifact;
-  }
-  if (!best) return std::nullopt;
-  return *best;
+  if (const Entry* e = latest_entry(name)) return e->artifact;
+  return std::nullopt;
 }
 
 std::vector<std::string> ModuleRepository::module_names() const {

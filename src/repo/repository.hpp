@@ -17,6 +17,12 @@ namespace cg::repo {
 
 class ModuleRepository {
  public:
+  /// A stored artifact with the digest put() computed for it.
+  struct Entry {
+    ModuleArtifact artifact;
+    cas::Digest digest;  ///< artifact_digest(artifact)
+  };
+
   /// Store (or replace) an artifact under name@version.
   void put(ModuleArtifact a);
 
@@ -28,10 +34,9 @@ class ModuleRepository {
   /// here are dotted decimals of equal arity; good enough for the model).
   std::optional<ModuleArtifact> latest(const std::string& name) const;
 
-  /// artifact_digest() of name@version, computed once by put(); nullopt
-  /// when absent.
-  std::optional<cas::Digest> digest(const std::string& name,
-                                    const std::string& version) const;
+  /// latest() without the copy: the entry stays owned by the repository
+  /// and is valid until the next put(). Null when absent.
+  const Entry* latest_entry(const std::string& name) const;
 
   /// Names of all stored modules (deduplicated).
   std::vector<std::string> module_names() const;
@@ -46,11 +51,7 @@ class ModuleRepository {
   std::size_t total_bytes() const;
 
  private:
-  struct Stored {
-    ModuleArtifact artifact;
-    cas::Digest digest;  ///< artifact_digest(artifact)
-  };
-  std::map<std::string, Stored> store_;  // by key()
+  std::map<std::string, Entry> store_;  // by key()
 };
 
 }  // namespace cg::repo

@@ -10,6 +10,7 @@
 
 #include "cas/compress.hpp"
 #include "cas/hash.hpp"
+#include "cas/hash_detail.hpp"
 #include "cas/store.hpp"
 #include "serial/reader.hpp"
 
@@ -108,6 +109,51 @@ TEST(Sha256Test, EveryPaddingBoundaryMatches) {
   };
   for (const auto& [n, hex] : known) {
     EXPECT_EQ(sha256(bytes_of(std::string(n, 'a'))).hex(), hex) << n;
+  }
+}
+
+TEST(Sha256Test, ShaNiMatchesScalarOnRandomStatesAndBlocks) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!detail::sha_ni_supported()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  std::uint64_t seed = 7;
+  const auto next = [&seed] {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(seed >> 32);
+  };
+  for (std::size_t n_blocks = 1; n_blocks <= 5; ++n_blocks) {
+    for (int trial = 0; trial < 200; ++trial) {
+      detail::State scalar;
+      for (auto& w : scalar) w = next();
+      detail::State ni = scalar;
+      // One spare byte in front: the SHA-NI loads must not assume
+      // alignment of the caller's buffer.
+      serial::Bytes buf(1 + 64 * n_blocks);
+      for (auto& b : buf) b = static_cast<std::uint8_t>(next());
+      detail::compress_scalar(scalar, buf.data() + 1, n_blocks);
+      detail::compress_sha_ni(ni, buf.data() + 1, n_blocks);
+      ASSERT_EQ(ni, scalar) << n_blocks << " blocks, trial " << trial;
+    }
+  }
+#else
+  GTEST_SKIP() << "SHA-NI is an x86 extension";
+#endif
+}
+
+TEST(Sha256Test, RandomSplitsMatchOneShot) {
+  const auto data = incompressible(4096, 1234);
+  std::uint64_t seed = 42;
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::span<const std::uint8_t> whole(data.data(), n);
+    Sha256 h;
+    std::size_t pos = 0;
+    while (pos < n) {
+      seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+      const std::size_t take =
+          std::min<std::size_t>(n - pos, (seed >> 33) % 300);
+      h.update(whole.subspan(pos, take));
+      pos += take;
+    }
+    ASSERT_EQ(h.finish(), sha256(whole)) << "length " << n;
   }
 }
 

@@ -516,6 +516,39 @@ TEST(RuntimeMemo, KeyCoversParamsAndInputs) {
   EXPECT_DOUBLE_EQ(scaled(3.0), 6.0);   // and the 3.0 entry is still hit
 }
 
+TEST(RuntimeMemo, KeysArePinned) {
+  // Memo keys are persisted in disk stores, so their bytes must never
+  // drift: sha256(type, params, varint input count, varint length + bytes
+  // per encoded input). One FFT firing of the pipeline (a 2 KB input, so
+  // a two-byte length varint) and one Scaler firing, pinned by value.
+  cas::ContentStore store;
+  RuntimeOptions memo_opt;
+  memo_opt.memo_store = &store;
+  GraphRuntime fft(fft_pipeline(), reg(), memo_opt);
+  fft.run(5);
+  const auto fft_key = cas::Digest::from_hex(
+      "07451bcb15b83ec9804925315c87260526e3d3858755e137fe041d128883598f");
+  ASSERT_TRUE(fft_key.has_value());
+  EXPECT_TRUE(store.get_ref(*fft_key).has_value());
+
+  TaskGraph g("scaled");
+  ParamSet cp;
+  cp.set_double("value", 2.0);
+  g.add_task("C", "Constant", cp);
+  ParamSet sp;
+  sp.set_double("factor", 3.0);
+  g.add_task("S", "Scaler", sp);
+  g.add_task("Sink", "StatSink");
+  g.connect("C", 0, "S", 0);
+  g.connect("S", 0, "Sink", 0);
+  GraphRuntime scaled(g, reg(), memo_opt);
+  scaled.run(1);
+  const auto scaler_key = cas::Digest::from_hex(
+      "54fe2568a958ab16e5fd37fad597eb5664957d7b5615f71fe38227c739a8ea26");
+  ASSERT_TRUE(scaler_key.has_value());
+  EXPECT_TRUE(store.get_ref(*scaler_key).has_value());
+}
+
 TEST(RuntimeMemo, EntryWithHugeCountIsRecomputedNotThrown) {
   cas::ContentStore store;
   RuntimeOptions memo_opt;

@@ -1093,6 +1093,92 @@ TEST(Service, DeployAdvertisesModuleDigests) {
   }
 }
 
+/// An owner with a memory-only store deploying to a bare reliable endpoint
+/// that keeps every DeployMsg it receives.
+struct DeployProbe {
+  explicit DeployProbe(cas::CasConfig ccfg = {})
+      : net(net::LinkParams{}, 1),
+        store(ccfg),
+        home(net.add_node(), net.clock(), net.scheduler(), reg(),
+             [this] {
+               ServiceConfig cfg;
+               cfg.peer_id = "home";
+               cfg.cas = &store;
+               return cfg;
+             }()),
+        target(net.add_node(), net.clock(), net.scheduler()) {
+    target.set_handler([this](const net::Endpoint&, serial::Frame f) {
+      if (f.type == serial::FrameType::kControl &&
+          control_type(f) == ControlType::kDeploy) {
+        deploys.push_back(decode_deploy(f));
+      }
+    });
+  }
+
+  void deploy(const TaskGraph& g) {
+    home.deploy_remote(target.local(), g, 1, {});
+    net.run_all();
+  }
+
+  cas::Digest owned_digest(const std::string& type) {
+    return repo::artifact_digest(*home.local_repo().latest(type));
+  }
+
+  net::SimNetwork net;
+  cas::ContentStore store;
+  TrianaService home;
+  net::ReliableTransport target;
+  std::vector<DeployMsg> deploys;
+};
+
+TEST(Service, RepeatedDeployAdvertisesOwnedDigestsWithoutReStoring) {
+  DeployProbe p;
+  const TaskGraph g = simple_remote_graph();
+  p.home.publish_graph_modules(g, 4096);
+
+  p.deploy(g);
+  ASSERT_EQ(p.deploys.size(), 1u);
+  EXPECT_EQ(p.store.memory_object_count(), 2u);  // first deploy stores both
+  EXPECT_EQ(p.store.stats().puts, 2u);
+
+  p.deploy(g);
+  ASSERT_EQ(p.deploys.size(), 2u);
+  for (const DeployMsg& d : p.deploys) {
+    ASSERT_EQ(d.module_hashes.size(), 2u);
+    for (const std::string type : {"Wave", "NullSink"}) {
+      EXPECT_EQ(d.module_hashes.at(type), p.owned_digest(type)) << type;
+      EXPECT_TRUE(p.store.contains(p.owned_digest(type))) << type;
+    }
+  }
+  // The repeat deploy found both digests resident: nothing re-encoded,
+  // re-hashed or re-put.
+  EXPECT_EQ(p.store.memory_object_count(), 2u);
+  EXPECT_EQ(p.store.stats().puts, 2u);
+  EXPECT_EQ(p.store.stats().dedup_hits, 0u);
+}
+
+TEST(Service, ModuleEvictedFromTheStoreIsStoredAgainOnTheNextDeploy) {
+  cas::CasConfig ccfg;
+  ccfg.memory_bytes = 10'000;  // both ~4 KB modules, but not beside 9 KB
+  DeployProbe p(ccfg);
+  const TaskGraph g = simple_remote_graph();
+  p.home.publish_graph_modules(g, 4096);
+
+  p.deploy(g);
+  ASSERT_TRUE(p.store.contains(p.owned_digest("Wave")));
+  ASSERT_TRUE(p.store.contains(p.owned_digest("NullSink")));
+  p.store.put(serial::Bytes(9'000, 0x5a));
+  ASSERT_FALSE(p.store.contains(p.owned_digest("Wave")));
+  ASSERT_FALSE(p.store.contains(p.owned_digest("NullSink")));
+
+  p.deploy(g);
+  ASSERT_EQ(p.deploys.size(), 2u);
+  EXPECT_EQ(p.deploys[1].module_hashes, p.deploys[0].module_hashes);
+  EXPECT_TRUE(p.store.contains(p.owned_digest("Wave")));
+  EXPECT_TRUE(p.store.contains(p.owned_digest("NullSink")));
+  EXPECT_EQ(p.store.stats().puts, 2u + 1u + 2u);
+}
+
 TEST(Service, CasWarmRestartSkipsNetworkFetch) {
   TempDir dir("congrid_svc_cas_warm");
   cas::CasConfig ccfg;

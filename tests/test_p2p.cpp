@@ -384,6 +384,37 @@ TEST(Flooding, SeenSetForgetsTheOldestQueryPastCapacity) {
   EXPECT_EQ(s[1].stats().queries_received, distinct + 1);
 }
 
+TEST(Flooding, SeenSetForgetsQueriesPastTheHorizon) {
+  // The neighbour remembers a query id for PeerNode::kSeenQueryHorizonS
+  // after it first arrived. A wider ring inside that horizon still only
+  // widens; once the horizon has passed, the same id is a new query.
+  Swarm s(2);
+  s.make_line();
+  Query q;
+  q.kind = AdvertKind::kPeer;
+  q.name = "nothing";
+  const auto ignore = [](const std::vector<Advertisement>&) {};
+  const std::uint64_t id = s[0].discover_flood(q, 1, ignore);
+  s.net().run_all();
+  const double first_arrival = s.net().now();
+  ASSERT_EQ(s[1].stats().queries_received, 1u);
+
+  // One second before the horizon, allowing for the link's latency.
+  s.net().run_until(first_arrival + PeerNode::kSeenQueryHorizonS - 1.0);
+  s[0].discover_flood(q, 2, ignore, id);
+  s.net().run_all();
+  ASSERT_LT(s.net().now(), first_arrival + PeerNode::kSeenQueryHorizonS);
+  EXPECT_EQ(s[1].stats().widened_queries, 1u);
+  EXPECT_EQ(s[1].stats().queries_received, 1u);
+
+  s.net().run_until(first_arrival + PeerNode::kSeenQueryHorizonS);
+  s[0].discover_flood(q, 2, ignore, id);
+  s.net().run_all();
+  EXPECT_EQ(s[1].stats().queries_received, 2u);
+  EXPECT_EQ(s[1].stats().widened_queries, 1u);
+  EXPECT_EQ(s[1].stats().duplicate_queries, 0u);
+}
+
 TEST(Rendezvous, PublishThenQuery) {
   Swarm s(4);
   // Node 0 is the rendezvous; 1..3 are edge peers, no overlay edges at all.
