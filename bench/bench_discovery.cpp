@@ -15,18 +15,117 @@
 // artifact holding every table row; --max-peers N truncates the overlay
 // size sweep (CI smoke runs a small N and validates the JSON).
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
-#include "discovery_rig.hpp"
+#include "dsp/rng.hpp"
+#include "dsp/stats.hpp"
 #include "harness.hpp"
+#include "net/sim_network.hpp"
+#include "obs/json.hpp"
 #include "p2p/discovery.hpp"
+#include "p2p/peer_node.hpp"
 
 using namespace cg;
-using bench::kQueries;
-using bench::Outcome;
-using bench::PeerRing;
 
 namespace {
+
+constexpr int kQueries = 20;
+
+/// Peers "p0".."p<n-1>" on one SimNetwork. `rng` (seeded like the network)
+/// draws the chords and, afterwards, the targets and queriers.
+struct PeerRing {
+  PeerRing(std::size_t n, std::uint64_t seed) : net({}, seed), rng(seed) {
+    nodes.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& t = net.add_node();
+      nodes.push_back(std::make_unique<p2p::PeerNode>(
+          t, net.clock(), std::string("p").append(std::to_string(i))));
+    }
+  }
+
+  /// Ring + random chords: connected, mean degree ~4.
+  void wire_chords() {
+    const std::size_t n = nodes.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      link(i, (i + 1) % n);
+      link(i, rng.below(n));
+    }
+  }
+
+  void link(std::size_t a, std::size_t b) {
+    if (a == b) return;
+    nodes[a]->add_neighbor(nodes[b]->endpoint());
+    nodes[b]->add_neighbor(nodes[a]->endpoint());
+  }
+
+  net::SimNetwork net;
+  dsp::Rng rng;
+  std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
+};
+
+struct Outcome {
+  double msgs_per_query = 0;
+  double success_rate = 0;
+  double latency_ms = 0;  ///< mean time to first answer, successes only
+};
+
+/// Issues the query from `origin`; the query's handler calls `hit()` on
+/// every answer (only the first one counts).
+using IssueQuery =
+    std::function<void(std::size_t origin, const std::function<void()>& hit)>;
+
+/// Runs kQueries queries, each from `pick_origin()`, draining the network
+/// after each. `publish_msgs` (the rendezvous row's one-time publish cost)
+/// is spread over the queries.
+Outcome measure_queries(PeerRing& ring,
+                        const std::function<std::size_t()>& pick_origin,
+                        const IssueQuery& issue, double publish_msgs = 0) {
+  int successes = 0;
+  dsp::RunningStats latency;
+  double total_msgs = 0;
+  for (int qn = 0; qn < kQueries; ++qn) {
+    const std::size_t origin = pick_origin();
+    const std::uint64_t msgs0 = ring.net.stats().messages_sent;
+    const double t0 = ring.net.now();
+    bool hit = false;
+    double hit_at = 0;
+    issue(origin, [&] {
+      if (!hit) {
+        hit = true;
+        hit_at = ring.net.now();
+      }
+    });
+    ring.net.run_all();
+    total_msgs +=
+        static_cast<double>(ring.net.stats().messages_sent - msgs0);
+    if (hit) {
+      ++successes;
+      latency.add((hit_at - t0) * 1000.0);
+    }
+  }
+  return Outcome{(total_msgs + publish_msgs) / kQueries,
+                 static_cast<double>(successes) / kQueries,
+                 successes == 0 ? 0.0 : latency.mean()};
+}
+
+struct Row {
+  std::string strategy;
+  std::size_t peers = 0;
+  Outcome o;
+};
+
+std::string rows_json(const std::vector<Row>& rows) {
+  return bench::json_rows(rows, [](std::string& out, const Row& r) {
+    out += "\"strategy\":" + obs::json_quote(r.strategy);
+    out += ",\"peers\":" + std::to_string(r.peers);
+    out += ",\"msgs_per_query\":" + obs::json_number(r.o.msgs_per_query);
+    out += ",\"success_rate\":" + obs::json_number(r.o.success_rate);
+    out += ",\"latency_ms\":" + obs::json_number(r.o.latency_ms);
+  });
+}
 
 p2p::Query wanted_query() {
   p2p::Query q;
@@ -46,7 +145,7 @@ void wire_and_plant(PeerRing& ov) {
 Outcome run_flooding(std::size_t n, int ttl, std::uint64_t seed) {
   PeerRing ov(n, seed);
   wire_and_plant(ov);
-  return bench::measure_queries(
+  return measure_queries(
       ov, [&] { return ov.rng.below(n); },
       [&](std::size_t origin, const std::function<void()>& hit) {
         ov.nodes[origin]->discover_flood(
@@ -64,7 +163,7 @@ Outcome run_expanding_ring(std::size_t n, std::uint64_t seed) {
   opt.max_ttl = 64;
   opt.ring_timeout_s = 2.0;
   auto sched = ov.net.scheduler();
-  return bench::measure_queries(
+  return measure_queries(
       ov, [&] { return ov.rng.below(n); },
       [&](std::size_t origin, const std::function<void()>& hit) {
         auto search = std::make_shared<p2p::ExpandingRingSearch>(
@@ -99,7 +198,7 @@ Outcome run_rendezvous(std::size_t n, std::uint64_t seed) {
                                {advert});
   ov.net.run_all();
   const std::uint64_t publish_msgs = ov.net.stats().messages_sent;
-  return bench::measure_queries(
+  return measure_queries(
       ov, [&] { return n_rdv + ov.rng.below(n - n_rdv); },
       [&](std::size_t origin, const std::function<void()>& hit) {
         ov.nodes[origin]->discover_rendezvous(
@@ -124,7 +223,7 @@ int main(int argc, char** argv) {
   std::printf("%-18s %-8s %-14s %-10s %-12s\n", "strategy", "peers",
               "msgs/query", "success", "latency ms");
 
-  std::vector<bench::NamedRow> rows;
+  std::vector<Row> rows;
   auto record = [&](const char* strategy, std::size_t n, Outcome o) {
     std::printf("%-18s %-8zu %-14.1f %-10.2f %-12.1f\n", strategy, n,
                 o.msgs_per_query, o.success_rate, o.latency_ms);
@@ -147,7 +246,7 @@ int main(int argc, char** argv) {
 
   return b.write_json("{\"bench\":\"discovery\",\"queries\":" +
                       std::to_string(kQueries) +
-                      ",\"rows\":" + bench::rows_json(rows, false) + "}")
+                      ",\"rows\":" + rows_json(rows) + "}")
              ? 0
              : 1;
 }

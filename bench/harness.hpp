@@ -1,6 +1,6 @@
 // ConGrid -- the shared experiment-bench harness.
 //
-// Every flag-taking experiment main (E2..E6, E9..E14) goes through this
+// Every flag-taking experiment main (E2..E6, E9..E13) goes through this
 // one façade instead of its own argv loop and output helpers:
 //
 //   * Flags: typed flag registration (bounded int, size_t, double, string,

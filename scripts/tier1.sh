@@ -23,8 +23,6 @@ if [[ "${1:-}" == "tsan" ]]; then
   cmake -B "${TSAN_DIR}" -S . -DCONGRID_SANITIZE=thread >/dev/null
   # test_wire joins the TSan tier for its cross-thread socket test: the
   # epoll reactor's handler runs against sends from another thread.
-  # test_overlay rides along: single-threaded by design, but the overlay's
-  # timer closures must stay race-free if a threaded scheduler hosts them.
   # test_obs_http scrapes /metrics from client threads while a mutator
   # thread pounds the instruments -- the exact race surface of the obs
   # HTTP plane.
@@ -34,10 +32,9 @@ if [[ "${1:-}" == "tsan" ]]; then
   # wave.
   cmake --build "${TSAN_DIR}" -j --target \
     test_parallel_runtime test_rm test_core_runtime test_cas test_chaos \
-    test_wire test_overlay test_obs_http test_dsp test_gw
+    test_wire test_obs_http test_dsp test_gw
   for t in test_parallel_runtime test_rm test_core_runtime test_cas \
-           test_chaos test_wire test_overlay test_obs_http test_dsp \
-           test_gw; do
+           test_chaos test_wire test_obs_http test_dsp test_gw; do
     "./${TSAN_DIR}/tests/${t}"
   done
   echo "tier-1 (tsan): OK"
@@ -58,21 +55,19 @@ echo "== tier-1: ASan/UBSan chaos pass (${ASAN_DIR}) =="
 # lifetime bug would hide (buffers retired mid-writev, spans into a
 # decoder that reallocated).
 cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
-# test_overlay joins the ASan tier: lookup/find state machines erase their
-# own entries from inside timer closures, the classic shape for a
-# use-after-free when a late reply races a timeout. test_supervisor and
-# test_core_service have the same shape: lease, bind-retry and redeploy
-# timers capture job ids and fire after the job was cancelled or fenced.
+# test_supervisor and test_core_service join the ASan tier: lease,
+# bind-retry and redeploy timers capture job ids and fire after the job
+# was cancelled or fenced, the classic shape for a use-after-free.
 # test_serial covers the bulk codec and CRC loads at unaligned offsets.
 # test_cas does the same for the SHA-NI block loads (caller buffers at
 # any offset), and test_p2p for the discovery seen-set, which evicts by
 # age as well as by count.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
-  test_obs test_obs_http test_wire test_tcp_parity test_overlay \
-  test_supervisor test_core_service test_serial test_cas test_p2p
+  test_obs test_obs_http test_wire test_tcp_parity test_supervisor \
+  test_core_service test_serial test_cas test_p2p
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
-         test_wire test_tcp_parity test_overlay test_supervisor \
-         test_core_service test_serial test_cas test_p2p; do
+         test_wire test_tcp_parity test_supervisor test_core_service \
+         test_serial test_cas test_p2p; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

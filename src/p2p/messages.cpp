@@ -136,123 +136,4 @@ PublishMsg decode_publish(const serial::Frame& f) {
   return m;
 }
 
-serial::Frame encode(const FindNodeMsg& m) {
-  serial::Writer w;
-  w.u8(static_cast<std::uint8_t>(DiscoveryMsgType::kFindNode));
-  write_trace(w, m.trace);
-  w.u64(m.rpc_id);
-  w.string(m.origin.value);
-  w.u64(m.target);
-  return finish(w);
-}
-
-serial::Frame encode(const FindNodeReplyMsg& m) {
-  serial::Writer w;
-  w.u8(static_cast<std::uint8_t>(DiscoveryMsgType::kFindNodeReply));
-  write_trace(w, m.trace);
-  w.u64(m.rpc_id);
-  w.u64(m.from);
-  w.varint(m.contacts.size());
-  for (const auto& c : m.contacts) {
-    w.u64(c.id);
-    w.string(c.endpoint.value);
-  }
-  return finish(w);
-}
-
-serial::Frame encode(const IndexPutMsg& m) {
-  serial::Writer w;
-  w.u8(static_cast<std::uint8_t>(DiscoveryMsgType::kIndexPut));
-  write_trace(w, m.trace);
-  w.u32(m.shard);
-  write_adverts(w, m.adverts);
-  return finish(w);
-}
-
-serial::Frame encode(const IndexQueryMsg& m) {
-  serial::Writer w;
-  w.u8(static_cast<std::uint8_t>(DiscoveryMsgType::kIndexQuery));
-  write_trace(w, m.trace);
-  w.u64(m.rpc_id);
-  w.string(m.origin.value);
-  w.u32(m.shard);
-  w.u32(m.limit);
-  w.string(xml::write(m.query.to_xml(), /*pretty=*/false));
-  return finish(w);
-}
-
-serial::Frame encode(const IndexReplyMsg& m) {
-  serial::Writer w;
-  w.u8(static_cast<std::uint8_t>(DiscoveryMsgType::kIndexReply));
-  write_trace(w, m.trace);
-  w.u64(m.rpc_id);
-  w.u32(m.shard);
-  write_adverts(w, m.adverts);
-  return finish(w);
-}
-
-FindNodeMsg decode_find_node(const serial::Frame& f) {
-  serial::Reader r(f.payload);
-  expect_type(r, DiscoveryMsgType::kFindNode);
-  FindNodeMsg m;
-  m.trace = read_trace(r);
-  m.rpc_id = r.u64();
-  m.origin = net::Endpoint{r.string()};
-  m.target = r.u64();
-  return m;
-}
-
-FindNodeReplyMsg decode_find_node_reply(const serial::Frame& f) {
-  serial::Reader r(f.payload);
-  expect_type(r, DiscoveryMsgType::kFindNodeReply);
-  FindNodeReplyMsg m;
-  m.trace = read_trace(r);
-  m.rpc_id = r.u64();
-  m.from = r.u64();
-  const std::uint64_t n = r.varint();
-  // Each contact takes at least its 8-byte id and 1-byte endpoint prefix.
-  m.contacts.reserve(std::min<std::uint64_t>(n, r.remaining() / 9));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    WireContact c;
-    c.id = r.u64();
-    c.endpoint = net::Endpoint{r.string()};
-    m.contacts.push_back(std::move(c));
-  }
-  return m;
-}
-
-IndexPutMsg decode_index_put(const serial::Frame& f) {
-  serial::Reader r(f.payload);
-  expect_type(r, DiscoveryMsgType::kIndexPut);
-  IndexPutMsg m;
-  m.trace = read_trace(r);
-  m.shard = r.u32();
-  m.adverts = read_adverts(r);
-  return m;
-}
-
-IndexQueryMsg decode_index_query(const serial::Frame& f) {
-  serial::Reader r(f.payload);
-  expect_type(r, DiscoveryMsgType::kIndexQuery);
-  IndexQueryMsg m;
-  m.trace = read_trace(r);
-  m.rpc_id = r.u64();
-  m.origin = net::Endpoint{r.string()};
-  m.shard = r.u32();
-  m.limit = r.u32();
-  m.query = read_xml<Query>(r);
-  return m;
-}
-
-IndexReplyMsg decode_index_reply(const serial::Frame& f) {
-  serial::Reader r(f.payload);
-  expect_type(r, DiscoveryMsgType::kIndexReply);
-  IndexReplyMsg m;
-  m.trace = read_trace(r);
-  m.rpc_id = r.u64();
-  m.shard = r.u32();
-  m.adverts = read_adverts(r);
-  return m;
-}
-
 }  // namespace cg::p2p

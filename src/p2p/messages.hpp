@@ -21,14 +21,6 @@ enum class DiscoveryMsgType : std::uint8_t {
   kQuery = 1,
   kResponse = 2,
   kPublish = 3,
-  // Structured-overlay RPCs (overlay.hpp). Same envelope, same trace
-  // slot; peers without an overlay attached simply never see them
-  // because PeerNode routes subtypes >= 4 to its discovery extension.
-  kFindNode = 4,
-  kFindNodeReply = 5,
-  kIndexPut = 6,
-  kIndexQuery = 7,
-  kIndexReply = 8,
 };
 
 // Every discovery message carries an obs::TraceContext, encoded as a fixed
@@ -53,55 +45,8 @@ struct ResponseMsg {
   obs::TraceContext trace;
 };
 
-/// Push adverts into the receiver's cache (peer -> rendezvous).
+/// Push adverts into a rendezvous's cache; a plain peer refuses them.
 struct PublishMsg {
-  std::vector<Advertisement> adverts;
-  obs::TraceContext trace;
-};
-
-/// A routable overlay contact on the wire: 64-bit ring id + endpoint.
-struct WireContact {
-  std::uint64_t id = 0;
-  net::Endpoint endpoint;
-
-  friend bool operator==(const WireContact&, const WireContact&) = default;
-};
-
-/// Kademlia FIND_NODE: "send me your k closest contacts to `target`".
-struct FindNodeMsg {
-  std::uint64_t rpc_id = 0;
-  net::Endpoint origin;  ///< reply goes straight back here
-  std::uint64_t target = 0;
-  obs::TraceContext trace;
-};
-
-struct FindNodeReplyMsg {
-  std::uint64_t rpc_id = 0;
-  std::uint64_t from = 0;  ///< responder's ring id (routing-table evidence)
-  std::vector<WireContact> contacts;
-  obs::TraceContext trace;
-};
-
-/// Store adverts in the shard index of a rendezvous replica.
-struct IndexPutMsg {
-  std::uint32_t shard = 0;
-  std::vector<Advertisement> adverts;
-  obs::TraceContext trace;
-};
-
-/// Range query against one shard's attribute index.
-struct IndexQueryMsg {
-  std::uint64_t rpc_id = 0;
-  net::Endpoint origin;
-  std::uint32_t shard = 0;
-  std::uint32_t limit = 0;  ///< max adverts wanted back (0 = no cap)
-  Query query;
-  obs::TraceContext trace;
-};
-
-struct IndexReplyMsg {
-  std::uint64_t rpc_id = 0;
-  std::uint32_t shard = 0;
   std::vector<Advertisement> adverts;
   obs::TraceContext trace;
 };
@@ -109,11 +54,6 @@ struct IndexReplyMsg {
 serial::Frame encode(const QueryMsg& m);
 serial::Frame encode(const ResponseMsg& m);
 serial::Frame encode(const PublishMsg& m);
-serial::Frame encode(const FindNodeMsg& m);
-serial::Frame encode(const FindNodeReplyMsg& m);
-serial::Frame encode(const IndexPutMsg& m);
-serial::Frame encode(const IndexQueryMsg& m);
-serial::Frame encode(const IndexReplyMsg& m);
 
 /// Peek the message type of a kDiscovery frame payload.
 DiscoveryMsgType discovery_type(const serial::Frame& f);
@@ -121,10 +61,5 @@ DiscoveryMsgType discovery_type(const serial::Frame& f);
 QueryMsg decode_query(const serial::Frame& f);
 ResponseMsg decode_response(const serial::Frame& f);
 PublishMsg decode_publish(const serial::Frame& f);
-FindNodeMsg decode_find_node(const serial::Frame& f);
-FindNodeReplyMsg decode_find_node_reply(const serial::Frame& f);
-IndexPutMsg decode_index_put(const serial::Frame& f);
-IndexQueryMsg decode_index_query(const serial::Frame& f);
-IndexReplyMsg decode_index_reply(const serial::Frame& f);
 
 }  // namespace cg::p2p

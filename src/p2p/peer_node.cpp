@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "serial/reader.hpp"
+
 namespace cg::p2p {
 
 PeerNode::PeerNode(net::Transport& transport, Clock clock, std::string peer_id)
@@ -225,10 +227,7 @@ void PeerNode::on_frame(const net::Endpoint& from, serial::Frame frame) {
       handle_publish(decode_publish(frame));
       break;
     default:
-      // Structured-overlay RPCs (subtypes >= 4): this node doesn't speak
-      // them; an attached OverlayNode does.
-      if (extension_) extension_(from, frame);
-      break;
+      throw serial::DecodeError("unknown discovery message type");
   }
 }
 
@@ -303,6 +302,13 @@ void PeerNode::handle_response(ResponseMsg m) {
 }
 
 void PeerNode::handle_publish(PublishMsg m) {
+  // Only a rendezvous indexes other peers' adverts. A plain peer's cache
+  // answers discovery and pipe binds, so it holds only what the peer
+  // published itself or learned from its own queries.
+  if (!is_rendezvous_) {
+    ++stats_.publishes_refused;
+    return;
+  }
   const double t = clock_();
   for (const auto& a : m.adverts) {
     cache_.put(a, t);

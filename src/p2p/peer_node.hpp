@@ -14,7 +14,9 @@
 //   * expanding ring -- retried flooding with growing TTL (discovery.hpp).
 //
 // PeerNode installs itself as the transport's frame handler and consumes
-// kDiscovery frames. Every other frame type goes to the one handler its
+// kDiscovery frames; one whose subtype is not a query, response or publish
+// is malformed and throws serial::DecodeError, which the reliable layer
+// counts and drops. Every other frame type goes to the one handler its
 // consumer registered with route(): kData to pipes (pipes.hpp), kCode and
 // kControl to the Triana service. Unrouted types are dropped.
 #pragma once
@@ -54,7 +56,8 @@ struct PeerNodeStats {
   std::uint64_t responses_sent = 0;
   std::uint64_t responses_received = 0;
   std::uint64_t adverts_published = 0;
-  std::uint64_t publishes_received = 0;
+  std::uint64_t publishes_received = 0;  ///< adverts a rendezvous took in
+  std::uint64_t publishes_refused = 0;   ///< publishes sent to a plain peer
 };
 
 class PeerNode {
@@ -113,15 +116,16 @@ class PeerNode {
   /// Insert into the local cache (it will answer matching queries).
   void publish_local(const Advertisement& a);
 
-  /// Push adverts to a remote cache -- the peer->rendezvous publish path.
+  /// Push adverts to a rendezvous's cache -- the peer->rendezvous publish
+  /// path. A receiver that is not a rendezvous refuses them.
   void publish_to(const net::Endpoint& target,
                   const std::vector<Advertisement>& adverts);
 
   AdvertisementCache& cache() { return cache_; }
 
   // -- rendezvous role ------------------------------------------------------
-  /// A rendezvous node answers queries from its cache and forwards
-  /// unanswered ones (once) to fellow rendezvous.
+  /// A rendezvous node accepts publishes, answers queries from its cache
+  /// and forwards them (once) to fellow rendezvous.
   void set_rendezvous_role(bool on) { is_rendezvous_ = on; }
   bool is_rendezvous() const { return is_rendezvous_; }
   /// Known rendezvous peers: the publish/query target for edge peers, the
@@ -161,15 +165,6 @@ class PeerNode {
   /// for a type that already has a handler, and for kDiscovery, which this
   /// node consumes itself.
   void route(serial::FrameType type, net::FrameHandler h);
-
-  /// Receives kDiscovery frames whose subtype this node does not speak
-  /// (the structured-overlay RPCs, subtypes >= 4). An attached OverlayNode
-  /// installs itself here; without one such frames are dropped.
-  using DiscoveryExtension =
-      std::function<void(const net::Endpoint&, const serial::Frame&)>;
-  void set_discovery_extension(DiscoveryExtension h) {
-    extension_ = std::move(h);
-  }
 
   // -- observability -----------------------------------------------------
   /// Bind a tracer: query initiation, query/response arrival and publish
@@ -241,7 +236,6 @@ class PeerNode {
   std::array<net::FrameHandler,
              static_cast<std::size_t>(serial::FrameType::kBatch) + 1>
       routes_;
-  DiscoveryExtension extension_;
   PeerNodeStats stats_;
   obs::TracerRef tracer_;
   std::string trace_node_;

@@ -444,6 +444,56 @@ TEST(Controller, DiscoveryRespectsConstraints) {
   EXPECT_TRUE(found.empty());
 }
 
+TEST(Controller, RendezvousDiscoveryFindsAnnouncedWorkersWithoutFlooding) {
+  // One rendezvous, three workers that announce to it, and a home peer
+  // with no neighbour edges: discover_workers at ttl == 0 asks the
+  // rendezvous alone.
+  net::SimNetwork net({}, 1);
+  auto clock = net.clock();
+  auto sched = net.scheduler();
+  const auto make = [&](const std::string& id) {
+    ServiceConfig cfg;
+    cfg.peer_id = id;
+    return std::make_unique<TrianaService>(net.add_node(), clock, sched,
+                                           reg(), cfg);
+  };
+  auto rdv = make("rdv");
+  rdv->node().set_rendezvous_role(true);
+  auto home = make("home");
+  home->node().add_rendezvous(rdv->endpoint());
+  std::vector<std::unique_ptr<TrianaService>> workers;
+  for (int i = 0; i < 3; ++i) {
+    workers.push_back(make("worker-" + std::to_string(i)));
+    workers.back()->node().add_rendezvous(rdv->endpoint());
+    workers.back()->announce();
+  }
+  net.run_all();
+  EXPECT_EQ(rdv->node().stats().publishes_received, workers.size());
+
+  p2p::Query q;
+  q.kind = p2p::AdvertKind::kPeer;
+  TrianaController ctl(*home);
+  std::vector<net::Endpoint> found;
+  ctl.discover_workers(q, /*ttl=*/0, /*want=*/8, /*timeout_s=*/5.0,
+                       [&](std::vector<net::Endpoint> eps) {
+                         found = std::move(eps);
+                       });
+  net.run_all();
+  std::set<net::Endpoint> want;
+  for (const auto& w : workers) want.insert(w->endpoint());
+  EXPECT_EQ(std::set<net::Endpoint>(found.begin(), found.end()), want);
+  EXPECT_EQ(found.size(), workers.size());
+
+  // Home's one query went to the rendezvous; nobody forwarded it further.
+  EXPECT_EQ(home->node().stats().queries_forwarded, 1u);
+  EXPECT_EQ(rdv->node().stats().queries_received, 1u);
+  EXPECT_EQ(rdv->node().stats().queries_forwarded, 0u);
+  for (const auto& w : workers) {
+    EXPECT_EQ(w->node().stats().queries_received, 0u);
+    EXPECT_EQ(w->node().stats().queries_forwarded, 0u);
+  }
+}
+
 TEST(Controller, CheckpointAndMigrateFragment) {
   Grid grid(3);
   TaskGraph g = grouped_figure1("parallel");

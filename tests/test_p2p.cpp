@@ -3,6 +3,9 @@
 // expanding-ring discovery over the simulated network, and named pipes.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "net/reliable.hpp"
 #include "net/sim_network.hpp"
 #include "p2p/cache.hpp"
 #include "p2p/discovery.hpp"
@@ -213,6 +216,45 @@ TEST(Messages, TypeMismatchThrows) {
   m.origin = net::Endpoint{"sim:0"};
   auto f = encode(m);
   EXPECT_THROW(decode_response(f), serial::DecodeError);
+}
+
+TEST(Messages, UnknownSubtypeIsAMalformedFrame) {
+  // Over the reliable layer, as every service peer runs: a discovery frame
+  // whose subtype is not a query, response or publish (or that has no
+  // subtype byte at all) is counted as malformed, and the peer still
+  // answers a valid query afterwards.
+  net::SimNetwork net({}, 1);
+  auto& t0 = net.add_node();
+  auto& t1 = net.add_node();
+  net::ReliableTransport r0(t0, net.clock(), net.scheduler());
+  net::ReliableTransport r1(t1, net.clock(), net.scheduler());
+  PeerNode asker(r0, net.clock(), "asker");
+  PeerNode answerer(r1, net.clock(), "answerer");
+  asker.add_neighbor(answerer.endpoint());
+  answerer.publish_local(answerer.make_peer_advert({}));
+
+  const std::vector<serial::Bytes> bad = {{0}, {4}, {8}, {255}, {}};
+  for (const auto& payload : bad) {
+    serial::Frame f;
+    f.type = serial::FrameType::kDiscovery;
+    f.payload = payload;
+    r0.send(answerer.endpoint(), f);
+  }
+  net.run_all();
+  EXPECT_EQ(r1.stats().malformed_dropped, bad.size());
+  EXPECT_EQ(r1.stats().delivered, bad.size());
+  EXPECT_EQ(answerer.stats().queries_received, 0u);
+
+  Query q;
+  q.kind = AdvertKind::kPeer;
+  std::vector<Advertisement> found;
+  asker.discover_flood(q, 1, [&](const std::vector<Advertisement>& a) {
+    found.insert(found.end(), a.begin(), a.end());
+  });
+  net.run_all();
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].provider, answerer.endpoint());
+  EXPECT_EQ(r1.stats().malformed_dropped, bad.size());
 }
 
 // ----------------------------------------------------- discovery in the sim
@@ -462,6 +504,43 @@ TEST(Rendezvous, FansOutToFellowRendezvous) {
   EXPECT_EQ(found[0].provider, s[2].endpoint());
 }
 
+TEST(Rendezvous, PlainPeerRefusesPublish) {
+  // Line 0-1-2; node 1 is a plain peer holding its own advert. Node 2
+  // pushes a peer and a pipe advert at it anyway: node 1 must neither
+  // cache them nor hand them out to node 0's queries.
+  Swarm s(3);
+  s.make_line();
+  s[1].publish_local(s[1].make_peer_advert({}));
+
+  // Distinct advert ids node 0 learns (its own cache, warmed by earlier
+  // answers, replies too).
+  const auto answers = [&](AdvertKind kind) {
+    Query q;
+    q.kind = kind;
+    std::set<std::string> ids;
+    const auto id =
+        s[0].discover_flood(q, 1, [&](const std::vector<Advertisement>& a) {
+          for (const auto& ad : a) ids.insert(ad.id);
+        });
+    s.net().run_all();
+    s[0].cancel(id);
+    return ids;
+  };
+  const auto peers_before = answers(AdvertKind::kPeer);
+  const auto pipes_before = answers(AdvertKind::kPipe);
+  ASSERT_EQ(peers_before, std::set<std::string>{"peer:peer-1"});
+  EXPECT_TRUE(pipes_before.empty());
+
+  s[2].publish_to(s[1].endpoint(), {s[2].make_peer_advert({}),
+                                    s[2].make_pipe_advert("data-in")});
+  s.net().run_all();
+  EXPECT_EQ(s[1].stats().publishes_refused, 1u);
+  EXPECT_EQ(s[1].stats().publishes_received, 0u);
+  EXPECT_EQ(s[1].cache().size(), 1u);
+  EXPECT_EQ(answers(AdvertKind::kPeer), peers_before);
+  EXPECT_EQ(answers(AdvertKind::kPipe), pipes_before);
+}
+
 TEST(ExpandingRing, StopsAtFirstSufficientTtl) {
   Swarm s(6);
   s.make_line();
@@ -531,6 +610,58 @@ TEST(ExpandingRing, CompletesImmediatelyFromLocalCache) {
   });
   s.net().run_all();
   EXPECT_TRUE(done);
+}
+
+TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
+  // Line 0-1-2-3-4-5 with adverts at nodes 1 and 3: min_results=2 forces
+  // the ring to widen past node 1's answer. Re-arrivals at node 1 must
+  // register as widened, not as fresh queries, and the origin must not
+  // collect duplicate adverts even though node 1 re-answers each ring
+  // (re-answering is deliberate: caches can gain matches mid-search).
+  net::LinkParams lp;
+  net::SimNetwork net(lp, 1);
+  std::vector<std::unique_ptr<PeerNode>> nodes;
+  for (int i = 0; i < 6; ++i) {
+    auto& t = net.add_node();
+    nodes.push_back(std::make_unique<PeerNode>(
+        t, net.clock(), "peer-" + std::to_string(i)));
+  }
+  for (int i = 0; i + 1 < 6; ++i) {
+    nodes[i]->add_neighbor(nodes[i + 1]->endpoint());
+    nodes[i + 1]->add_neighbor(nodes[i]->endpoint());
+  }
+  nodes[1]->publish_local(nodes[1]->make_peer_advert({}));
+  nodes[3]->publish_local(nodes[3]->make_peer_advert({}));
+
+  Query q;
+  q.kind = AdvertKind::kPeer;
+  ExpandingRingOptions opt;
+  opt.initial_ttl = 1;
+  opt.max_ttl = 8;
+  opt.ring_timeout_s = 1.0;
+  opt.min_results = 2;
+
+  auto scheduler = net.scheduler();
+  SearchResult result;
+  bool done = false;
+  auto search = std::make_shared<ExpandingRingSearch>(*nodes[0], scheduler, q,
+                                                      opt);
+  search->start([&](SearchResult r) {
+    result = std::move(r);
+    done = true;
+  });
+  net.run_all();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(result.adverts.size(), 2u);
+  EXPECT_EQ(result.succeeded_at_ttl, 4);
+  // Node 1 sat inside every ring: the re-arrivals widened its stored
+  // frontier instead of counting (and flooding) as fresh queries.
+  EXPECT_GE(nodes[1]->stats().widened_queries, 1u);
+  EXPECT_EQ(nodes[1]->stats().queries_received, 1u);
+  // No duplicate results despite node 1 answering more than one ring.
+  std::set<std::string> ids;
+  for (const auto& a : result.adverts) ids.insert(a.id);
+  EXPECT_EQ(ids.size(), result.adverts.size());
 }
 
 // -------------------------------------------------------------------- pipes
