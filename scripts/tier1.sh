@@ -61,13 +61,15 @@ cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # test_serial covers the bulk codec and CRC loads at unaligned offsets.
 # test_cas does the same for the SHA-NI block loads (caller buffers at
 # any offset), and test_p2p for the discovery seen-set, which evicts by
-# age as well as by count.
+# age as well as by count. test_galaxy covers the SSE2 SPH splat: unaligned
+# row loads and stores, and a splat box clipped at every image edge down to
+# a 1x1 grid.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
   test_obs test_obs_http test_wire test_tcp_parity test_supervisor \
-  test_core_service test_serial test_cas test_p2p
+  test_core_service test_serial test_cas test_p2p test_galaxy
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
          test_wire test_tcp_parity test_supervisor test_core_service \
-         test_serial test_cas test_p2p; do
+         test_serial test_cas test_p2p test_galaxy; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

@@ -30,8 +30,8 @@ Snapshot initial_snapshot(const SimulationSpec& spec) {
   return snap;
 }
 
-Snapshot snapshot_at(const SimulationSpec& spec, std::size_t frame) {
-  Snapshot snap = initial_snapshot(spec);
+Snapshot evolve_snapshot(Snapshot snap, const SimulationSpec& spec,
+                         std::size_t frame) {
   if (spec.n_frames <= 1) return snap;
 
   const double t = static_cast<double>(frame) /
@@ -49,6 +49,10 @@ Snapshot snapshot_at(const SimulationSpec& spec, std::size_t frame) {
     p.smoothing *= scale;
   }
   return snap;
+}
+
+Snapshot snapshot_at(const SimulationSpec& spec, std::size_t frame) {
+  return evolve_snapshot(initial_snapshot(spec), spec, frame);
 }
 
 std::size_t snapshot_bytes(const SimulationSpec& spec) {

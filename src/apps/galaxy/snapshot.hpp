@@ -36,10 +36,15 @@ struct SimulationSpec {
 /// The particle cloud at t = 0 (Plummer-distributed radii, isotropic).
 Snapshot initial_snapshot(const SimulationSpec& spec);
 
-/// Deterministically evolve the initial cloud to frame `frame`
-/// (0-based): global collapse plus solid rotation. Same spec + frame
-/// always yields the same particles, so any peer can compute any frame --
-/// the property the parallel distribution policy exploits.
+/// Evolve `initial`, the t = 0 cloud of `spec`, to frame `frame`
+/// (0-based): global collapse plus solid rotation.
+Snapshot evolve_snapshot(Snapshot initial, const SimulationSpec& spec,
+                         std::size_t frame);
+
+/// The particles at frame `frame`: `evolve_snapshot(initial_snapshot(spec),
+/// spec, frame)`. Same spec + frame always yields the same particles, so
+/// any peer can compute any frame -- the property the parallel
+/// distribution policy exploits.
 Snapshot snapshot_at(const SimulationSpec& spec, std::size_t frame);
 
 /// Bytes of one snapshot when shipped raw (x,y,z,mass as f64).

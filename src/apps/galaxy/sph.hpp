@@ -27,7 +27,9 @@ struct View {
 /// (zero beyond q = 2). Normalised so the kernel integrates to ~1.
 double sph_kernel_2d(double q);
 
-/// Project a snapshot to a column-density image.
+/// Project a snapshot to a column-density image. Particles splat in order;
+/// every pixel is bit-identical to the plain scalar loop's (kept as the
+/// oracle in tests/test_galaxy.cpp), on every target.
 core::ImageFrame project_column_density(const Snapshot& snap,
                                         const View& view);
 

@@ -1,5 +1,9 @@
 #include "apps/galaxy/units.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
 
@@ -64,13 +68,37 @@ const UnitInfo& RenderFrameUnit::info() const {
 }
 
 void RenderFrameUnit::configure(const core::ParamSet& p) {
-  spec_.n_particles = static_cast<std::size_t>(p.get_int("particles", 2000));
-  spec_.n_frames = static_cast<std::size_t>(p.get_int("frames", 50));
+  // Checked before anything is sized from them: the cloud is built here
+  // and every firing allocates a grid x grid image.
+  const long long particles = p.get_int("particles", 2000);
+  const long long frames = p.get_int("frames", 50);
+  const long long grid = p.get_int("grid", 128);
+  const double extent = p.get_double("extent", 1.5);
+  if (particles < 1 || particles > kMaxParticles) {
+    throw std::invalid_argument(
+        std::string("RenderFrame: particles must be in [1, ")
+            .append(std::to_string(kMaxParticles))
+            .append("]"));
+  }
+  if (frames < 1) {
+    throw std::invalid_argument("RenderFrame: frames must be >= 1");
+  }
+  if (grid < 1 || grid > kMaxGrid) {
+    throw std::invalid_argument(std::string("RenderFrame: grid must be in [1, ")
+                                    .append(std::to_string(kMaxGrid))
+                                    .append("]"));
+  }
+  if (!std::isfinite(extent) || extent <= 0.0) {
+    throw std::invalid_argument("RenderFrame: extent must be finite and > 0");
+  }
+  spec_.n_particles = static_cast<std::size_t>(particles);
+  spec_.n_frames = static_cast<std::size_t>(frames);
   spec_.seed = static_cast<std::uint64_t>(p.get_int("seed", 42));
-  view_.grid = static_cast<std::uint32_t>(p.get_int("grid", 128));
+  view_.grid = static_cast<std::uint32_t>(grid);
   view_.azimuth_rad = p.get_double("azimuth", 0.0);
   view_.elevation_rad = p.get_double("elevation", 0.0);
-  view_.half_extent = p.get_double("extent", 1.5);
+  view_.half_extent = extent;
+  cloud_ = initial_snapshot(spec_);
 }
 
 void RenderFrameUnit::process(core::ProcessContext& ctx) {
@@ -81,9 +109,9 @@ void RenderFrameUnit::process(core::ProcessContext& ctx) {
   // Rough cost model: one kernel splat per particle per covered pixel.
   ctx.charge_cpu(1e-8 * static_cast<double>(spec_.n_particles) *
                  static_cast<double>(view_.grid));
-  const Snapshot snap = snapshot_at(spec_, index);
   ctx.emit(0, static_cast<std::int64_t>(index));
-  ctx.emit(1, project_column_density(snap, view_));
+  ctx.emit(1, project_column_density(evolve_snapshot(cloud_, spec_, index),
+                                     view_));
 }
 
 UnitInfo AnimationSinkUnit::make_info() {

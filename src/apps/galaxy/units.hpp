@@ -34,10 +34,15 @@ class FrameSourceUnit final : public core::Unit {
 /// snapshot deterministically from the spec (the paper's alternative "the
 /// data file could be copied beforehand"), so the only traffic is the index
 /// in and the image out.
-/// Params: particles (2000), frames (50), grid (128), azimuth (0),
-/// elevation (0), extent (1.5), seed (42).
+/// Params: particles (2000, in [1, kMaxParticles]), frames (50, >= 1),
+/// grid (128, in [1, kMaxGrid]), azimuth (0), elevation (0), extent (1.5,
+/// finite and > 0), seed (42). `configure` throws std::invalid_argument on
+/// a value out of range.
 class RenderFrameUnit final : public core::Unit {
  public:
+  static constexpr long long kMaxParticles = 1'000'000;
+  static constexpr long long kMaxGrid = 4096;
+
   static core::UnitInfo make_info();
   const core::UnitInfo& info() const override;
   void configure(const core::ParamSet& p) override;
@@ -46,6 +51,10 @@ class RenderFrameUnit final : public core::Unit {
  private:
   SimulationSpec spec_;
   View view_;
+  /// The t = 0 cloud of `spec_`, built once per configure; `process` only
+  /// reads it (kPure firings may run concurrently) and evolves a copy.
+  /// Derived from params, so it is never checkpointed.
+  Snapshot cloud_;
 };
 
 /// Orders incoming (index, frame) pairs into the final animation. Input 0:

@@ -6,6 +6,7 @@
 // of the unit threading contract, and the engine's wave instruments.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "apps/galaxy/units.hpp"
@@ -184,6 +185,36 @@ TEST(ParallelRuntime, GalaxyEquivalenceAcrossThreadCounts) {
   EXPECT_EQ(frames[0], frames[4]);  // Anim0: serial vs 4 threads
   EXPECT_EQ(frames[1], frames[3]);  // Anim3
   EXPECT_EQ(frames[1], frames[5]);
+}
+
+TEST(ParallelRuntime, GalaxyWaveFramesMatchTheOracle) {
+  // RenderFrame keeps its t = 0 cloud from configure; concurrent firings in
+  // a wave only read it. Every frame must still be the oracle's.
+  const int kBranches = 4, kFrames = 6;
+  GraphRuntime rt(galaxy_graph(kBranches, kFrames), reg(),
+                  RuntimeOptions{.rng_seed = 42, .max_threads = 4});
+  rt.run(kFrames);
+  galaxy::SimulationSpec spec;
+  spec.n_particles = 300;
+  spec.n_frames = kFrames;
+  for (int b = 0; b < kBranches; ++b) {
+    galaxy::View view;
+    view.grid = 24;
+    view.azimuth_rad = 0.3 * b;
+    const auto& frames =
+        rt.unit_as<galaxy::AnimationSinkUnit>("Anim" + std::to_string(b))
+            ->frames();
+    ASSERT_EQ(frames.size(), static_cast<std::size_t>(kFrames));
+    for (const auto& [index, frame] : frames) {
+      const ImageFrame want = galaxy::project_column_density(
+          galaxy::snapshot_at(spec, index), view);
+      ASSERT_EQ(frame.pixels.size(), want.pixels.size());
+      EXPECT_EQ(std::memcmp(frame.pixels.data(), want.pixels.data(),
+                            want.pixels.size() * sizeof(double)),
+                0)
+          << "branch " << b << " frame " << index;
+    }
+  }
 }
 
 TEST(ParallelRuntime, GwEquivalenceAcrossThreadCounts) {
