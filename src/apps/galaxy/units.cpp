@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
+#include <string_view>
 
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
@@ -70,24 +70,12 @@ const UnitInfo& RenderFrameUnit::info() const {
 void RenderFrameUnit::configure(const core::ParamSet& p) {
   // Checked before anything is sized from them: the cloud is built here
   // and every firing allocates a grid x grid image.
-  const long long particles = p.get_int("particles", 2000);
-  const long long frames = p.get_int("frames", 50);
-  const long long grid = p.get_int("grid", 128);
+  constexpr std::string_view kName = "RenderFrame";
+  const long long particles =
+      p.get_int_in(kName, "particles", 2000, 1, kMaxParticles);
+  const long long frames = p.get_int_in(kName, "frames", 50, 1);
+  const long long grid = p.get_int_in(kName, "grid", 128, 1, kMaxGrid);
   const double extent = p.get_double("extent", 1.5);
-  if (particles < 1 || particles > kMaxParticles) {
-    throw std::invalid_argument(
-        std::string("RenderFrame: particles must be in [1, ")
-            .append(std::to_string(kMaxParticles))
-            .append("]"));
-  }
-  if (frames < 1) {
-    throw std::invalid_argument("RenderFrame: frames must be >= 1");
-  }
-  if (grid < 1 || grid > kMaxGrid) {
-    throw std::invalid_argument(std::string("RenderFrame: grid must be in [1, ")
-                                    .append(std::to_string(kMaxGrid))
-                                    .append("]"));
-  }
   if (!std::isfinite(extent) || extent <= 0.0) {
     throw std::invalid_argument("RenderFrame: extent must be finite and > 0");
   }

@@ -24,11 +24,15 @@ const core::UnitInfo& StrainSourceUnit::info() const {
 }
 
 void StrainSourceUnit::configure(const core::ParamSet& p) {
+  constexpr std::string_view kName = "StrainSource";
   spec_.sample_rate_hz = p.get_double("rate", 2000.0);
-  samples_ = static_cast<std::size_t>(p.get_int("samples", 8192));
-  inject_every_ = static_cast<std::size_t>(p.get_int("inject_every", 0));
+  samples_ = static_cast<std::size_t>(
+      p.get_int_in(kName, "samples", 8192, 1, core::kMaxSourceSamples));
+  inject_every_ =
+      static_cast<std::size_t>(p.get_int_in(kName, "inject_every", 0, 0));
   inject_amp_ = p.get_double("inject_amp", 0.5);
-  inject_offset_ = static_cast<std::size_t>(p.get_int("inject_offset", 1000));
+  inject_offset_ = static_cast<std::size_t>(p.get_int_in(
+      kName, "inject_offset", 1000, 0, core::kMaxSourceSamples));
   injection_.chirp_mass_msun = p.get_double("chirp_mass", 1.2);
   injection_.sample_rate_hz = spec_.sample_rate_hz;
   injection_.f_low_hz = p.get_double("f_low", 50.0);
@@ -65,8 +69,14 @@ const core::UnitInfo& InspiralFilterUnit::info() const {
 }
 
 void InspiralFilterUnit::configure(const core::ParamSet& p) {
+  // Checked before the bank is built from them: every template is a chirp
+  // held in memory, and [first, first + count) must lie inside the bank.
+  constexpr std::string_view kName = "InspiralFilter";
+  const long long n = p.get_int_in(kName, "n_templates", 64, 1, kMaxTemplates);
+  const long long first = p.get_int_in(kName, "first", 0, 0, n - 1);
+  const long long count = p.get_int_in(kName, "count", 0, 0, n - first);
   BankSpec spec;
-  spec.n_templates = static_cast<std::size_t>(p.get_int("n_templates", 64));
+  spec.n_templates = static_cast<std::size_t>(n);
   spec.min_chirp_mass_msun = p.get_double("min_mass", 0.8);
   spec.max_chirp_mass_msun = p.get_double("max_mass", 3.0);
   spec.f_low_hz = p.get_double("f_low", 50.0);
@@ -74,8 +84,8 @@ void InspiralFilterUnit::configure(const core::ParamSet& p) {
   spec.sample_rate_hz = p.get_double("rate", 2000.0);
   bank_ = std::make_unique<TemplateBank>(spec);
 
-  first_ = static_cast<std::size_t>(p.get_int("first", 0));
-  count_ = static_cast<std::size_t>(p.get_int("count", 0));
+  first_ = static_cast<std::size_t>(first);
+  count_ = static_cast<std::size_t>(count);
   threshold_ = p.get_double("threshold", 8.0);
   cpu_mhz_ = p.get_double("cpu_mhz", 2000.0);
 }

@@ -15,8 +15,9 @@
 namespace cg::gw {
 
 /// Emits one synthetic strain chunk per iteration.
-/// Params: rate (2000), samples (8192), inject_every (0 = never),
-/// inject_amp (0.5), chirp_mass (1.2), inject_offset (1000).
+/// Params: rate (2000), samples (8192, in [1, kMaxSourceSamples]),
+/// inject_every (0 = never, >= 0), inject_amp (0.5), chirp_mass (1.2),
+/// inject_offset (1000, in [0, kMaxSourceSamples]).
 class StrainSourceUnit final : public core::Unit {
  public:
   static core::UnitInfo make_info();
@@ -37,10 +38,15 @@ class StrainSourceUnit final : public core::Unit {
 /// Scans each incoming chunk against templates [first, first+count) of a
 /// bank built at configure time; emits best SNR (port 0) and a detection
 /// flag (port 1). Charges the Case 2 cost model against the sandbox.
-/// Params: n_templates (64), min_mass (0.8), max_mass (3.0), f_low (50),
-/// f_high (900), rate (2000), first (0), count (all), threshold (8).
+/// Params: n_templates (64, in [1, kMaxTemplates]), min_mass (0.8),
+/// max_mass (3.0), f_low (50), f_high (900), rate (2000), first (0, below
+/// n_templates), count (0 = the rest of the bank; first + count <=
+/// n_templates), threshold (8).
 class InspiralFilterUnit final : public core::Unit {
  public:
+  /// The paper's largest Case-2 bank (5,000-10,000 templates).
+  static constexpr long long kMaxTemplates = 10'000;
+
   static core::UnitInfo make_info();
   const core::UnitInfo& info() const override;
   void configure(const core::ParamSet& p) override;
@@ -51,7 +57,7 @@ class InspiralFilterUnit final : public core::Unit {
  private:
   std::unique_ptr<TemplateBank> bank_;
   std::size_t first_ = 0;
-  std::size_t count_ = 0;  ///< 0 = whole bank
+  std::size_t count_ = 0;  ///< 0 = the rest of the bank from first_
   double threshold_ = 8.0;
   double cpu_mhz_ = 2000.0;
   CostModel cost_;

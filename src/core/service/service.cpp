@@ -668,7 +668,6 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
   job.job_id = pending.msg.job_id;
   job.owner = pending.msg.owner.empty() ? "anonymous" : pending.msg.owner;
   job.reply_to = pending.reply_to;
-  job.started_at = clock_();
   job.pinned_modules = std::move(pending.fetched_modules);
   job.epoch = pending.msg.epoch;
   job.lease_s = pending.msg.lease_s;
@@ -963,8 +962,7 @@ void TrianaService::transition(Job& job, JobEvent event,
 
 void TrianaService::finish_job(Job& job, bool violated) {
   if (job.sb) {
-    account_.settle(job.owner, "job:" + job.job_id, job.started_at, *job.sb,
-                    violated);
+    account_.settle(job.owner, *job.sb, violated);
     job.sb.reset();
   }
 }

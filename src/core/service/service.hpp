@@ -295,7 +295,6 @@ class TrianaService {
     JobState state = JobState::kStandby;
     std::string error;  ///< why the job failed
     bool failed() const { return state == JobState::kFailed; }
-    double started_at = 0;
     std::vector<std::string> pinned_modules;
     std::vector<std::string> input_labels;  ///< advertised pipes to remove
     std::vector<std::string> output_labels;  ///< labels this job sends on

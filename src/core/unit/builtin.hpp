@@ -19,8 +19,8 @@ namespace cg::core {
 
 /// Periodic waveform source (sine/square/saw). Phase is carried across
 /// iterations (stateful), so consecutive emissions are contiguous signal.
-/// Params: freq (Hz, 50), amplitude (1), rate (Hz, 512), samples (512),
-/// shape ("sine"|"square"|"saw").
+/// Params: freq (Hz, 50), amplitude (1), rate (Hz, 512), samples (512, in
+/// [1, kMaxSourceSamples]), shape ("sine"|"square"|"saw").
 class WaveUnit final : public Unit {
  public:
   static UnitInfo make_info();
@@ -39,7 +39,7 @@ class WaveUnit final : public Unit {
 };
 
 /// Gaussian white-noise source. Params: stddev (1), rate (512),
-/// samples (512).
+/// samples (512, in [1, kMaxSourceSamples]).
 class NoiseSourceUnit final : public Unit {
  public:
   static UnitInfo make_info();

@@ -27,7 +27,8 @@ void WaveUnit::configure(const ParamSet& p) {
   freq_ = p.get_double("freq", 50.0);
   amplitude_ = p.get_double("amplitude", 1.0);
   rate_ = p.get_double("rate", 512.0);
-  samples_ = static_cast<std::size_t>(p.get_int("samples", 512));
+  samples_ = static_cast<std::size_t>(
+      p.get_int_in("Wave", "samples", 512, 1, kMaxSourceSamples));
   shape_ = p.get("shape", "sine");
   if (shape_ != "sine" && shape_ != "square" && shape_ != "saw") {
     throw std::invalid_argument("Wave: unknown shape " + shape_);
@@ -88,7 +89,8 @@ const UnitInfo& NoiseSourceUnit::info() const {
 void NoiseSourceUnit::configure(const ParamSet& p) {
   stddev_ = p.get_double("stddev", 1.0);
   rate_ = p.get_double("rate", 512.0);
-  samples_ = static_cast<std::size_t>(p.get_int("samples", 512));
+  samples_ = static_cast<std::size_t>(
+      p.get_int_in("NoiseSource", "samples", 512, 1, kMaxSourceSamples));
 }
 
 void NoiseSourceUnit::process(ProcessContext& ctx) {

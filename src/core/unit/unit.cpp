@@ -105,6 +105,25 @@ long long ParamSet::get_int(const std::string& key, long long fallback) const {
   return v;
 }
 
+long long ParamSet::get_int_in(std::string_view unit, const std::string& key,
+                               long long fallback, long long lo,
+                               long long hi) const {
+  const long long v = get_int(key, fallback);
+  if (v >= lo && v <= hi) return v;
+  std::string msg(unit);
+  msg.append(": ").append(key).append(" must be ");
+  if (hi == std::numeric_limits<long long>::max()) {
+    msg.append(">= ").append(std::to_string(lo));
+  } else {
+    msg.append("in [")
+        .append(std::to_string(lo))
+        .append(", ")
+        .append(std::to_string(hi))
+        .append("]");
+  }
+  throw std::invalid_argument(msg);
+}
+
 bool ParamSet::get_bool(const std::string& key, bool fallback) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;

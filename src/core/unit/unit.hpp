@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types/data_item.hpp"
@@ -66,6 +68,11 @@ struct UnitInfo {
   static UnitInfo from_xml(const xml::Node& n);
 };
 
+/// Most samples a source unit emits per item: 4 Mi doubles (32 MB) hold
+/// the paper's 900 s GEO600 chunk at 2,000 S/s (1.8 M samples) and stay
+/// well inside the 64 MB frame-payload cap (serial/frame.hpp).
+inline constexpr long long kMaxSourceSamples = 1LL << 22;
+
 /// Typed access over a task's string parameters.
 class ParamSet {
  public:
@@ -83,6 +90,13 @@ class ParamSet {
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
+  /// get_int for a param that sizes something: outside [lo, hi] it throws
+  /// std::invalid_argument("<unit>: <key> must be in [lo, hi]"), or
+  /// "... must be >= lo" when hi is unbounded.
+  long long get_int_in(std::string_view unit, const std::string& key,
+                       long long fallback, long long lo,
+                       long long hi = std::numeric_limits<long long>::max())
+      const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::map<std::string, std::string>& raw() const { return kv_; }

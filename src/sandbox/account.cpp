@@ -2,42 +2,18 @@
 
 namespace cg::sandbox {
 
-void BillingLedger::bill(const std::string& owner, const std::string& module,
-                         double started_at, const Usage& usage,
+void BillingLedger::bill(const std::string& owner, const Usage& usage,
                          bool violated) {
-  BillingRecord r;
-  r.owner = owner;
-  r.module = module;
-  r.started_at = started_at;
-  r.cpu_seconds = usage.cpu_seconds;
-  r.peak_memory_bytes = usage.peak_memory_bytes;
-  r.network_bytes = usage.network_bytes;
-  r.violated = violated;
-  records_.push_back(std::move(r));
+  OwnerTotals& t = totals_[owner];
+  ++t.executions;
+  t.violations += violated ? 1 : 0;
+  t.cpu_seconds += usage.cpu_seconds;
+  t.network_bytes += usage.network_bytes;
 }
 
 OwnerTotals BillingLedger::totals_for(const std::string& owner) const {
-  OwnerTotals t;
-  for (const auto& r : records_) {
-    if (r.owner != owner) continue;
-    ++t.executions;
-    t.violations += r.violated ? 1 : 0;
-    t.cpu_seconds += r.cpu_seconds;
-    t.network_bytes += r.network_bytes;
-  }
-  return t;
-}
-
-std::map<std::string, OwnerTotals> BillingLedger::totals() const {
-  std::map<std::string, OwnerTotals> out;
-  for (const auto& r : records_) {
-    auto& t = out[r.owner];
-    ++t.executions;
-    t.violations += r.violated ? 1 : 0;
-    t.cpu_seconds += r.cpu_seconds;
-    t.network_bytes += r.network_bytes;
-  }
-  return out;
+  auto it = totals_.find(owner);
+  return it == totals_.end() ? OwnerTotals{} : it->second;
 }
 
 double BillingLedger::amount_owed(const std::string& owner,

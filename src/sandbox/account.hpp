@@ -2,31 +2,20 @@
 //
 // The paper contrasts Globus's per-user account administration with
 // Triana's "virtual account": any job arriving at a peer runs under one
-// local identity, and the host keeps billing records of what each remote
-// owner consumed (section 2). The ledger records one entry per completed
-// sandboxed execution and supports per-owner aggregation, which is what a
-// future settlement/reputation layer would read.
+// local identity, and the host bills each remote owner for what it
+// consumed (section 2). The ledger keeps one running total per
+// owner, updated in place as each sandboxed execution completes, so its
+// size is bounded by the number of owners, not by how long the host has
+// been up. Those totals are what a settlement layer would read.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "sandbox/sandbox.hpp"
 
 namespace cg::sandbox {
-
-/// One completed (or terminated) execution, as billed.
-struct BillingRecord {
-  std::string owner;       ///< who submitted the work (peer id)
-  std::string module;      ///< what ran
-  double started_at = 0;   ///< host clock, seconds
-  double cpu_seconds = 0;
-  std::uint64_t peak_memory_bytes = 0;
-  std::uint64_t network_bytes = 0;
-  bool violated = false;   ///< terminated by the sandbox
-};
 
 /// Aggregate consumption for one owner.
 struct OwnerTotals {
@@ -39,16 +28,14 @@ struct OwnerTotals {
 /// The per-host billing ledger behind the virtual account.
 class BillingLedger {
  public:
-  /// Record an execution from its sandbox's final usage.
-  void bill(const std::string& owner, const std::string& module,
-            double started_at, const Usage& usage, bool violated);
+  /// Add an execution's final sandbox usage to its owner's totals.
+  void bill(const std::string& owner, const Usage& usage, bool violated);
 
-  const std::vector<BillingRecord>& records() const { return records_; }
-
+  /// This owner's totals; zero for an owner that never ran anything here.
   OwnerTotals totals_for(const std::string& owner) const;
 
   /// All owners that ever ran something here, with their totals.
-  std::map<std::string, OwnerTotals> totals() const;
+  const std::map<std::string, OwnerTotals>& totals() const { return totals_; }
 
   /// Simple settlement hook: cpu-seconds price * usage (the paper leaves
   /// pricing open; a unit price keeps the interface honest).
@@ -56,7 +43,7 @@ class BillingLedger {
                      double price_per_cpu_second) const;
 
  private:
-  std::vector<BillingRecord> records_;
+  std::map<std::string, OwnerTotals> totals_;
 };
 
 /// The host-side virtual account: a sandbox factory with a fixed policy
@@ -74,9 +61,8 @@ class VirtualAccount {
   Sandbox open_sandbox() const { return Sandbox(policy_, library_); }
 
   /// Close out an execution: bill its usage.
-  void settle(const std::string& owner, const std::string& module,
-              double started_at, const Sandbox& sb, bool violated) {
-    ledger_.bill(owner, module, started_at, sb.usage(), violated);
+  void settle(const std::string& owner, const Sandbox& sb, bool violated) {
+    ledger_.bill(owner, sb.usage(), violated);
   }
 
   const std::string& host_id() const { return host_id_; }

@@ -65,11 +65,4 @@ std::vector<std::string> TrustManager::ranked(
   return peers;
 }
 
-void TrustManager::ingest_ledger(const BillingLedger& ledger) {
-  for (const auto& r : ledger.records()) {
-    record(r.owner,
-           r.violated ? TrustEvent::kViolation : TrustEvent::kSuccess);
-  }
-}
-
 }  // namespace cg::sandbox

@@ -6,10 +6,10 @@
 // hold" for consumer peers. This module scores counterparties from
 // observed behaviour:
 //
-//   * a host scores *submitters* from its billing ledger (violations);
 //   * a controller scores *workers* from deployment outcomes (acks,
 //     failures, successful completions, result disagreements flagged by
-//     the Vote unit).
+//     the Vote unit);
+//   * any caller may record a sandbox violation (kViolation) it saw.
 //
 // Scores live in [0, 1] with asymmetric updates -- trust builds slowly and
 // collapses quickly -- and exponential forgetting so peers can redeem
@@ -23,8 +23,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include "sandbox/account.hpp"
 
 namespace cg::sandbox {
 
@@ -51,11 +49,6 @@ class TrustManager {
 
   /// Order peer names best-first (stable for ties).
   std::vector<std::string> ranked(std::vector<std::string> peers) const;
-
-  /// Fold a host's billing ledger in: every billed execution counts as a
-  /// success, every violation as a violation. This is how a long-running
-  /// host bootstraps submitter trust from its own records.
-  void ingest_ledger(const BillingLedger& ledger);
 
  private:
   struct Entry {

@@ -4,6 +4,8 @@
 // worker selection, status, cancellation, checkpoint and migration.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -1605,6 +1607,74 @@ TEST(Service, JobTransitionTableIsExhaustive) {
     const std::uint64_t bounced = worker.stats().payloads_bounced;
     send_to_listener(grid, encode_data_item(DataItem(1.0)));
     EXPECT_EQ(worker.stats().payloads_bounced - bounced, row.bounces ? 1u : 0u);
+  }
+}
+
+/// glibc's in-use heap: arena bytes handed out plus mmapped blocks.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kGlibcHeap = false;  // the sanitizer's allocator serves malloc
+#else
+constexpr bool kGlibcHeap = true;
+#endif
+
+// A volunteer stays connected for months, running one short job after
+// another. Every table it keeps per job, query or message must stay
+// bounded however many jobs it has served, and the heap must stop growing
+// once the first cycles have warmed every pool and cache. A record kept
+// per job (~100 B) breaks the heap bound by cycle 2,000.
+TEST(Soak, LongLivedPeersKeepBoundedState) {
+  constexpr int kCycles = 2000;
+  constexpr int kWarmup = 200;
+  constexpr std::uint64_t kItems = 3;
+  constexpr std::size_t kMaxModules = 3;    // the pipeline's stage types
+  constexpr std::size_t kMaxAdverts = 256;  // peers + unexpired pipe adverts
+  constexpr std::size_t kMaxHeapGrowth = 256 * 1024;
+  Grid grid(3);
+  TaskGraph g = three_stage_pipeline();
+  grid.home->publish_graph_modules(g);
+  TrianaController ctl(*grid.home);
+
+  std::size_t heap_at_warmup = 0;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    if (cycle == kWarmup) heap_at_warmup = heap_in_use();
+    auto run = ctl.distribute(g, "Pipe", grid.worker_endpoints());
+    grid.net.run_all();
+    ASSERT_TRUE(run->deployed_ok()) << "cycle " << cycle;
+    ctl.tick(*run, kItems);
+    grid.net.run_all();
+    ASSERT_EQ(ctl.home_runtime(*run)->unit_as<GrapherUnit>("Grapher")
+                  ->items().size(),
+              kItems)
+        << "cycle " << cycle;
+    ctl.shutdown(*run);
+    grid.net.run_all();
+  }
+  const std::size_t heap_at_end = heap_in_use();
+
+  std::vector<TrianaService*> peers{grid.home.get()};
+  for (const auto& w : grid.workers) peers.push_back(w.get());
+  for (TrianaService* peer : peers) {
+    SCOPED_TRACE(peer->id());
+    EXPECT_EQ(peer->job_count(), 0u);
+    EXPECT_EQ(peer->reliable().in_flight(), 0u);
+    EXPECT_LE(peer->module_cache().entry_count(), kMaxModules);
+    EXPECT_LE(peer->node().cache().size(), kMaxAdverts);
+    // Home owns every job, its own home graphs included: one owner, one
+    // running total, however many jobs were billed.
+    const auto& totals = peer->account().ledger().totals();
+    ASSERT_EQ(totals.size(), 1u);
+    EXPECT_EQ(totals.at("home").executions,
+              static_cast<std::uint64_t>(kCycles));
+  }
+  if (kGlibcHeap) {
+    EXPECT_LT(heap_at_end, heap_at_warmup + kMaxHeapGrowth)
+        << "heap grew from " << heap_at_warmup << " to " << heap_at_end
+        << " bytes between cycle " << kWarmup << " and " << kCycles;
   }
 }
 

@@ -247,6 +247,35 @@ TEST(Units, NoiseSourceIsDeterministicPerRngStream) {
   EXPECT_EQ(a, b);
 }
 
+/// Configure a fresh `U` with one integer param set to `v`.
+template <typename U>
+void configure_int(const char* key, long long v) {
+  U unit;
+  ParamSet p;
+  p.set_int(key, v);
+  unit.configure(p);
+}
+
+TEST(Units, WaveRejectsOutOfRangeSamples) {
+  for (long long n : {-1LL, 0LL, kMaxSourceSamples + 1, 1LL << 62}) {
+    EXPECT_THROW(configure_int<WaveUnit>("samples", n), std::invalid_argument)
+        << n;
+  }
+  EXPECT_NO_THROW(configure_int<WaveUnit>("samples", 1));
+  EXPECT_NO_THROW(configure_int<WaveUnit>("samples", kMaxSourceSamples));
+}
+
+TEST(Units, NoiseSourceRejectsOutOfRangeSamples) {
+  for (long long n : {-512LL, 0LL, kMaxSourceSamples + 1}) {
+    EXPECT_THROW(configure_int<NoiseSourceUnit>("samples", n),
+                 std::invalid_argument)
+        << n;
+  }
+  EXPECT_NO_THROW(configure_int<NoiseSourceUnit>("samples", 1));
+  EXPECT_NO_THROW(
+      configure_int<NoiseSourceUnit>("samples", kMaxSourceSamples));
+}
+
 TEST(Units, GaussianAddsNoiseOfRequestedLevel) {
   GaussianUnit g;
   ParamSet p;

@@ -77,20 +77,6 @@ TEST(Trust, RankedOrdersBestFirst) {
   EXPECT_EQ(order[2], "bad");
 }
 
-TEST(Trust, IngestLedger) {
-  sandbox::BillingLedger ledger;
-  sandbox::Usage u;
-  u.cpu_seconds = 1.0;
-  ledger.bill("alice", "fft", 0, u, false);
-  ledger.bill("alice", "fft", 1, u, false);
-  ledger.bill("eve", "cruncher", 2, u, true);
-
-  sandbox::TrustManager tm;
-  tm.ingest_ledger(ledger);
-  EXPECT_GT(tm.score("alice"), tm.score("eve"));
-  EXPECT_EQ(tm.observations("alice"), 2u);
-}
-
 // ------------------------------------------------------------ peer groups
 
 TEST(PeerGroups, CsvContains) {

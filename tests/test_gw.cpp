@@ -406,6 +406,58 @@ TEST(Units, StrainSourcePlusFilterPipelineDetects) {
   EXPECT_DOUBLE_EQ(hits->stats().mean() * 6.0, 3.0);
 }
 
+TEST(Units, StrainSourceRejectsOutOfRangeParams) {
+  auto configure_with = [](const char* key, long long v) {
+    StrainSourceUnit unit;
+    core::ParamSet p;
+    p.set_int(key, v);
+    unit.configure(p);
+  };
+  for (long long n : {-1LL, 0LL, core::kMaxSourceSamples + 1}) {
+    EXPECT_THROW(configure_with("samples", n), std::invalid_argument) << n;
+  }
+  EXPECT_NO_THROW(configure_with("samples", 1));
+  EXPECT_NO_THROW(configure_with("samples", core::kMaxSourceSamples));
+  EXPECT_THROW(configure_with("inject_every", -1), std::invalid_argument);
+  EXPECT_NO_THROW(configure_with("inject_every", 0));
+  for (long long k : {-1LL, core::kMaxSourceSamples + 1}) {
+    EXPECT_THROW(configure_with("inject_offset", k), std::invalid_argument)
+        << k;
+  }
+  EXPECT_NO_THROW(configure_with("inject_offset", 0));
+}
+
+TEST(Units, InspiralFilterRejectsOutOfRangeParams) {
+  // Each case sets n_templates, first and count; a small f_low keeps the
+  // accepted banks cheap to build.
+  auto configure_with = [](long long n, long long first, long long count) {
+    InspiralFilterUnit unit;
+    core::ParamSet p;
+    p.set_double("f_low", 300.0);
+    p.set_int("n_templates", n);
+    p.set_int("first", first);
+    p.set_int("count", count);
+    unit.configure(p);
+  };
+  const long long kMax = InspiralFilterUnit::kMaxTemplates;
+  for (long long n : {-1LL, 0LL, kMax + 1, 1LL << 40}) {
+    EXPECT_THROW(configure_with(n, 0, 0), std::invalid_argument) << n;
+  }
+  EXPECT_THROW(configure_with(4, -1, 0), std::invalid_argument);
+  EXPECT_THROW(configure_with(4, 4, 0), std::invalid_argument);
+  EXPECT_THROW(configure_with(4, 0, -1), std::invalid_argument);
+  EXPECT_THROW(configure_with(4, 0, 5), std::invalid_argument);
+  try {
+    configure_with(4, 2, 3);
+    ADD_FAILURE() << "first + count > n_templates was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "InspiralFilter: count must be in [0, 2]");
+  }
+  EXPECT_NO_THROW(configure_with(4, 2, 2));
+  EXPECT_NO_THROW(configure_with(4, 3, 0));
+  EXPECT_NO_THROW(configure_with(1, 0, 1));
+}
+
 TEST(Units, FilterRejectsWrongInput) {
   core::UnitRegistry reg = core::UnitRegistry::with_builtins();
   register_gw_units(reg);
