@@ -89,6 +89,7 @@ struct Row {
   std::uint64_t payloads_fenced = 0;   ///< zombie work absorbed by fences
   std::uint64_t payloads_bounced = 0;  ///< refused by suspended hosts
   std::uint64_t degraded = 0;          ///< fragments lost for good
+  std::uint64_t jobs_failed = 0;       ///< home and every peer
   double recovery_p50_s = 0;
   double recovery_p95_s = 0;
 };
@@ -225,9 +226,11 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   row.redeploys_timed_out = st.redeploys_timed_out;
   row.fences_sent = st.fences_sent;
   row.payloads_fenced = home.pipes().stats().payloads_fenced;
+  row.jobs_failed = home.stats().jobs_failed;
   for (const auto& p : peers) {
     row.payloads_fenced += p->pipes().stats().payloads_fenced;
     row.payloads_bounced += p->stats().payloads_bounced;
+    row.jobs_failed += p->stats().jobs_failed;
   }
   for (std::size_t i = 0; i < spec.workers; ++i) {
     if (sup->degraded(i)) ++row.degraded;
@@ -265,6 +268,7 @@ std::string rows_json(const std::vector<Row>& rows) {
     out += ",\"payloads_fenced\":" + std::to_string(r.payloads_fenced);
     out += ",\"payloads_bounced\":" + std::to_string(r.payloads_bounced);
     out += ",\"degraded\":" + std::to_string(r.degraded);
+    out += ",\"jobs_failed\":" + std::to_string(r.jobs_failed);
     out += ",\"recovery_p50_s\":" + obs::json_number(r.recovery_p50_s);
     out += ",\"recovery_p95_s\":" + obs::json_number(r.recovery_p95_s);
   });
@@ -288,9 +292,10 @@ int main(int argc, char** argv) {
               1 + base.workers + base.spares, base.workers, base.spares,
               base.churn_s, seed);
   std::printf("%-13s %-6s %-7s %-6s %-5s %-7s %-7s %-7s %-7s %-7s %-5s "
-              "%-8s %-8s\n",
+              "%-6s %-8s %-8s\n",
               "scenario", "phi", "done", "rate", "det", "recov", "abort",
-              "failed", "fenced", "bounce", "degr", "p50 s", "p95 s");
+              "failed", "fenced", "bounce", "degr", "jfail", "p50 s",
+              "p95 s");
 
   struct Climate {
     const char* name;
@@ -323,7 +328,7 @@ int main(int argc, char** argv) {
       Row row = run_campaign(spec, &registry, campaign_tracer);
       rows.push_back(row);
       std::printf("%-13s %-6.0f %-7llu %-6.3f %-5llu %-7llu %-7llu %-7llu "
-                  "%-7llu %-7llu %-5llu %-8.2f %-8.2f\n",
+                  "%-7llu %-7llu %-5llu %-6llu %-8.2f %-8.2f\n",
                   row.scenario.c_str(), row.phi_dead,
                   static_cast<unsigned long long>(row.items_done),
                   row.completion_rate,
@@ -334,6 +339,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(row.payloads_fenced),
                   static_cast<unsigned long long>(row.payloads_bounced),
                   static_cast<unsigned long long>(row.degraded),
+                  static_cast<unsigned long long>(row.jobs_failed),
                   row.recovery_p50_s, row.recovery_p95_s);
     }
   }

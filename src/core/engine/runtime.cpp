@@ -306,13 +306,6 @@ void GraphRuntime::run(std::uint64_t iterations) {
   for (std::uint64_t i = 0; i < iterations; ++i) tick();
 }
 
-void GraphRuntime::tick_parallel(rm::ThreadPool& pool) { tick_wave(pool); }
-
-void GraphRuntime::run_parallel(rm::ThreadPool& pool,
-                                std::uint64_t iterations) {
-  for (std::uint64_t i = 0; i < iterations; ++i) tick_wave(pool);
-}
-
 void GraphRuntime::tick_wave(rm::ThreadPool& pool) {
   ++iteration_;
   ++stats_.ticks;

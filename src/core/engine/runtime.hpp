@@ -113,13 +113,6 @@ class GraphRuntime {
   /// tick() `iterations` times.
   void run(std::uint64_t iterations);
 
-  /// One streaming iteration on a caller-provided pool (the wave
-  /// scheduler, regardless of max_threads).
-  void tick_parallel(rm::ThreadPool& pool);
-
-  /// tick_parallel() `iterations` times.
-  void run_parallel(rm::ThreadPool& pool, std::uint64_t iterations);
-
   /// Inject an item arriving on the external channel `label`; it flows out
   /// of the matching Receive unit and the graph runs to quiescence.
   /// Returns false (and drops the item) when no Receive has that label.

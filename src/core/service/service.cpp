@@ -12,9 +12,8 @@ namespace cg::core {
 namespace {
 
 constexpr std::size_t kModuleCacheBytes = 64u << 20;
-/// Re-resolve attempts for a bounced payload, and for a failed output
-/// bind, before giving up (spaced by ServiceConfig's *_retry_s).
-constexpr int kBounceRetries = 8;
+/// Re-resolve attempts for a failed output bind before its label parks
+/// (spaced by ServiceConfig::bind_retry_s).
 constexpr int kBindRetries = 10;
 /// Cap on remembered cancels for jobs not hosted here, so a peer sending
 /// cancels for made-up ids cannot grow the table.
@@ -34,9 +33,8 @@ std::set<std::string> module_types(const TaskGraph& g) {
   return out;
 }
 
-bool contains_label(const std::vector<std::string>& labels,
-                    const std::string& label) {
-  return std::find(labels.begin(), labels.end(), label) != labels.end();
+bool contains_label(const auto& labels, const std::string& label) {
+  return std::ranges::find(labels, label) != labels.end();
 }
 
 /// Deployed live and not failed: the states a supervisor's lease and
@@ -82,7 +80,7 @@ TrianaService::TrianaService(net::Transport& transport, net::Clock clock,
   pipes_.set_unknown_pipe_handler(
       [this](const std::string& pipe, const net::Endpoint& from,
              serial::Bytes payload) {
-        if (!bounce_labels_.contains(pipe)) return false;
+        if (!contains_label(bounce_labels_, pipe)) return false;
         ++stats_.payloads_bounced;
         obs_.payloads_bounced.inc();
         transport_.send(from, encode(BounceMsg{pipe, std::move(payload)}));
@@ -757,7 +755,7 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
 void TrianaService::advertise_job_inputs(Job& job) {
   const std::string job_id = job.job_id;
   for (const auto& label : job.input_labels) {
-    bounce_labels_.erase(label);  // a live job serves it again
+    std::erase(bounce_labels_, label);  // a live job serves it again
     pipes_.advertise_input(
         label,
         [this, job_id, label](const net::Endpoint&, serial::Bytes payload) {
@@ -813,29 +811,35 @@ void TrianaService::on_channel_send(const std::string& job_id,
     }
   }
 
-  auto pit = job.out_pipes.find(label);
-  if (pit != job.out_pipes.end() && pit->second.bound()) {
+  using State = OutputChannel::State;
+  auto oit = job.outputs.find(label);
+  if (oit != job.outputs.end() && oit->second.state == State::kBound) {
     ++stats_.pipe_items_out;
-    pipes_.send(pit->second, encode_data_item(item), job.epoch);
+    pipes_.send(oit->second.pipe, encode_data_item(item), job.epoch);
     return;
   }
 
-  // Not bound yet: queue the item; start the bind on first use.
-  const bool bind_started = job.out_backlog.contains(label);
-  job.out_backlog[label].push_back(std::move(item));
-  if (bind_started) return;
-
-  // The bind is a span under the job's context: its duration is how long
-  // the first item on this channel waited for discovery + connection
-  // (including retries while the provider is down or mid-recovery).
-  const std::uint64_t bspan = obs_.tracer.begin_span(
-      config_.peer_id, "pipe.bind", job.trace, "label=" + label);
-  start_output_bind(job_id, label, kBindRetries, bspan);
+  // Not bound: queue the item; the first one on an unbound label starts
+  // the bind, and a bind already running or parked takes it along.
+  OutputChannel& out = job.outputs[label];
+  out.backlog.push_back(encode_data_item(item));
+  if (out.state == State::kUnbound) start_output_bind(job, label);
 }
 
-void TrianaService::start_output_bind(const std::string& job_id,
-                                      const std::string& label,
-                                      int attempts_left, std::uint64_t bspan) {
+void TrianaService::start_output_bind(Job& job, const std::string& label) {
+  job.outputs[label].state = OutputChannel::State::kBinding;
+  // The bind is a span under the job's context: its duration is how long
+  // the queued items waited for discovery + connection (including retries
+  // while the provider is down or mid-recovery).
+  const std::uint64_t bspan = obs_.tracer.begin_span(
+      config_.peer_id, "pipe.bind", job.trace, "label=" + label);
+  attempt_output_bind(job.job_id, label, kBindRetries, bspan);
+}
+
+void TrianaService::attempt_output_bind(const std::string& job_id,
+                                        const std::string& label,
+                                        int attempts_left,
+                                        std::uint64_t bspan) {
   pipes_.bind_output(label, [this, job_id, label, attempts_left,
                              bspan](p2p::OutputPipe pipe) {
     auto jit = jobs_.find(job_id);
@@ -844,49 +848,40 @@ void TrianaService::start_output_bind(const std::string& job_id,
       return;
     }
     Job& j = jit->second;
-    if (!pipe.bound()) {
-      // Nobody answered the flood. Under churn that is usually transient:
-      // the provider is down for a blip, or dead with its replacement not
-      // yet serving. Keep the backlog and ask again -- the supervisor's
-      // recovery publishes a fresh advert the retry will find.
-      if (attempts_left > 0 && !j.failed()) {
-        ++stats_.binds_retried;
-        obs_.binds_retried.inc();
-        scheduler_(config_.bind_retry_s, [this, job_id, label, attempts_left,
-                                          bspan] {
-          auto it2 = jobs_.find(job_id);
-          if (it2 == jobs_.end() || it2->second.failed()) {
-            obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind",
-                                 "job-gone");
-            return;
-          }
-          // The channel may have been bound elsewhere meanwhile (e.g. a
-          // rebind after recovery raced this retry).
-          if (it2->second.out_pipes.contains(label)) {
-            obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind",
-                                 "superseded");
-            return;
-          }
-          start_output_bind(job_id, label, attempts_left - 1, bspan);
-        });
-        return;
+    OutputChannel& out = j.outputs[label];
+    if (pipe.bound()) {
+      obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "bound");
+      out.state = OutputChannel::State::kBound;
+      out.pipe = pipe;
+      stats_.pipe_items_out += out.backlog.size();
+      stats_.bounces_resent += std::exchange(out.bounced, 0);
+      for (auto& payload : std::exchange(out.backlog, {})) {
+        pipes_.send(pipe, std::move(payload), j.epoch);
       }
-      obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "failed");
-      transition(j, JobEvent::kFail,
-                 "could not bind output channel '" + label + "'",
-                 /*violated=*/false);
       return;
     }
-    obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "bound");
-    j.out_pipes[label] = pipe;
-    auto bit = j.out_backlog.find(label);
-    if (bit != j.out_backlog.end()) {
-      for (auto& queued : bit->second) {
-        ++stats_.pipe_items_out;
-        pipes_.send(pipe, encode_data_item(queued), j.epoch);
-      }
-      j.out_backlog.erase(bit);
+    // Nobody answered the flood. Under churn that is usually transient:
+    // the provider is down for a blip, or dead with its replacement not
+    // yet serving. Keep the backlog and ask again -- the supervisor's
+    // recovery publishes a fresh advert the retry will find. Once the
+    // retries run out the label parks, backlog and all: the job keeps
+    // running, and only the controller decides that a run has failed.
+    if (attempts_left == 0 || j.failed()) {
+      obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "parked");
+      out.state = OutputChannel::State::kParked;
+      return;
     }
+    ++stats_.binds_retried;
+    obs_.binds_retried.inc();
+    scheduler_(config_.bind_retry_s, [this, job_id, label, attempts_left,
+                                      bspan] {
+      // A job cancelled or fenced meanwhile needs no flood.
+      if (jobs_.contains(job_id)) {
+        attempt_output_bind(job_id, label, attempts_left - 1, bspan);
+      } else {
+        obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "job-gone");
+      }
+    });
   });
 }
 
@@ -899,7 +894,17 @@ void TrianaService::cache_channel_hints(const ChannelMap& channels) {
 void TrianaService::rebind_channel(const std::string& label) {
   node_.cache().drop_name(p2p::AdvertKind::kPipe, label);
   for (auto& [id, job] : jobs_) {
-    job.out_pipes.erase(label);
+    auto it = job.outputs.find(label);
+    if (it == job.outputs.end()) continue;
+    // A bound label re-resolves on its next send, and a parked one now: a
+    // recovery may have put a provider behind it. A running bind already
+    // asks afresh on its next attempt.
+    if (it->second.state == OutputChannel::State::kBound) {
+      it->second.state = OutputChannel::State::kUnbound;
+    } else if (it->second.state == OutputChannel::State::kParked &&
+               !job.failed()) {
+      start_output_bind(job, label);
+    }
   }
 }
 
@@ -937,7 +942,7 @@ void TrianaService::transition(Job& job, JobEvent event,
       for (const auto& label : job.input_labels) {
         if (label_owned_by_other(job.job_id, label)) continue;
         pipes_.remove_input(label);
-        bounce_labels_.insert(label);
+        add_bounce_label(label);
       }
       return;
     case JobEvent::kResume:
@@ -974,6 +979,9 @@ void TrianaService::teardown_job(Job& job) {
     if (!label_owned_by_other(job.job_id, label)) pipes_.remove_input(label);
   }
   for (const auto& mname : job.pinned_modules) module_cache_.unpin(mname);
+  for (const auto& [label, out] : job.outputs) {
+    stats_.bounces_dropped += out.bounced;
+  }
 }
 
 bool TrianaService::label_owned_by_other(const std::string& job_id,
@@ -1043,9 +1051,7 @@ void TrianaService::fence_halt(const std::string& job_id) {
   // The labels stay bouncy after the job is gone: late payloads addressed
   // to the dead incarnation still get handed back to their senders.
   for (const auto& label : job.input_labels) {
-    if (!label_owned_by_other(job.job_id, label)) {
-      bounce_labels_.insert(label);
-    }
+    if (!label_owned_by_other(job.job_id, label)) add_bounce_label(label);
   }
   cancel_local(job_id);
 }
@@ -1070,66 +1076,43 @@ void TrianaService::handle_fence(const FenceMsg& m) {
   for (const auto& id : stale) fence_halt(id);
 }
 
-void TrianaService::handle_bounce(const net::Endpoint& from, BounceMsg m) {
-  (void)from;
-  // A payload we sent was refused (suspended or fenced consumer). Drop the
-  // stale binding and re-resolve -- the advert cache prefers the highest
-  // epoch, so the re-send lands at the replacement.
-  rebind_channel(m.label);
-  resend_bounced(m.label, std::move(m.payload), kBounceRetries);
+void TrianaService::add_bounce_label(const std::string& label) {
+  if (contains_label(bounce_labels_, label)) return;
+  if (bounce_labels_.size() >= kMaxBounceLabels) bounce_labels_.pop_front();
+  bounce_labels_.push_back(label);
 }
 
-void TrianaService::resend_bounced(const std::string& label,
-                                   serial::Bytes payload, int attempts_left) {
-  Job* owner = nullptr;
-  for (auto& [id, job] : jobs_) {
-    if (!job.failed() && contains_label(job.output_labels, label)) {
-      owner = &job;
-      break;
-    }
-  }
-  if (!owner) {
+void TrianaService::handle_bounce(const net::Endpoint& from, BounceMsg m) {
+  // A payload we sent was refused (suspended or fenced consumer). It joins
+  // the owning job's backlog for the label and rides that label's one bind.
+  auto owner = std::ranges::find_if(jobs_, [&](const auto& entry) {
+    return !entry.second.failed() &&
+           contains_label(entry.second.output_labels, m.label);
+  });
+  if (owner == jobs_.end()) {
     ++stats_.bounces_dropped;
     return;
   }
-  if (auto pit = owner->out_pipes.find(label);
-      pit != owner->out_pipes.end() && pit->second.bound()) {
+  Job& job = owner->second;
+  OutputChannel& out = job.outputs[m.label];
+  using State = OutputChannel::State;
+  if (out.state == State::kBound && out.pipe.target != from) {
+    // Already rebound past the host that refused it.
     ++stats_.pipe_items_out;
     ++stats_.bounces_resent;
-    pipes_.send(pit->second, std::move(payload), owner->epoch);
+    pipes_.send(out.pipe, std::move(m.payload), job.epoch);
     return;
   }
-  // Unbound: resolve our own binding (separate from on_channel_send's
-  // backlog machinery -- a failed resolve here retries instead of failing
-  // the job, because the replacement may still be deploying).
-  const std::string job_id = owner->job_id;
-  pipes_.bind_output(
-      label, [this, label, job_id, payload = std::move(payload),
-              attempts_left](p2p::OutputPipe pipe) mutable {
-        auto jit = jobs_.find(job_id);
-        if (jit == jobs_.end() || jit->second.failed()) {
-          ++stats_.bounces_dropped;
-          return;
-        }
-        if (!pipe.bound()) {
-          if (attempts_left > 0) {
-            scheduler_(config_.bounce_retry_s,
-                       [this, label, payload = std::move(payload),
-                        attempts_left]() mutable {
-                         resend_bounced(label, std::move(payload),
-                                        attempts_left - 1);
-                       });
-          } else {
-            ++stats_.bounces_dropped;
-          }
-          return;
-        }
-        Job& j = jit->second;
-        j.out_pipes[label] = pipe;
-        ++stats_.pipe_items_out;
-        ++stats_.bounces_resent;
-        pipes_.send(pipe, std::move(payload), j.epoch);
-      });
+  out.backlog.push_back(std::move(m.payload));
+  ++out.bounced;
+  if (out.state == State::kBound) {
+    // Still bound to the refusing host: forget it and its advert, so the
+    // bind re-resolves -- the advert cache prefers the highest epoch, so
+    // the re-send lands at the replacement.
+    node_.cache().drop_name(p2p::AdvertKind::kPipe, m.label);
+    out.state = State::kUnbound;
+  }
+  if (out.state != State::kBinding) start_output_bind(job, m.label);
 }
 
 void TrianaService::handle_promote(const net::Endpoint& from,

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "cas/store.hpp"
@@ -66,18 +65,14 @@ struct ServiceConfig {
   /// same unit type + params + input bytes recur -- across jobs, runs and
   /// (via a shared store directory) peers.
   bool memoize_pure_units = false;
-  /// Bounced-payload re-send: when a payload this service sent comes back
-  /// (consumer suspended or fenced), re-resolve the channel and re-send;
-  /// retry a failed re-resolve up to 8 times, this far apart (recovery may
-  /// still be in flight when the bounce arrives).
-  double bounce_retry_s = 1.0;
   /// Output-channel bind retry: a failed discovery for an output label is
-  /// retried up to 10 times, this far apart, before the job is failed.
-  /// Under churn the provider may be down for a blip -- or dead and mid
-  /// recovery -- when the flood goes out; by the next attempt the host is
-  /// back (or the supervisor has redeployed the fragment and the retry
-  /// binds the replacement's higher-epoch advert). Only the final failure
-  /// is fatal to the job.
+  /// retried up to 10 times, this far apart. Under churn the provider may
+  /// be down for a blip -- or dead and mid recovery -- when the flood goes
+  /// out; by the next attempt the host is back (or the supervisor has
+  /// redeployed the fragment and the retry binds the replacement's
+  /// higher-epoch advert). When the retries run out the label parks: its
+  /// backlog is kept, the job keeps running, and rebind_channel or a
+  /// bounce on the label starts the bind again.
   double bind_retry_s = 2.0;
 };
 
@@ -279,12 +274,33 @@ class TrianaService {
   /// inbound kRebind control messages.
   void rebind_channel(const std::string& label);
 
+  /// Cap on the bounce labels (see bounce_labels_) and their count.
+  static constexpr std::size_t kMaxBounceLabels = 1024;
+  std::size_t bounce_label_count() const { return bounce_labels_.size(); }
+
   /// The fencing epoch of a job hosted here (0 when unknown/unfenced).
   std::uint64_t job_epoch(const std::string& job_id) const;
   /// Lifecycle state of a job hosted here (nullopt when unknown).
   std::optional<JobState> job_state(const std::string& job_id) const;
 
  private:
+  /// One output label of a job: its binding, the encoded payloads waiting
+  /// for one, and how far the bind has got.
+  ///
+  ///   kUnbound --send or bounce--> kBinding --provider found--> kBound
+  ///   kBinding --retries run out--> kParked --rebind or bounce--> kBinding
+  ///   kBound --rebind_channel--> kUnbound
+  ///   kBound --bounce from its own provider--> kBinding
+  ///
+  /// Exactly one bind loop runs while kBinding; nothing else starts one.
+  struct OutputChannel {
+    enum class State { kUnbound, kBinding, kBound, kParked };
+    State state = State::kUnbound;
+    p2p::OutputPipe pipe;                ///< the binding while kBound
+    std::vector<serial::Bytes> backlog;  ///< sent once a bind succeeds
+    std::size_t bounced = 0;  ///< backlog payloads that came back to us
+  };
+
   struct Job {
     std::string job_id;
     std::string owner;
@@ -298,8 +314,7 @@ class TrianaService {
     std::vector<std::string> pinned_modules;
     std::vector<std::string> input_labels;  ///< advertised pipes to remove
     std::vector<std::string> output_labels;  ///< labels this job sends on
-    std::map<std::string, p2p::OutputPipe> out_pipes;
-    std::map<std::string, std::vector<DataItem>> out_backlog;
+    std::map<std::string, OutputChannel> outputs;  ///< by output label
     std::uint64_t epoch = 0;      ///< fencing epoch (stamped on all sends)
     double lease_s = 0.0;         ///< liveness lease length (0 = none)
     double lease_deadline = 0.0;  ///< next expiry on the ambient clock
@@ -356,11 +371,12 @@ class TrianaService {
   void teardown_job(Job& job);
   void on_channel_send(const std::string& job_id, const std::string& label,
                        DataItem item);
-  /// Issue (or re-issue) the discovery+bind for an output label; on an
-  /// unbound result, retries up to `attempts_left` more times before
-  /// failing the job. `bspan` is the open "pipe.bind" trace span.
-  void start_output_bind(const std::string& job_id, const std::string& label,
-                         int attempts_left, std::uint64_t bspan);
+  /// Start an output label's one bind loop (kUnbound/kParked -> kBinding).
+  void start_output_bind(Job& job, const std::string& label);
+  /// One discovery+bind of that loop; an unbound result retries up to
+  /// `attempts_left` more times, then parks. `bspan`: the "pipe.bind" span.
+  void attempt_output_bind(const std::string& job_id, const std::string& label,
+                           int attempts_left, std::uint64_t bspan);
   void run_iterations(Job& job, std::uint64_t iterations);
   /// Tombstones (see tombstones_); tombstoned() drops the expired first.
   void add_tombstone(const std::string& job_id);
@@ -379,8 +395,7 @@ class TrianaService {
   void handle_fence(const FenceMsg& m);
   void handle_bounce(const net::Endpoint& from, BounceMsg m);
   void handle_promote(const net::Endpoint& from, const PromoteMsg& m);
-  void resend_bounced(const std::string& label, serial::Bytes payload,
-                      int attempts_left);
+  void add_bounce_label(const std::string& label);
 
   net::Clock clock_;
   net::Scheduler scheduler_;
@@ -405,9 +420,9 @@ class TrianaService {
   /// later than that -- and at most kMaxTombstones are kept.
   std::deque<std::pair<double, std::string>> tombstones_;
   /// Labels whose payloads are bounced back to the sender while no live
-  /// job serves them (suspended or fenced incarnations); prevents silent
-  /// item loss during recovery.
-  std::set<std::string> bounce_labels_;
+  /// job serves them (suspended or fenced incarnations), oldest first;
+  /// prevents silent item loss during recovery. At most kMaxBounceLabels.
+  std::deque<std::string> bounce_labels_;
   std::map<std::string, AckHandler> ack_handlers_;      // by job id
   std::map<std::string, StatusHandler> status_handlers_;
   std::map<std::string, CheckpointHandler> ckpt_handlers_;

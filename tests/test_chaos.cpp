@@ -524,6 +524,43 @@ TEST(Chaos, OutputBindRetriesSurviveProviderBlip) {
   EXPECT_EQ(grid.home->stats().jobs_failed, 0u);
 }
 
+// A provider that stays away past the whole bind budget parks the label
+// instead of failing the sender's job: the backlog waits with no timer
+// armed -- even once the host is back -- until the supervisor's recovery
+// rebind starts the bind again, and then every queued item lands once.
+TEST(Chaos, OutputBindParksPastItsBudgetAndResumesOnRebind) {
+  ChaosGrid grid(708);
+  TaskGraph g = scaler_farm_graph();
+  grid.home->publish_graph_modules(g);
+  TrianaController ctl(*grid.home);
+  auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
+  grid.net.run_until(5.0);
+  ASSERT_TRUE(run->deployed_ok())
+      << (run->errors.empty() ? "missing acks" : run->errors[0]);
+
+  // 11 floods (~2 s of rings each) 2 s apart: the budget runs out at ~48 s,
+  // well before the host returns.
+  grid.net.set_up(1, false);
+  grid.home->rebind_channel(run->prefix + "/w0/in0");
+  grid.net.schedule(6.0, [&] { ctl.tick(*run, 4); });
+  grid.net.schedule(70.0, [&] { grid.net.set_up(1, true); });
+  grid.net.run_until(80.0);
+
+  auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
+  EXPECT_TRUE(sink->items().empty());
+  EXPECT_EQ(grid.home->stats().binds_retried, 10u);
+  EXPECT_EQ(grid.home->stats().jobs_failed, 0u);
+  EXPECT_EQ(grid.home->job_state(run->home_job), JobState::kRunning);
+
+  // What RunSupervisor does once it has recovered fragment 0.
+  ctl.rebind_inputs(*run, 0);
+  grid.net.run_until(100.0);
+  EXPECT_EQ(sink->items().size(), 4u);
+  EXPECT_EQ(grid.workers[0]->stats().pipe_items_in, 4u);
+  EXPECT_EQ(grid.home->stats().binds_retried, 10u);  // bound at once
+  EXPECT_EQ(grid.home->stats().jobs_failed, 0u);
+}
+
 TEST(Chaos, SameSeedAndPlanReproduceIdenticalStats) {
   RunOutcome r1 = run_farm(1234, /*chaotic=*/true);
   RunOutcome r2 = run_farm(1234, /*chaotic=*/true);

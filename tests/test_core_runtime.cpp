@@ -320,11 +320,11 @@ TEST(Runtime, UnitExceptionPropagates) {
 }
 
 TEST(Runtime, ParallelTickMatchesSerialBitForBit) {
-  rm::ThreadPool pool(4);
   GraphRuntime serial(figure1_graph(), reg(), RuntimeOptions{.rng_seed = 7});
-  GraphRuntime parallel(figure1_graph(), reg(), RuntimeOptions{.rng_seed = 7});
+  GraphRuntime parallel(figure1_graph(), reg(),
+                        RuntimeOptions{.rng_seed = 7, .max_threads = 4});
   serial.run(8);
-  parallel.run_parallel(pool, 8);
+  parallel.run(8);
 
   const auto& a = serial.unit_as<GrapherUnit>("Grapher")->items();
   const auto& b = parallel.unit_as<GrapherUnit>("Grapher")->items();
@@ -352,9 +352,8 @@ TEST(Runtime, ParallelTickWideFanOut) {
     g.connect("Src", 0, "scale" + s, 0);
     g.connect("scale" + s, 0, "sink" + s, 0);
   }
-  rm::ThreadPool pool(4);
-  GraphRuntime rt(g, reg(), {});
-  rt.run_parallel(pool, 5);
+  GraphRuntime rt(g, reg(), RuntimeOptions{.max_threads = 4});
+  rt.run(5);
   for (int i = 0; i < 12; ++i) {
     const std::string s = std::to_string(i);
     EXPECT_EQ(rt.firings_of("scale" + s), 5u) << s;
@@ -374,9 +373,8 @@ TEST(Runtime, ParallelTickPropagatesUnitErrors) {
   g.connect("A", 0, "Add", 0);
   g.connect("B", 0, "Add", 1);
   g.connect("Add", 0, "Sink", 0);
-  rm::ThreadPool pool(2);
-  GraphRuntime rt(g, reg(), {});
-  EXPECT_THROW(rt.tick_parallel(pool), std::invalid_argument);
+  GraphRuntime rt(g, reg(), RuntimeOptions{.max_threads = 2});
+  EXPECT_THROW(rt.tick(), std::invalid_argument);
 }
 
 TEST(Runtime, SandboxViolationPropagates) {

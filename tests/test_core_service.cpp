@@ -1610,6 +1610,100 @@ TEST(Service, JobTransitionTableIsExhaustive) {
   }
 }
 
+/// Receive("lc-in") -> Grapher: counts what reaches a listener.
+TaskGraph grapher_listener() {
+  TaskGraph frag("listener");
+  ParamSet rp;
+  rp.set("label", "lc-in");
+  frag.add_task("In", "Receive", rp);
+  frag.add_task("Sink", "Grapher");
+  frag.connect("In", 0, "Sink", 0);
+  return frag;
+}
+
+// A burst of payloads bounced off a suspended consumer joins the sender's
+// backlog for the label: one bind re-resolves it, and every payload is
+// re-sent once, to the replacement.
+TEST(Service, BounceBurstSharesOneBind) {
+  constexpr std::uint64_t kBurst = 8;
+  Grid grid(2);
+  TrianaService& home = *grid.home;
+  const TaskGraph listener = grapher_listener();
+  TaskGraph producer("producer");
+  ParamSet sp;
+  sp.set("label", "lc-in");
+  producer.add_task("Wave", "Wave");
+  producer.add_task("Out", "Send", sp);
+  producer.connect("Wave", 0, "Out", 0);
+  home.publish_graph_modules(listener);
+
+  // The first consumer binds the sender, then its lease runs dry.
+  std::string old_job;
+  home.deploy_remote(grid.workers[0]->endpoint(), listener, 0,
+                     [&](const DeployAckMsg& a) { old_job = a.job_id; }, {},
+                     DeployOptions{.lease_s = 2.0});
+  grid.net.run_until(0.5);
+  const std::string sender = home.deploy_local(producer, 1);
+  grid.net.run_until(3.0);
+  ASSERT_EQ(grid.workers[0]->job_state(old_job), JobState::kSuspended);
+
+  // Its replacement serves the label at a higher epoch; the sender is still
+  // bound to the suspended one.
+  std::string new_job;
+  home.deploy_remote(grid.workers[1]->endpoint(), listener, 0,
+                     [&](const DeployAckMsg& a) { new_job = a.job_id; }, {},
+                     DeployOptions{.epoch = 1});
+  grid.net.run_until(3.5);
+  ASSERT_FALSE(new_job.empty());
+
+  const std::uint64_t queries = home.node().stats().queries_initiated;
+  home.tick_job(sender, kBurst);
+  grid.net.run_all();
+
+  EXPECT_EQ(grid.workers[0]->stats().payloads_bounced, kBurst);
+  EXPECT_EQ(home.node().stats().queries_initiated - queries, 1u);
+  EXPECT_EQ(home.stats().bounces_resent, kBurst);
+  EXPECT_EQ(home.stats().bounces_dropped, 0u);
+  auto* sink =
+      grid.workers[1]->job_runtime(new_job)->unit_as<GrapherUnit>("Sink");
+  EXPECT_EQ(sink->items().size(), kBurst);
+  EXPECT_FALSE(home.job_failed(sender));
+}
+
+// Every suspension or fence leaves its job's input labels bouncing; a host
+// that outlives many fenced runs forgets the oldest past the cap.
+TEST(Service, BounceLabelsAreCapped) {
+  constexpr std::size_t kCap = TrianaService::kMaxBounceLabels;
+  Grid grid(1);
+  TrianaService& worker = *grid.workers[0];
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    const std::string label = "fenced-" + std::to_string(i);
+    TaskGraph frag("listener");
+    ParamSet rp;
+    rp.set("label", label);
+    frag.add_task("In", "Receive", rp);
+    frag.add_task("Sink", "NullSink");
+    frag.connect("In", 0, "Sink", 0);
+    worker.deploy_local(frag, 0);
+    grid.home->reliable().send(worker.endpoint(), encode(RebindMsg{label, 1}));
+    grid.net.run_all();
+  }
+  EXPECT_EQ(worker.stats().jobs_fenced, kCap + 1);
+  EXPECT_EQ(worker.job_count(), 0u);
+  EXPECT_EQ(worker.bounce_label_count(), kCap);
+
+  // The first label is forgotten, the last still bounces.
+  const auto bounced = [&](const std::string& label) {
+    const std::uint64_t before = worker.stats().payloads_bounced;
+    grid.home->pipes().send(p2p::OutputPipe{label, worker.endpoint()},
+                            encode_data_item(DataItem(1.0)));
+    grid.net.run_all();
+    return worker.stats().payloads_bounced - before;
+  };
+  EXPECT_EQ(bounced("fenced-0"), 0u);
+  EXPECT_EQ(bounced("fenced-" + std::to_string(kCap)), 1u);
+}
+
 /// glibc's in-use heap: arena bytes handed out plus mmapped blocks.
 std::size_t heap_in_use() {
   const struct mallinfo2 mi = mallinfo2();

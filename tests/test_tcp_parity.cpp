@@ -81,7 +81,6 @@ struct ParityGrid {
     hc.peer_id = "home";
     hc.reliable = rel;
     hc.bind_retry_s = 0.2;
-    hc.bounce_retry_s = 0.1;
     home = std::make_unique<TrianaService>(be.add_node(), clock, sched,
                                            reg(), hc);
     for (int i = 0; i < 4; ++i) {  // 3 workers + 1 spare
@@ -89,7 +88,6 @@ struct ParityGrid {
       cfg.peer_id = "w" + std::to_string(i);
       cfg.reliable = rel;
       cfg.bind_retry_s = 0.2;
-      cfg.bounce_retry_s = 0.1;
       workers.push_back(std::make_unique<TrianaService>(be.add_node(), clock,
                                                         sched, reg(), cfg));
       home->node().add_neighbor(workers.back()->endpoint());
